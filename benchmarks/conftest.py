@@ -1,8 +1,9 @@
 """Benchmark-suite configuration.
 
-Ensures the shared baseline cache is reused across benchmark modules within a
-session (the runner caches by configuration + seeds) and keeps pytest-benchmark
-from repeating the expensive simulation sweeps more than once per benchmark.
+The default ``Session``'s per-run cache is shared across benchmark modules
+within a pytest session (runs are keyed by configuration + seed digest), which
+keeps pytest-benchmark from repeating the expensive baseline simulations more
+than once per benchmark.
 """
 
 import sys

@@ -9,8 +9,8 @@ normalized column divides it back out for comparison with the paper.
 
 from _shared import BENCH_SEEDS, bench_configs, column, print_series
 
+from repro.api.session import default_session
 from repro.experiments.baseline import baseline_sweep, format_figure2
-from repro.experiments.runner import clear_baseline_cache
 
 
 def _run_sweep():
@@ -26,7 +26,7 @@ def _run_sweep():
 
 
 def test_bench_figure2_baseline(benchmark):
-    clear_baseline_cache()
+    default_session().clear_cache()
     rows = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
     print_series(
         "Figure 2 - baseline access failure vs inter-poll interval (no attack)",

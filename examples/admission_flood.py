@@ -15,33 +15,34 @@ Run:  python examples/admission_flood.py
 
 from __future__ import annotations
 
-from repro import run_attack_experiment, scaled_config, units
-from repro.experiments.admission_attack import make_admission_flood_factory
+from repro import AdversarySpec, Scenario, Session, scaled_config, units
+from repro.api.session import build_point_world
 from repro.experiments.reporting import format_table
-from repro.experiments.world import build_world
 
 
 def main() -> None:
     protocol, sim = scaled_config(n_peers=20, n_aus=2, duration=units.years(1), seed=23)
-    factory = make_admission_flood_factory(
-        attack_duration=units.days(300),
-        coverage=1.0,
-        invitations_per_victim_per_day=8.0,
+    scenario = Scenario.from_configs(
+        "admission flood",
+        protocol,
+        sim,
+        adversary=AdversarySpec(
+            "admission_flood",
+            {
+                "attack_duration_days": 300.0,
+                "coverage": 1.0,
+                "invitations_per_victim_per_day": 8.0,
+            },
+        ),
+        seeds=(23,),
     )
 
     print("Running the attacked world (full coverage, 300-day flood) ...")
-    result = run_attack_experiment(
-        label="admission flood",
-        protocol_config=protocol,
-        sim_config=sim,
-        adversary_factory=factory,
-        seeds=(23,),
-    )
-    assessment = result.assessment
+    assessment = Session().run(scenario).assessment
 
     # Re-run one world directly to inspect the admission-control counters.
     print("Re-running one attacked world to inspect the admission filters ...")
-    world = build_world(protocol, sim, adversary_factory=factory)
+    world = build_point_world(scenario, seed=23)
     world.run()
     admitted = dropped_random = dropped_refractory = rate_limited = triggers = 0
     for peer in world.peers:

@@ -13,31 +13,37 @@ Run:  python examples/pipe_stoppage_attack.py
 
 from __future__ import annotations
 
-from repro import run_attack_experiment, scaled_config, units
-from repro.experiments.pipe_stoppage import make_pipe_stoppage_factory
+from repro import AdversarySpec, Scenario, Session, scaled_config, units
 from repro.experiments.reporting import format_table
 
 
+#: (label, attack duration in days, coverage)
 SCENARIOS = (
-    ("brief outage: 10 days, 40% of peers", units.days(10), 0.40),
-    ("serious attack: 60 days, 70% of peers", units.days(60), 0.70),
-    ("worst case: 150 days, every peer", units.days(150), 1.00),
+    ("brief outage: 10 days, 40% of peers", 10.0, 0.40),
+    ("serious attack: 60 days, 70% of peers", 60.0, 0.70),
+    ("worst case: 150 days, every peer", 150.0, 1.00),
 )
 
 
 def main() -> None:
     protocol, sim = scaled_config(n_peers=20, n_aus=2, duration=units.years(1), seed=11)
+    # One session runs all three: they share the no-attack baseline, which
+    # is simulated once and reused from the session's per-run cache.
+    session = Session()
     rows = []
-    for label, duration, coverage in SCENARIOS:
+    for label, duration_days, coverage in SCENARIOS:
         print("Running scenario: %s ..." % label)
-        result = run_attack_experiment(
-            label=label,
-            protocol_config=protocol,
-            sim_config=sim,
-            adversary_factory=make_pipe_stoppage_factory(duration, coverage),
+        scenario = Scenario.from_configs(
+            label,
+            protocol,
+            sim,
+            adversary=AdversarySpec(
+                "pipe_stoppage",
+                {"attack_duration_days": duration_days, "coverage": coverage},
+            ),
             seeds=(11,),
         )
-        assessment = result.assessment
+        assessment = session.run(scenario).assessment
         rows.append([
             label,
             assessment.access_failure_probability,

@@ -26,9 +26,7 @@ and run from the command line with ``repro-experiments run`` /
 ``repro-experiments campaign run`` (checkpointed and resumable with
 ``--store``).  Adversaries are looked up in a string-keyed registry
 (``pipe_stoppage``, ``admission_flood``, ``brute_force``); register your own
-with the ``repro.api.adversary`` decorator.  The pre-Scenario entry points
-(``run_single``, ``run_many``, ``run_attack_experiment``) are deprecated
-shims kept for compatibility.
+with the ``repro.api.adversary`` decorator.
 
 See ``examples/`` for attack scenarios and ``benchmarks/`` for the
 figure/table regeneration harnesses.
@@ -53,11 +51,6 @@ from .config import (
     paper_config,
     scaled_config,
     smoke_config,
-)
-from .experiments.runner import (
-    run_attack_experiment,
-    run_many,
-    run_single,
 )
 from .experiments.world import World, build_world
 from .metrics.report import AttackAssessment, RunMetrics, compare_runs
@@ -91,9 +84,6 @@ __all__ = [
     "config_digest",
     "World",
     "build_world",
-    "run_single",
-    "run_many",
-    "run_attack_experiment",
     "ExperimentResult",
     "RunMetrics",
     "AttackAssessment",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
@@ -598,25 +598,17 @@ class CampaignRunner:
 
         to_run = pending if max_points is None else pending[:max_points]
         chunk_size = max(1, self.session.workers)
-        fork_failures: Dict[str, PointExecutionError] = {}
         digest = Campaign.digest_of(points)
         self._publish_progress(campaign, digest, points, results, failed)
         try:
             if self.fork_prefixes and to_run:
-                fork_failures = self._run_fork_prefixes(points, to_run)
+                self._run_fork_prefixes(points, to_run)
             for start in range(0, len(to_run), chunk_size):
                 chunk = to_run[start : start + chunk_size]
-                runnable: List[CampaignPoint] = []
-                for point in chunk:
-                    error = self._fork_failure_for(point, fork_failures)
-                    if error is not None:
-                        failed[point.index] = str(error)
-                    else:
-                        runnable.append(point)
                 executed = self.session.run_all(
-                    [point.scenario for point in runnable], on_error="return"
+                    [point.scenario for point in chunk], on_error="return"
                 )
-                for point, result in zip(runnable, executed):
+                for point, result in zip(chunk, executed):
                     if isinstance(result, PointExecutionError):
                         failed[point.index] = str(result)
                     else:
@@ -674,7 +666,7 @@ class CampaignRunner:
         self,
         points: Sequence[CampaignPoint],
         to_run: Sequence[CampaignPoint],
-    ) -> Dict[str, PointExecutionError]:
+    ) -> None:
         """Execute the fork groups covering this call's pending points.
 
         Groups (and each group's fork time) are planned over the *whole*
@@ -683,7 +675,8 @@ class CampaignRunner:
         the persisted prefix checkpoints instead of re-simulating them;
         members are then restricted to the runs this call actually needs.
         Completed runs land in the session cache/store, so the subsequent
-        ordinary execution pass assembles results without simulating.
+        ordinary execution pass assembles results without simulating — and
+        simulates in full whatever a failed group did not produce.
         """
         needed = set()
         for point in to_run:
@@ -692,43 +685,15 @@ class CampaignRunner:
                 needed.add(scenario.point_digest(seed, baseline=False))
                 if scenario.adversary is not None:
                     needed.add(scenario.point_digest(seed, baseline=True))
-        relevant: List[ForkGroup] = []
-        for group in plan_fork_groups(points):
-            members = [
-                (digest, spec) for digest, spec in group.members if digest in needed
-            ]
-            if any(spec is not None for _, spec in members):
-                relevant.append(
-                    ForkGroup(
-                        scenario=group.scenario,
-                        seed=group.seed,
-                        fork_time=group.fork_time,
-                        checkpoint_digest=group.checkpoint_digest,
-                        members=members,
-                    )
+        self.session.run_fork_groups(
+            [
+                replace(
+                    group,
+                    members=[member for member in group.members if member[0] in needed],
                 )
-        if not relevant:
-            return {}
-        _, failures = self.session.run_fork_groups(relevant)
-        return failures
-
-    @staticmethod
-    def _fork_failure_for(
-        point: CampaignPoint, failures: Mapping[str, PointExecutionError]
-    ) -> Optional[PointExecutionError]:
-        """The fork-group failure hitting one of the point's runs, if any."""
-        if not failures:
-            return None
-        scenario = point.scenario
-        for seed in scenario.seeds:
-            error = failures.get(scenario.point_digest(seed, baseline=False))
-            if error is not None:
-                return error
-            if scenario.adversary is not None:
-                error = failures.get(scenario.point_digest(seed, baseline=True))
-                if error is not None:
-                    return error
-        return None
+                for group in plan_fork_groups(points)
+            ]
+        )
 
     def iter_results(self, campaign: Campaign) -> "Iterator[PointResult]":
         """Stream the campaign's stored results one point at a time.

@@ -11,7 +11,7 @@ Every scenario has a **content digest**: a SHA-256 over its *resolved*
 configuration (base applied, overrides merged), so two scenarios that
 describe the same experiment hash identically no matter how they were
 spelled.  The digest keys the persistent :class:`~repro.api.store.ResultStore`
-and the baseline cache in :mod:`repro.experiments.runner`.
+and the per-run cache of :class:`~repro.api.session.Session`.
 """
 
 from __future__ import annotations

@@ -16,12 +16,13 @@ session produces bit-identical metrics to a serial one.
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 import os
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.report import (
     AttackAssessment,
@@ -32,6 +33,8 @@ from ..metrics.report import (
 from .registry import DEFAULT_REGISTRY, AdversaryRegistry
 from .scenario import Scenario
 from .store import ResultStore
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -85,8 +88,8 @@ def build_point_world(
     attaches its tracer before the first event, and checkpoint workflows
     advance it in stages.
     """
-    # Imported lazily so that ``repro.experiments`` (whose runner imports
-    # this package) is never re-entered during module initialization.
+    # Imported lazily so that ``repro.experiments`` (whose artifact modules
+    # import this package) is never re-entered during module initialization.
     from ..experiments.world import build_world
 
     protocol, sim = scenario.resolve(seed=seed)
@@ -289,6 +292,22 @@ class _Task:
 
 
 @dataclass
+class _Unit:
+    """One piece of work for :meth:`Session._dispatch`: a run task or a fork group.
+
+    ``call()`` runs it in this process; ``remote()`` builds its picklable
+    ``(entry point, payload)`` pair for the process pool, where it may take
+    ``timeout`` seconds.  ``task`` is set on run-task units: the round
+    publishes their ``run_lifecycle`` events.
+    """
+
+    call: Callable[[], object]
+    remote: Callable[[], Tuple[Callable[[tuple], object], tuple]]
+    timeout: Optional[float]
+    task: Optional[_Task] = None
+
+
+@dataclass
 class Session:
     """Executes scenarios, in parallel when ``workers > 1``.
 
@@ -414,9 +433,7 @@ class Session:
         """Expand a sweep scenario and run every point through one batch."""
         return self.run_all(scenario.expand())
 
-    def run_fork_groups(
-        self, groups: Sequence[ForkGroup]
-    ) -> Tuple[Dict[str, RunMetrics], Dict[str, PointExecutionError]]:
+    def run_fork_groups(self, groups: Sequence[ForkGroup]) -> Dict[str, RunMetrics]:
         """Execute prefix-fork groups, warming the per-run digest cache.
 
         Each group simulates its shared baseline prefix once (or loads the
@@ -425,8 +442,10 @@ class Session:
         as full runs would be, so a subsequent :meth:`run` / :meth:`run_all`
         over the same scenarios assembles results without simulating.
         Groups are the parallel unit: with ``workers > 1`` they execute on
-        the process pool.  Returns ``(results, failures)`` keyed by run
-        digest; a failed group fails all of its uncached members.
+        the process pool.  Returns the cached and forked runs keyed by run
+        digest.  Forking is a pure cache: a group that fails, times out or
+        is cancelled is logged and left to that ordinary path, which then
+        simulates its runs in full under the usual retry budget.
         """
         if self.record:
             raise ValueError(
@@ -434,7 +453,6 @@ class Session:
                 "cannot produce them — disable one of the two"
             )
         results: Dict[str, RunMetrics] = {}
-        failures: Dict[str, PointExecutionError] = {}
         pending: List[ForkGroup] = []
         for group in groups:
             members = []
@@ -444,120 +462,30 @@ class Session:
                     results[digest] = cached
                 else:
                     members.append((digest, spec))
+            # With only the baseline run missing, a full run costs the same
+            # as the prefix continuation: leave it to the ordinary path
+            # rather than capture a checkpoint nothing will fork from.
             if any(spec is not None for _, spec in members):
-                pending.append(
-                    ForkGroup(
-                        scenario=group.scenario,
-                        seed=group.seed,
-                        fork_time=group.fork_time,
-                        checkpoint_digest=group.checkpoint_digest,
-                        members=members,
-                    )
-                )
-            elif members:
-                # Only the baseline run is missing: a full run costs the
-                # same as the prefix continuation, so leave it to the
-                # ordinary execution path rather than capture a checkpoint
-                # nothing will fork from.
-                pass
-        if not pending:
-            return results, failures
-
-        def checkpoint_target(group: ForkGroup) -> Optional[str]:
-            if self.store is None:
-                return None
-            return str(self.store.checkpoint_path(group.checkpoint_digest))
-
-        def record_outcome(group: ForkGroup, outcome: object) -> None:
+                pending.append(replace(group, members=members))
+        outcomes = self._dispatch([self._fork_unit(group) for group in pending])
+        for group, outcome in zip(pending, outcomes):
             if isinstance(outcome, dict):
                 for digest, run in outcome.items():
                     results[digest] = run
                     self._remember(digest, run)
             else:
-                for digest, spec in group.members:
-                    failures[digest] = PointExecutionError(
-                        group.scenario.name,
-                        group.seed,
-                        spec is None,
-                        1,
-                        outcome,
-                    )
-
-        use_pool = (
-            self.workers > 1
-            and len(pending) > 1
-            and self.registry is DEFAULT_REGISTRY
-        )
-        if not use_pool:
-            for group in pending:
-                try:
-                    outcome: object = execute_fork_group(
-                        group.scenario,
-                        group.seed,
-                        group.fork_time,
-                        group.members,
-                        registry=self.registry,
-                        checkpoint_path=checkpoint_target(group),
-                    )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    outcome = exc
-                record_outcome(group, outcome)
-            return results, failures
-
-        pool = self._executor()
-        submitted = [
-            (
-                group,
-                pool.submit(
-                    _execute_fork_payload,
-                    (
-                        group.scenario.to_json(indent=None),
-                        group.seed,
-                        group.fork_time,
-                        tuple(group.members),
-                        checkpoint_target(group),
-                    ),
-                ),
-            )
-            for group in pending
-        ]
-        abandon = False
-        for group, future in submitted:
-            if abandon and not future.done():
-                future.cancel()
-                record_outcome(
-                    group, concurrent.futures.CancelledError("pool abandoned")
+                cancelled = isinstance(outcome, concurrent.futures.CancelledError)
+                logger.warning(
+                    "fork group %s of %r (seed %d) %s; falling back to full "
+                    "runs for its %d member(s)",
+                    group.checkpoint_digest[:12],
+                    group.scenario.name,
+                    group.seed,
+                    "was cancelled" if cancelled else "failed",
+                    len(group.members),
+                    exc_info=outcome,
                 )
-                continue
-            # A group runs its prefix plus every member suffix, so the
-            # per-run timeout scales with the group size.
-            timeout = (
-                self.timeout * (len(group.members) + 1)
-                if self.timeout is not None
-                else None
-            )
-            try:
-                record_outcome(group, future.result(timeout=timeout))
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except concurrent.futures.TimeoutError:
-                record_outcome(
-                    group,
-                    TimeoutError(
-                        "fork group exceeded the scaled session timeout"
-                    ),
-                )
-                abandon = True
-            except concurrent.futures.BrokenExecutor as exc:
-                record_outcome(group, exc)
-                abandon = True
-            except Exception as exc:
-                record_outcome(group, exc)
-        if abandon:
-            self._abandon_pool()
-        return results, failures
+        return results
 
     # -- internals ---------------------------------------------------------------------
 
@@ -594,31 +522,27 @@ class Session:
         decide whether one bad point aborts or just skips.
         """
         results: Dict[str, RunMetrics] = {}
-        pending: List[_Task] = []
+        failures: Dict[str, PointExecutionError] = {}
+        #: Charged attempts per pending digest; doubles as the dedupe set.
+        attempts: Dict[str, int] = {}
+        queue: List[_Task] = []
         for task in tasks:
-            if task.digest in results:
+            if task.digest in results or task.digest in attempts:
                 continue
             cached = self._lookup(task.digest)
             if cached is not None and not self._trace_corrupt(task.digest):
                 results[task.digest] = cached
-            elif all(task.digest != other.digest for other in pending):
-                pending.append(task)
+            else:
+                attempts[task.digest] = 0
+                queue.append(task)
 
-        trace_paths = {
-            task.digest: str(self._trace_target(task.digest)) for task in pending
-        } if self.record else {}
-
-        failures: Dict[str, PointExecutionError] = {}
-        attempts: Dict[str, int] = {task.digest: 0 for task in pending}
-        queue: List[_Task] = list(pending)
         round_index = 0
         while queue:
             round_index += 1
-            outcomes = self._run_round(queue, trace_paths)
+            outcomes = self._dispatch([self._task_unit(task) for task in queue])
             next_queue: List[_Task] = []
             backoff_due = False
-            for task in queue:
-                outcome = outcomes[task.digest]
+            for task, outcome in zip(queue, outcomes):
                 if isinstance(outcome, RunMetrics):
                     results[task.digest] = outcome
                     self._remember(task.digest, outcome)
@@ -647,166 +571,175 @@ class Session:
             queue = next_queue
         return results, failures
 
-    def _run_round(
-        self, round_tasks: Sequence[_Task], trace_paths: Dict[str, str]
-    ) -> Dict[str, object]:
-        """Execute one retry round; maps digest -> RunMetrics or the exception.
+    def _task_unit(self, task: _Task) -> _Unit:
+        """The work unit for one pending run: a full simulation of ``task``."""
+        trace_path = str(self._trace_target(task.digest)) if self.record else None
 
-        Pool rounds enforce ``timeout`` per run: the first timeout marks that
-        run failed, cancels what it can, and abandons the pool (terminating
-        its — possibly hung — workers) so the next round starts clean.
-        KeyboardInterrupt and SystemExit always propagate.
-        """
-        outcomes: Dict[str, object] = {}
-        bus = self.telemetry
-        use_pool = (
-            self.workers > 1
-            and len(round_tasks) > 1
-            and self.registry is DEFAULT_REGISTRY
-        )
-        if not use_pool:
-            control = self.control
+        def call() -> RunMetrics:
+            bus, control = self.telemetry, self.control
             # Telemetry kwargs are passed only when live, so bus-less
             # sessions call execute_point with its classic signature (which
             # tests and instrumentation are free to monkeypatch).
             extra: Dict[str, object] = {}
             if bus is not None:
-                extra["bus"] = bus
+                extra.update(bus=bus, run_id=task.digest)
             if control is not None:
+                from ..telemetry.stream import RUN_CONTROLS
+
                 extra["control"] = control
-            for task in round_tasks:
-                started = time.perf_counter()
-                self._publish_run(bus, task, "started")
-                if control is not None:
-                    from ..telemetry.stream import RUN_CONTROLS
-
-                    RUN_CONTROLS.register(task.digest, control)
-                if bus is not None:
-                    extra["run_id"] = task.digest
-                try:
-                    outcomes[task.digest] = execute_point(
-                        task.scenario,
-                        task.seed,
-                        baseline=task.baseline,
-                        registry=self.registry,
-                        trace_path=trace_paths.get(task.digest),
-                        **extra,
-                    )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    outcomes[task.digest] = exc
-                finally:
-                    if control is not None:
-                        from ..telemetry.stream import RUN_CONTROLS
-
-                        RUN_CONTROLS.unregister(task.digest)
-                self._publish_run_outcome(
-                    bus, task, outcomes[task.digest], time.perf_counter() - started
+                RUN_CONTROLS.register(task.digest, control)
+            try:
+                return execute_point(
+                    task.scenario,
+                    task.seed,
+                    baseline=task.baseline,
+                    registry=self.registry,
+                    trace_path=trace_path,
+                    **extra,
                 )
+            finally:
+                if control is not None:
+                    RUN_CONTROLS.unregister(task.digest)
+
+        def remote():
+            scenario_json = task.scenario.to_json(indent=None)
+            return _execute_payload, (
+                scenario_json, task.seed, task.baseline, trace_path
+            )
+
+        return _Unit(call, remote, self.timeout, task)
+
+    def _fork_unit(self, group: ForkGroup) -> _Unit:
+        """The work unit for one fork group: its prefix plus every member suffix."""
+        checkpoint_path = (
+            str(self.store.checkpoint_path(group.checkpoint_digest))
+            if self.store is not None
+            else None
+        )
+
+        def call() -> object:
+            return execute_fork_group(
+                group.scenario,
+                group.seed,
+                group.fork_time,
+                group.members,
+                registry=self.registry,
+                checkpoint_path=checkpoint_path,
+            )
+
+        def remote():
+            return _execute_fork_payload, (
+                group.scenario.to_json(indent=None),
+                group.seed,
+                group.fork_time,
+                tuple(group.members),
+                checkpoint_path,
+            )
+
+        # A group runs its prefix plus every member suffix, so the per-run
+        # timeout scales with the group size.
+        runs = len(group.members) + 1
+        return _Unit(
+            call, remote, None if self.timeout is None else self.timeout * runs
+        )
+
+    def _dispatch(self, units: Sequence[_Unit]) -> List[object]:
+        """Execute one round of work units; one outcome per unit, in order.
+
+        An outcome is what the unit returned or the exception that stopped
+        it; KeyboardInterrupt and SystemExit always propagate.  Units run in
+        this process, in order, unless the session has workers to spread
+        them over.  Pool rounds gather in submission order and enforce each
+        unit's time budget: the first timeout (or broken pool) fails that
+        unit, cancels what has not finished — those units never got their
+        own budget, so their outcome is a ``CancelledError`` — and abandons
+        the pool, terminating its possibly hung workers so the next round
+        starts clean.
+        """
+        outcomes: List[object] = []
+        pooled = (
+            self.workers > 1 and len(units) > 1 and self.registry is DEFAULT_REGISTRY
+        )
+        if not pooled:
+            for unit in units:
+                started = time.perf_counter()
+                self._publish_run(unit.task)
+                try:
+                    outcome: object = unit.call()
+                except Exception as exc:
+                    outcome = exc
+                self._publish_run(unit.task, outcome, time.perf_counter() - started)
+                outcomes.append(outcome)
             return outcomes
 
         pool = self._executor()
-        submitted = [
-            (
-                task,
-                pool.submit(
-                    _execute_payload,
-                    (
-                        task.scenario.to_json(indent=None),
-                        task.seed,
-                        task.baseline,
-                        trace_paths.get(task.digest),
-                    ),
-                ),
-            )
-            for task in round_tasks
-        ]
-        if bus is not None:
-            for task in round_tasks:
-                self._publish_run(bus, task, "started")
-        abandon = False
-        for task, future in submitted:
-            if abandon:
-                if future.cancel() or future.cancelled():
-                    outcomes[task.digest] = concurrent.futures.CancelledError()
-                    continue
-                if not future.done():
-                    # Running when the pool is being torn down: it never got
-                    # a full time budget, so treat like a cancellation.
-                    outcomes[task.digest] = concurrent.futures.CancelledError()
-                    continue
+        futures = [pool.submit(*unit.remote()) for unit in units]
+        for unit in units:
+            self._publish_run(unit.task)
+        abandon: Optional[BaseException] = None
+        for unit, future in zip(units, futures):
+            if abandon is not None and not future.done():
+                future.cancel()
+                outcomes.append(concurrent.futures.CancelledError("pool abandoned"))
+                continue
             try:
-                outcomes[task.digest] = future.result(timeout=self.timeout)
-            except (KeyboardInterrupt, SystemExit):
-                raise
+                outcome = future.result(timeout=unit.timeout)
             except concurrent.futures.TimeoutError:
-                outcomes[task.digest] = TimeoutError(
-                    "run exceeded the %.1fs session timeout" % (self.timeout or 0.0)
+                outcome = abandon = TimeoutError(
+                    "exceeded the %.1fs time budget" % (unit.timeout or 0.0)
                 )
-                abandon = True
-            except concurrent.futures.CancelledError as exc:
-                outcomes[task.digest] = exc
             except concurrent.futures.BrokenExecutor as exc:
-                outcomes[task.digest] = exc
-                abandon = True
+                outcome = abandon = exc
             except Exception as exc:
-                outcomes[task.digest] = exc
-            self._publish_run_outcome(bus, task, outcomes[task.digest], None)
-        if abandon:
+                outcome = exc
+            # Futures resolve in submission order, so per-run wall time is
+            # not observable from the parent: pool events carry no wall_s.
+            self._publish_run(unit.task, outcome)
+            outcomes.append(outcome)
+        if abandon is not None:
+            logger.warning("abandoning the process pool: %r", abandon)
             self._abandon_pool()
         return outcomes
 
-    def _publish_run(self, bus: Optional[object], task: _Task, state: str) -> None:
-        if bus is None:
-            return
-        from ..telemetry.stream import publish_run_event
-
-        publish_run_event(
-            bus, state, task.digest, task.scenario.name, task.seed, task.baseline
-        )
-
-    def _publish_run_outcome(
+    def _publish_run(
         self,
-        bus: Optional[object],
-        task: _Task,
-        outcome: object,
-        wall_s: Optional[float],
+        task: Optional[_Task],
+        outcome: object = None,
+        wall_s: Optional[float] = None,
     ) -> None:
-        """Publish the closing ``run_lifecycle`` event for one attempted run.
+        """Publish the ``run_lifecycle`` event for one attempt at a run task.
 
-        A cancelled pool run publishes nothing — it never consumed its time
-        budget and will re-announce itself when the retry round restarts it.
-        Pool runs carry no ``wall_s`` (futures resolve in submission order,
-        so per-run wall time is not observable from the parent); the worker
-        fleet reports point wall times through heartbeats instead.
+        No ``outcome`` yet announces ``started``; metrics publish
+        ``finished`` and an exception ``failed``.  A cancelled pool run
+        publishes nothing — it never consumed its time budget and will
+        re-announce itself when the retry round restarts it — and neither
+        does a unit that is not a run task.
         """
-        if bus is None:
+        bus = self.telemetry
+        if (
+            bus is None
+            or task is None
+            or isinstance(outcome, concurrent.futures.CancelledError)
+        ):
             return
         from ..telemetry.stream import publish_run_event
 
+        state, details = "started", {}
         if isinstance(outcome, RunMetrics):
-            publish_run_event(
-                bus,
-                "finished",
-                task.digest,
-                task.scenario.name,
-                task.seed,
-                task.baseline,
-                wall_s=wall_s,
-                events=outcome.extras.get("events_processed"),
-            )
-        elif not isinstance(outcome, concurrent.futures.CancelledError):
-            publish_run_event(
-                bus,
-                "failed",
-                task.digest,
-                task.scenario.name,
-                task.seed,
-                task.baseline,
-                wall_s=wall_s,
-                error=str(outcome),
-            )
+            state = "finished"
+            details = {"events": outcome.extras.get("events_processed")}
+        elif outcome is not None:
+            state, details = "failed", {"error": str(outcome)}
+        publish_run_event(
+            bus,
+            state,
+            task.digest,
+            task.scenario.name,
+            task.seed,
+            task.baseline,
+            wall_s=wall_s,
+            **details,
+        )
 
     def _abandon_pool(self) -> None:
         """Tear down the process pool, terminating hung workers."""
@@ -821,12 +754,14 @@ class Session:
         for process in list(processes.values()):
             try:
                 process.terminate()
-            except Exception:
-                pass
+            except Exception as exc:
+                logger.warning(
+                    "could not terminate pool worker %s: %r", process.pid, exc
+                )
         try:
             pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
+        except Exception as exc:
+            logger.warning("abandoned pool did not shut down cleanly: %r", exc)
 
     def _trace_corrupt(self, digest: str) -> bool:
         """True when record mode finds an existing-but-bad trace for ``digest``.

@@ -312,136 +312,50 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .experiments import bench as bench_module
 
     names = args.artifacts.split(",") if args.artifacts else None
-    if args.fork_compare:
-        report = bench_module.run_fork_comparison(names=names, quick=args.quick)
-        print(bench_module.format_fork_report(report))
-        out = args.out
-        if out == "BENCH_PR2.json":
-            out = "BENCH_PR9.json"
-        if out:
-            bench_module.write_report(report, Path(out))
-            print("fork-speedup report written to %s" % out)
-        failures = [
-            name
-            for name, record in report.get("artifacts", {}).items()
-            if not record["digest_match"]
-        ]
-        if failures:
-            print(
-                "PREFIX FORKING PERTURBED RESULTS — forked digests differ for: %s"
-                % ", ".join(failures)
-            )
-            return 1
-        if args.check:
-            baseline = bench_module.load_baseline(Path(args.baseline))
-            if baseline is not None:
-                problems = bench_module.check_digests(report, baseline)
-                if problems:
-                    print("RESULT DIGEST DRIFT — experiment results changed:")
-                    for problem in problems:
-                        print("  " + problem)
-                    return 1
-                print("all full-run digests match the committed baseline")
-        return 0
-    if args.telemetry_compare:
-        report = bench_module.run_telemetry_comparison(
-            names=names, quick=args.quick, repeats=args.repeats
+    comparison = bench_module.COMPARISONS.get(args.compare)
+    if comparison is None:
+        report = bench_module.run_bench(names=names, quick=args.quick)
+        print(bench_module.format_report(report))
+        default_out = str(bench_module.DEFAULT_REPORT_PATH)
+    else:
+        report = bench_module.run_comparison(
+            args.compare, names=names, quick=args.quick, repeats=args.repeats
         )
-        print(bench_module.format_telemetry_report(report))
-        out = args.out
-        if out == "BENCH_PR2.json":
-            out = "BENCH_PR10.json"
-        if out:
-            bench_module.write_report(report, Path(out))
-            print("telemetry-overhead report written to %s" % out)
-        failures = [
+        print(bench_module.format_comparison(report))
+        default_out = comparison.report
+
+    # Write the report before any check so a failure still leaves the
+    # artifact behind (CI uploads it for the post-mortem).
+    out = default_out if args.out is None else args.out
+    if out:
+        bench_module.write_report(report, Path(out))
+        print("performance report written to %s" % out)
+
+    if comparison is not None:
+        feature = comparison.what.upper()
+        perturbed = [
             name
-            for name, record in report.get("artifacts", {}).items()
+            for name, record in report["artifacts"].items()
             if not record["digest_match"]
         ]
-        if failures:
+        if perturbed:
             print(
-                "TELEMETRY PERTURBED RESULTS — bus-attached digests differ for: %s"
-                % ", ".join(failures)
+                "%s PERTURBED RESULTS — on-side digests differ for: %s"
+                % (feature, ", ".join(perturbed))
             )
             return 1
-        max_overhead = getattr(args, "max_overhead", None)
-        total_overhead = report.get("total", {}).get("overhead_pct")
-        if (
-            max_overhead is not None
-            and total_overhead is not None
-            and total_overhead > max_overhead
-        ):
-            print(
-                "TELEMETRY OVERHEAD %.1f%% exceeds the %.1f%% budget"
-                % (total_overhead, max_overhead)
-            )
-            return 1
-        if args.check:
-            baseline = bench_module.load_baseline(Path(args.baseline))
-            if baseline is not None:
-                problems = bench_module.check_digests(report, baseline)
-                if problems:
-                    print("RESULT DIGEST DRIFT — experiment results changed:")
-                    for problem in problems:
-                        print("  " + problem)
-                    return 1
-                print("all bus-off digests match the committed baseline")
-        return 0
-    if args.record_compare:
-        report = bench_module.run_record_comparison(names=names, quick=args.quick)
-        print(bench_module.format_record_report(report))
-        out = args.out
-        if out == "BENCH_PR2.json":
-            out = "BENCH_PR6.json"
-        if out:
-            bench_module.write_report(report, Path(out))
-            print("record-overhead report written to %s" % out)
-        failures = [
-            name
-            for name, record in report.get("artifacts", {}).items()
-            if not record["digest_match"]
-        ]
-        if failures:
-            print(
-                "RECORDING PERTURBED RESULTS — record-on digests differ for: %s"
-                % ", ".join(failures)
-            )
-            return 1
-        if args.check:
-            baseline = bench_module.load_baseline(Path(args.baseline))
-            if baseline is not None:
-                problems = bench_module.check_digests(report, baseline)
-                if problems:
-                    print("RESULT DIGEST DRIFT — experiment results changed:")
-                    for problem in problems:
-                        print("  " + problem)
-                    return 1
-                print("all record-off digests match the committed baseline")
-        return 0
-    report = bench_module.run_bench(names=names, quick=args.quick)
-
-    if args.before:
-        import json as json_module
-
-        try:
-            with open(args.before, "r", encoding="utf-8") as handle:
-                bench_module.merge_before(report, json_module.load(handle))
-        except (OSError, ValueError) as error:
-            print("warning: could not merge before-report %s: %s" % (args.before, error))
-
-    print(bench_module.format_report(report))
-
-    # Write the report before the digest check so a drift failure still
-    # leaves the artifact behind (CI uploads it for the post-mortem).
-    if args.out:
-        bench_module.write_report(report, Path(args.out))
-        print("performance report written to %s" % args.out)
+        ratio = report["total"]["ratio"]
+        if args.max_overhead is not None and ratio is not None:
+            overhead = (ratio - 1.0) * 100.0
+            if overhead > args.max_overhead:
+                print(
+                    "%s OVERHEAD %.1f%% exceeds the %.1f%% budget"
+                    % (feature, overhead, args.max_overhead)
+                )
+                return 1
 
     baseline_path = Path(args.baseline)
     if args.update_baseline:
@@ -1518,8 +1432,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated artifact names (default: all, or the quick subset)",
     )
     bench_parser.add_argument(
-        "--out", default="BENCH_PR2.json",
-        help="where to write the performance report (empty string to skip)",
+        "--out", default=None,
+        help="where to write the performance report (empty string to skip; "
+        "default BENCH_PR2.json, or the compare mode's own report)",
     )
     bench_parser.add_argument(
         "--baseline", default="benchmarks/bench_baseline.json",
@@ -1533,38 +1448,35 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-check", dest="check", action="store_false",
         help="skip the digest comparison against the baseline",
     )
-    bench_parser.add_argument(
-        "--before", default=None,
-        help="earlier report whose numbers are merged in as before/after pairs",
-    )
-    bench_parser.add_argument(
-        "--record-compare", action="store_true",
-        help="measure replay-trace recording overhead: run each artifact with "
-        "tracing off and on, compare wall/events-per-sec/RSS and digests "
+    # One A/B comparison at a time: each flag runs every artifact with one
+    # feature off and on (interleaved pairs), compares wall clock through
+    # the median paired ratio, and fails if the row digests differ.
+    compare = bench_parser.add_mutually_exclusive_group()
+    compare.add_argument(
+        "--record-compare", dest="compare", action="store_const", const="record",
+        help="measure replay-trace recording overhead "
         "(report defaults to BENCH_PR6.json)",
     )
-    bench_parser.add_argument(
-        "--telemetry-compare", action="store_true",
-        help="measure live-telemetry overhead: run each artifact with the "
-        "event bus off and on (with a live subscriber), compare "
-        "wall/events-per-sec/digests (report defaults to BENCH_PR10.json)",
+    compare.add_argument(
+        "--telemetry-compare", dest="compare", action="store_const",
+        const="telemetry",
+        help="measure live-telemetry overhead: the event bus attached with a "
+        "live subscriber (report defaults to BENCH_PR10.json)",
+    )
+    compare.add_argument(
+        "--fork-compare", dest="compare", action="store_const", const="fork",
+        help="measure prefix-forking speedup on the shared-prefix campaign "
+        "families (report defaults to BENCH_PR9.json)",
     )
     bench_parser.add_argument(
         "--max-overhead", type=float, default=None, metavar="PCT",
-        help="with --telemetry-compare: fail if the total wall-clock "
+        help="with a --*-compare mode: fail if the total wall-clock "
         "overhead exceeds this percentage",
     )
     bench_parser.add_argument(
         "--repeats", type=int, default=5, metavar="N",
-        help="with --telemetry-compare: interleaved off/on passes per "
-        "artifact; the best wall per side is kept, so more repeats "
-        "squeeze host noise out of the overhead estimate",
-    )
-    bench_parser.add_argument(
-        "--fork-compare", action="store_true",
-        help="measure prefix-forking speedup: run each artifact's campaign "
-        "with forking off and on, compare wall clock and row digests "
-        "(report defaults to BENCH_PR9.json)",
+        help="with a --*-compare mode: interleaved off/on pairs per "
+        "artifact; more pairs squeeze host noise out of the median ratio",
     )
     bench_parser.set_defaults(func=_cmd_bench)
 

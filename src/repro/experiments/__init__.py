@@ -22,9 +22,7 @@ Each module corresponds to one artifact of Section 7:
 :mod:`repro.experiments.attacks` expresses the duration x coverage attack
 sweeps as declarative :class:`repro.api.Scenario` objects;
 :mod:`repro.experiments.reporting` renders rows as text tables like the ones
-in EXPERIMENTS.md.  :mod:`repro.experiments.runner` holds the deprecated
-pre-Scenario entry points (``run_single``/``run_many``/
-``run_attack_experiment``), kept as shims over the same machinery.
+in EXPERIMENTS.md.  Runs execute through :class:`repro.api.Session`.
 """
 
 from .attacks import attack_sweep_campaign, attack_sweep_rows, attack_sweep_scenario
@@ -39,7 +37,7 @@ from . import composed as _composed  # noqa: F401
 from . import effortful as _effortful  # noqa: F401
 from . import faults as _faults  # noqa: F401
 from . import pipe_stoppage as _pipe_stoppage  # noqa: F401
-from .runner import ExperimentResult, run_attack_experiment, run_single
+from ..api.session import ExperimentResult
 from .world import World, build_world
 from .reporting import format_table
 
@@ -49,8 +47,6 @@ __all__ = [
     "attack_sweep_campaign",
     "attack_sweep_scenario",
     "attack_sweep_rows",
-    "run_single",
-    "run_attack_experiment",
     "ExperimentResult",
     "format_table",
 ]

@@ -21,44 +21,12 @@ on invitations that land in refractory periods and must be retried.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence
 
-from .. import units
 from ..api import Campaign, Scenario, Session
-from ..api.registry import DEFAULT_REGISTRY
 from ..config import ProtocolConfig, SimulationConfig
 from .attacks import attack_sweep_campaign, attack_sweep_rows, attack_sweep_scenario
-from .configs import FACTORY_DEPRECATION
 from .reporting import format_table
-
-
-def make_admission_flood_factory(
-    attack_duration: float,
-    coverage: float,
-    recuperation: float = 30 * units.DAY,
-    invitations_per_victim_per_day: float = 4.0,
-):
-    """Adversary factory for one (duration, coverage) attack point.
-
-    .. deprecated::
-       Compatibility wrapper over the ``"admission_flood"`` registry entry
-       with the original seconds-based kwargs.  Use
-       ``DEFAULT_REGISTRY.factory("admission_flood", ...)`` (days-based
-       parameters) or an :class:`~repro.api.AdversarySpec` instead.
-    """
-    warnings.warn(
-        FACTORY_DEPRECATION % "make_admission_flood_factory",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DEFAULT_REGISTRY.factory(
-        "admission_flood",
-        attack_duration_days=attack_duration / units.DAY,
-        coverage=coverage,
-        recuperation_days=recuperation / units.DAY,
-        invitations_per_victim_per_day=invitations_per_victim_per_day,
-    )
 
 
 def admission_flood_scenario(

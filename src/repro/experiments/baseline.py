@@ -29,34 +29,6 @@ from .configs import resolve_base_configs
 from .reporting import format_table
 
 
-def baseline_scenario(
-    poll_interval_months: float = 3.0,
-    storage_mtbf_years: float = 5.0,
-    n_aus: int = 2,
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-) -> Scenario:
-    """One no-adversary grid point of Figure 2 as a declarative scenario."""
-    base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
-    protocol = base_protocol.with_overrides(
-        poll_interval=units.months(poll_interval_months)
-    )
-    sim = base_sim.with_overrides(n_aus=n_aus, storage_mtbf_disk_years=storage_mtbf_years)
-    return Scenario.from_configs(
-        "baseline i=%gmo mtbf=%gy n_aus=%d"
-        % (poll_interval_months, storage_mtbf_years, n_aus),
-        protocol,
-        sim,
-        seeds=tuple(seeds),
-        parameters={
-            "poll_interval_months": poll_interval_months,
-            "storage_mtbf_years": storage_mtbf_years,
-            "n_aus": n_aus,
-        },
-    )
-
-
 def baseline_campaign(
     poll_intervals_months: Sequence[float] = (2.0, 3.0, 6.0, 12.0),
     storage_mtbf_years: Sequence[float] = (1.0, 5.0),

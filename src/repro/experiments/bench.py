@@ -14,25 +14,42 @@ The digests make performance work falsifiable: every optimization of the
 engine, network, or protocol hot paths must reproduce the committed digests
 in ``benchmarks/bench_baseline.json`` bit for bit (``repro-experiments bench``
 fails otherwise), so a speedup can never silently change experiment results.
-``BENCH_PR2.json`` is the emitted trajectory artifact: wall-clock and
-events/sec per artifact, before and after the kernel fast path.
+
+Every measurement goes through one artifact runner (:func:`_run_artifact`);
+:func:`run_bench` reports it per artifact and :func:`run_comparison` pairs
+it off/on for the ``--record-compare`` / ``--telemetry-compare`` /
+``--fork-compare`` modes.  Timing the repository as a whole is the job of
+the top-level ``perf/`` package (``BENCHMARK.json``); this module is the
+digest gate and the feature A/B.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import units
 from ..api import Session
 from ..api.campaign import Campaign, CampaignRunner
 from ..api.resultset import export_rows
 from ..api.scenario import AdversarySpec, Scenario, canonical_json
+from ..api.store import ResultStore
 from ..config import ProtocolConfig, SimulationConfig
 from ..crypto.hashing import NONCE_STREAM_VERSION
 from . import ablation as ablation_module
@@ -463,369 +480,6 @@ def _peak_rss_kb() -> Optional[int]:
     return int(value)
 
 
-def run_artifact(name: str) -> Dict[str, object]:
-    """Run one artifact's campaign in a fresh session; return its record."""
-    title, factory = ARTIFACTS[name]
-    session = Session()
-    started = time.perf_counter()
-    campaign = factory()
-    results = CampaignRunner(session).run(campaign)
-    rows = export_rows(campaign.exporter, results)
-    wall = time.perf_counter() - started
-    events = sum(
-        run.extras.get("events_processed", 0.0)
-        for run in session._run_cache.values()
-    )
-    return {
-        "title": title,
-        "wall_s": round(wall, 4),
-        "events": int(events),
-        "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
-        "rows": len(rows),
-        "digest": digest_rows(rows),
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-
-
-def _run_artifact_stored(name: str, record: bool) -> Dict[str, object]:
-    """Run one artifact against a throwaway store, with or without tracing.
-
-    Both sides of the record-overhead comparison go through identical
-    store-attached sessions, so the measured delta is the tracing itself
-    (taps + gzip trace writes), not the JSON result persistence.
-    """
-    import shutil
-    import tempfile
-
-    from ..api.store import ResultStore
-
-    title, factory = ARTIFACTS[name]
-    tmpdir = tempfile.mkdtemp(prefix="bench-%s-" % ("record" if record else "plain"))
-    try:
-        store = ResultStore(tmpdir)
-        session = Session(store=store, record=record)
-        started = time.perf_counter()
-        campaign = factory()
-        results = CampaignRunner(session).run(campaign)
-        rows = export_rows(campaign.exporter, results)
-        wall = time.perf_counter() - started
-        events = sum(
-            run.extras.get("events_processed", 0.0)
-            for run in session._run_cache.values()
-        )
-        traces = store.trace_paths()
-        trace_bytes = sum(path.stat().st_size for path in traces)
-        return {
-            "title": title,
-            "wall_s": round(wall, 4),
-            "events": int(events),
-            "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
-            "rows": len(rows),
-            "digest": digest_rows(rows),
-            "peak_rss_kb": _peak_rss_kb(),
-            "traces": len(traces),
-            "trace_bytes": trace_bytes,
-        }
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-
-def run_record_comparison(
-    names: Optional[Sequence[str]] = None,
-    quick: bool = False,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Measure record-mode overhead: each artifact run with tracing off and on.
-
-    Runs are interleaved with alternating order (off/on, then on/off) and
-    each side keeps its best wall time, so CPU-frequency and cache-warmth
-    noise — easily 10% on sub-second artifacts — and progressive host
-    throttling do not masquerade as (or hide) recording overhead.  The
-    returned report carries, per artifact, the record-off and record-on
-    measurements, the relative wall-clock overhead, and the trace sizes; the
-    top-level ``digest`` per artifact is the record-off digest, so the
-    standard :func:`check_digests` baseline comparison applies unchanged.
-    A ``digest_match`` flag asserts the record-on run produced bit-identical
-    results (recording must never perturb the simulation).
-    """
-    if names is None:
-        names = QUICK_ARTIFACTS if quick else tuple(ARTIFACTS)
-    unknown = [name for name in names if name not in ARTIFACTS]
-    if unknown:
-        raise ValueError("unknown bench artifacts: %s" % ", ".join(unknown))
-    artifacts: Dict[str, Dict[str, object]] = {}
-    for name in names:
-        off = on = None
-        for repeat in range(max(1, repeats)):
-            if repeat % 2 == 0:
-                off_run = _run_artifact_stored(name, record=False)
-                on_run = _run_artifact_stored(name, record=True)
-            else:
-                on_run = _run_artifact_stored(name, record=True)
-                off_run = _run_artifact_stored(name, record=False)
-            if off is None or off_run["wall_s"] < off["wall_s"]:
-                off = off_run
-            if on is None or on_run["wall_s"] < on["wall_s"]:
-                on = on_run
-        overhead = (
-            round((on["wall_s"] - off["wall_s"]) / off["wall_s"] * 100.0, 1)
-            if off["wall_s"]
-            else None
-        )
-        artifacts[name] = {
-            "title": off["title"],
-            "digest": off["digest"],
-            "digest_match": off["digest"] == on["digest"],
-            "off": {key: off[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "on": {key: on[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "overhead_pct": overhead,
-            "traces": on["traces"],
-            "trace_bytes": on["trace_bytes"],
-        }
-    off_wall = sum(record["off"]["wall_s"] for record in artifacts.values())
-    on_wall = sum(record["on"]["wall_s"] for record in artifacts.values())
-    return {
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "nonce_stream_version": NONCE_STREAM_VERSION,
-        "mode": "record-compare",
-        "cpus": os.cpu_count(),
-        "quick": quick,
-        "artifacts": artifacts,
-        "total": {
-            "off_wall_s": round(off_wall, 4),
-            "on_wall_s": round(on_wall, 4),
-            "overhead_pct": (
-                round((on_wall - off_wall) / off_wall * 100.0, 1) if off_wall else None
-            ),
-            "trace_bytes": sum(record["trace_bytes"] for record in artifacts.values()),
-        },
-    }
-
-
-def format_record_report(report: Dict[str, object]) -> str:
-    """Render a record-overhead comparison as an aligned text table."""
-    lines = []
-    header = "%-24s %10s %10s %10s %8s %12s %6s" % (
-        "artifact", "off_s", "on_s", "overhead", "traces", "trace_bytes", "match"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, record in report.get("artifacts", {}).items():
-        lines.append(
-            "%-24s %10.3f %10.3f %9.1f%% %8d %12d %6s"
-            % (
-                name,
-                record["off"]["wall_s"],
-                record["on"]["wall_s"],
-                record["overhead_pct"] if record["overhead_pct"] is not None else 0.0,
-                record["traces"],
-                record["trace_bytes"],
-                "yes" if record["digest_match"] else "NO",
-            )
-        )
-    total = report.get("total", {})
-    lines.append("-" * len(header))
-    lines.append(
-        "%-24s %10.3f %10.3f %9.1f%% %8s %12d %6s"
-        % (
-            "TOTAL",
-            total.get("off_wall_s", 0.0),
-            total.get("on_wall_s", 0.0),
-            total.get("overhead_pct") or 0.0,
-            "-",
-            total.get("trace_bytes", 0),
-            "",
-        )
-    )
-    return "\n".join(lines)
-
-
-def _run_artifact_telemetered(name: str, telemetry: bool) -> Dict[str, object]:
-    """Run one artifact against a throwaway store, with or without a bus.
-
-    The telemetry side attaches a real :class:`~repro.telemetry.EventBus`
-    *with a live subscriber* — the worst case the tap sites can see: every
-    in-sim record is observed, with dense topics batching into events (so
-    ``bus_events`` counts published events, not records).  Both sides go
-    through identical store-attached sessions so the measured delta is
-    the telemetry itself, not result persistence.
-    """
-    import shutil
-    import tempfile
-
-    from ..api.store import ResultStore
-
-    title, factory = ARTIFACTS[name]
-    tmpdir = tempfile.mkdtemp(
-        prefix="bench-%s-" % ("telemetry" if telemetry else "plain")
-    )
-    try:
-        store = ResultStore(tmpdir)
-        bus = subscription = None
-        if telemetry:
-            from ..telemetry import EventBus
-
-            bus = EventBus()
-            subscription = bus.subscribe()
-        session = Session(store=store, telemetry=bus)
-        started = time.perf_counter()
-        campaign = factory()
-        results = CampaignRunner(session).run(campaign)
-        rows = export_rows(campaign.exporter, results)
-        wall = time.perf_counter() - started
-        events = sum(
-            run.extras.get("events_processed", 0.0)
-            for run in session._run_cache.values()
-        )
-        bus_events = dropped = 0
-        if subscription is not None:
-            bus_events = subscription.delivered
-            dropped = subscription.dropped
-            subscription.close()
-        return {
-            "title": title,
-            "wall_s": round(wall, 4),
-            "events": int(events),
-            "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
-            "rows": len(rows),
-            "digest": digest_rows(rows),
-            "peak_rss_kb": _peak_rss_kb(),
-            "bus_events": bus_events,
-            "bus_dropped": dropped,
-        }
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-
-def run_telemetry_comparison(
-    names: Optional[Sequence[str]] = None,
-    quick: bool = False,
-    repeats: int = 5,
-) -> Dict[str, object]:
-    """Measure live-telemetry overhead: each artifact with the bus off and on.
-
-    Methodology: for every artifact, each repeat runs the bus-off and
-    bus-on sides back to back (alternating order), so the two walls of a
-    pair share the host's load conditions.  The overhead estimate is the
-    **median of paired on/off ratios** — per artifact over its own pairs,
-    and for the total over per-pass wall sums across all artifacts.  On a
-    noisy host this is the difference between measuring the bus and
-    measuring the scheduler: independent best-of-N walls drift apart by
-    whatever jitter hit each side's quietest moment, while adjacent pairs
-    cancel it.  The reported ``wall_s`` values are still the best per side
-    (comparable to the other bench modes); ``overhead_pct`` comes from the
-    paired ratios.  The per-artifact ``digest`` is the bus-off digest, so
-    :func:`check_digests` applies unchanged, and ``digest_match`` asserts
-    the bus-attached run produced bit-identical rows: telemetry must never
-    perturb the simulation.
-    """
-    if names is None:
-        names = QUICK_ARTIFACTS if quick else tuple(ARTIFACTS)
-    unknown = [name for name in names if name not in ARTIFACTS]
-    if unknown:
-        raise ValueError("unknown bench artifacts: %s" % ", ".join(unknown))
-    repeats = max(1, repeats)
-    artifacts: Dict[str, Dict[str, object]] = {}
-    pass_walls: List[Dict[str, float]] = [
-        {"off": 0.0, "on": 0.0} for _ in range(repeats)
-    ]
-    for name in names:
-        off = on = None
-        ratios: List[float] = []
-        for repeat in range(repeats):
-            if repeat % 2 == 0:
-                off_run = _run_artifact_telemetered(name, telemetry=False)
-                on_run = _run_artifact_telemetered(name, telemetry=True)
-            else:
-                on_run = _run_artifact_telemetered(name, telemetry=True)
-                off_run = _run_artifact_telemetered(name, telemetry=False)
-            if off_run["wall_s"]:
-                ratios.append(on_run["wall_s"] / off_run["wall_s"])
-            pass_walls[repeat]["off"] += off_run["wall_s"]
-            pass_walls[repeat]["on"] += on_run["wall_s"]
-            if off is None or off_run["wall_s"] < off["wall_s"]:
-                off = off_run
-            if on is None or on_run["wall_s"] < on["wall_s"]:
-                on = on_run
-        overhead = (
-            round((statistics.median(ratios) - 1.0) * 100.0, 1) if ratios else None
-        )
-        artifacts[name] = {
-            "title": off["title"],
-            "digest": off["digest"],
-            "digest_match": off["digest"] == on["digest"],
-            "off": {key: off[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "on": {key: on[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "overhead_pct": overhead,
-            "pair_ratios": [round(ratio, 4) for ratio in ratios],
-            "bus_events": on["bus_events"],
-            "bus_dropped": on["bus_dropped"],
-        }
-    off_wall = sum(record["off"]["wall_s"] for record in artifacts.values())
-    on_wall = sum(record["on"]["wall_s"] for record in artifacts.values())
-    pass_ratios = [
-        walls["on"] / walls["off"] for walls in pass_walls if walls["off"]
-    ]
-    return {
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "nonce_stream_version": NONCE_STREAM_VERSION,
-        "mode": "telemetry-compare",
-        "cpus": os.cpu_count(),
-        "quick": quick,
-        "repeats": repeats,
-        "artifacts": artifacts,
-        "total": {
-            "off_wall_s": round(off_wall, 4),
-            "on_wall_s": round(on_wall, 4),
-            "overhead_pct": (
-                round((statistics.median(pass_ratios) - 1.0) * 100.0, 1)
-                if pass_ratios
-                else None
-            ),
-            "pass_ratios": [round(ratio, 4) for ratio in pass_ratios],
-            "bus_events": sum(record["bus_events"] for record in artifacts.values()),
-        },
-    }
-
-
-def format_telemetry_report(report: Dict[str, object]) -> str:
-    """Render a telemetry-overhead comparison as an aligned text table."""
-    lines = []
-    header = "%-24s %10s %10s %10s %12s %8s %6s" % (
-        "artifact", "off_s", "on_s", "overhead", "bus_events", "dropped", "match"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, record in report.get("artifacts", {}).items():
-        lines.append(
-            "%-24s %10.3f %10.3f %9.1f%% %12d %8d %6s"
-            % (
-                name,
-                record["off"]["wall_s"],
-                record["on"]["wall_s"],
-                record["overhead_pct"] if record["overhead_pct"] is not None else 0.0,
-                record["bus_events"],
-                record["bus_dropped"],
-                "yes" if record["digest_match"] else "NO",
-            )
-        )
-    total = report.get("total", {})
-    lines.append("-" * len(header))
-    lines.append(
-        "%-24s %10.3f %10.3f %9.1f%% %12d %8s %6s"
-        % (
-            "TOTAL",
-            total.get("off_wall_s", 0.0),
-            total.get("on_wall_s", 0.0),
-            total.get("overhead_pct") or 0.0,
-            total.get("bus_events", 0),
-            "-",
-            "",
-        )
-    )
-    return "\n".join(lines)
-
-
 #: Artifacts measured by ``bench --fork-compare`` when none are named: the
 #: campaign families whose points share a baseline prefix.  The delayed
 #: sweep is the shape prefix forking targets; the others bound its cost on
@@ -837,32 +491,75 @@ FORK_ARTIFACTS: Tuple[str, ...] = (
 )
 
 
-def _run_artifact_forked(name: str, fork: bool) -> Dict[str, object]:
-    """Run one artifact against a throwaway store, forked or fully.
+class Comparison(NamedTuple):
+    """One ``bench --<mode>-compare`` A/B: what its "on" side switches on."""
 
-    Both sides go through identical store-attached sessions so the measured
-    delta is the prefix reuse itself, not result persistence.
+    what: str  # the feature, as named in the verdict lines
+    report: str  # where ``--out`` points by default
+    artifacts: Tuple[str, ...]  # measured when none are named ...
+    quick_artifacts: Tuple[str, ...]  # ... and under ``--quick``
+    counters: Tuple[str, ...]  # what the on side counts besides time
+
+
+#: The comparisons :func:`run_comparison` knows, by mode.  The off side of
+#: every one is the plain run :func:`run_bench` also measures.
+COMPARISONS: Dict[str, Comparison] = {
+    "record": Comparison(
+        "recording",
+        "BENCH_PR6.json",
+        tuple(ARTIFACTS),
+        QUICK_ARTIFACTS,
+        ("traces", "trace_bytes"),
+    ),
+    "telemetry": Comparison(
+        "telemetry",
+        "BENCH_PR10.json",
+        tuple(ARTIFACTS),
+        QUICK_ARTIFACTS,
+        ("bus_events", "bus_dropped"),
+    ),
+    "fork": Comparison(
+        "prefix forking",
+        "BENCH_PR9.json",
+        FORK_ARTIFACTS,
+        FORK_ARTIFACTS[:1],
+        ("checkpoints",),
+    ),
+}
+
+
+def _run_artifact(name: str, variant: Optional[str] = None) -> Dict[str, object]:
+    """Run one artifact's campaign against a throwaway store; return its record.
+
+    ``variant`` names the :data:`COMPARISONS` feature to switch on — replay
+    traces recorded, an :class:`~repro.telemetry.EventBus` attached *with a
+    live subscriber* (the worst case the tap sites can see; dense topics
+    batch, so ``bus_events`` counts published events, not records), or
+    points forked from shared prefixes — and ``None`` is the plain run.
+    Every variant goes through the same store-attached session, so the
+    delta between two of them is the feature itself, not result persistence.
     """
-    import shutil
-    import tempfile
-
-    from ..api.store import ResultStore
-
     title, factory = ARTIFACTS[name]
-    tmpdir = tempfile.mkdtemp(prefix="bench-%s-" % ("fork" if fork else "full"))
+    tmpdir = tempfile.mkdtemp(prefix="bench-%s-" % (variant or "plain"))
     try:
         store = ResultStore(tmpdir)
-        session = Session(store=store)
+        bus = subscription = None
+        if variant == "telemetry":
+            from ..telemetry import EventBus
+
+            bus = EventBus()
+            subscription = bus.subscribe()
+        session = Session(store=store, record=variant == "record", telemetry=bus)
         started = time.perf_counter()
         campaign = factory()
-        results = CampaignRunner(session, fork_prefixes=fork).run(campaign)
-        rows = export_rows(campaign.exporter, results)
+        runner = CampaignRunner(session, fork_prefixes=variant == "fork")
+        rows = export_rows(campaign.exporter, runner.run(campaign))
         wall = time.perf_counter() - started
         events = sum(
             run.extras.get("events_processed", 0.0)
             for run in session._run_cache.values()
         )
-        return {
+        record: Dict[str, object] = {
             "title": title,
             "wall_s": round(wall, 4),
             "events": int(events),
@@ -870,118 +567,158 @@ def _run_artifact_forked(name: str, fork: bool) -> Dict[str, object]:
             "rows": len(rows),
             "digest": digest_rows(rows),
             "peak_rss_kb": _peak_rss_kb(),
-            "checkpoints": len(store.checkpoint_paths()),
         }
+        if variant == "record":
+            traces = store.trace_paths()
+            record["traces"] = len(traces)
+            record["trace_bytes"] = sum(path.stat().st_size for path in traces)
+        elif variant == "telemetry":
+            record["bus_events"] = subscription.delivered
+            record["bus_dropped"] = subscription.dropped
+            subscription.close()
+        elif variant == "fork":
+            record["checkpoints"] = len(store.checkpoint_paths())
+        return record
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 
-def run_fork_comparison(
-    names: Optional[Sequence[str]] = None,
-    quick: bool = False,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Measure prefix-fork speedup: each artifact run fully and forked.
-
-    Runs are interleaved with alternating order (full/forked, then
-    forked/full) and each side keeps its best wall time, exactly like
-    :func:`run_record_comparison`, so host noise does not masquerade as (or
-    hide) the speedup.  The per-artifact ``digest`` is the full-run digest
-    (so :func:`check_digests` applies unchanged) and ``digest_match``
-    asserts the forked run produced bit-identical rows — the parity
-    contract prefix forking must uphold to be usable at all.
-    """
+def _select(names: Optional[Sequence[str]], default: Sequence[str]) -> Sequence[str]:
+    """The artifacts to run: ``names`` when given (validated), else ``default``."""
     if names is None:
-        names = FORK_ARTIFACTS if not quick else FORK_ARTIFACTS[:1]
+        return default
     unknown = [name for name in names if name not in ARTIFACTS]
     if unknown:
         raise ValueError("unknown bench artifacts: %s" % ", ".join(unknown))
-    artifacts: Dict[str, Dict[str, object]] = {}
-    for name in names:
-        full = forked = None
-        for repeat in range(max(1, repeats)):
-            if repeat % 2 == 0:
-                full_run = _run_artifact_forked(name, fork=False)
-                fork_run = _run_artifact_forked(name, fork=True)
-            else:
-                fork_run = _run_artifact_forked(name, fork=True)
-                full_run = _run_artifact_forked(name, fork=False)
-            if full is None or full_run["wall_s"] < full["wall_s"]:
-                full = full_run
-            if forked is None or fork_run["wall_s"] < forked["wall_s"]:
-                forked = fork_run
-        speedup = (
-            round(full["wall_s"] / forked["wall_s"], 2)
-            if forked["wall_s"]
-            else None
-        )
-        artifacts[name] = {
-            "title": full["title"],
-            "digest": full["digest"],
-            "digest_match": full["digest"] == forked["digest"],
-            "full": {
-                key: full[key]
-                for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")
-            },
-            "forked": {
-                key: forked[key]
-                for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")
-            },
-            "speedup": speedup,
-            "checkpoints": forked["checkpoints"],
-        }
-    full_wall = sum(record["full"]["wall_s"] for record in artifacts.values())
-    forked_wall = sum(record["forked"]["wall_s"] for record in artifacts.values())
+    return names
+
+
+def _environment(quick: bool) -> Dict[str, object]:
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "nonce_stream_version": NONCE_STREAM_VERSION,
-        "mode": "fork-compare",
         "cpus": os.cpu_count(),
         "quick": quick,
+    }
+
+
+def _median_ratio(offs: Iterable[float], ons: Iterable[float]):
+    """Paired on/off wall ratios, and their median (None without any pair)."""
+    ratios = [round(on / off, 4) for off, on in zip(offs, ons) if off]
+    return ratios, (round(statistics.median(ratios), 4) if ratios else None)
+
+
+def run_comparison(
+    mode: str,
+    names: Optional[Sequence[str]] = None,
+    quick: bool = False,
+    repeats: int = 5,
+) -> Dict[str, object]:
+    """Measure what one :data:`COMPARISONS` feature costs (or saves) per artifact.
+
+    Estimator: every repeat runs the off and the on side back to back, in
+    alternating order, so the two walls of a pair share the host's load and
+    neither side always runs on the warmer cache.  ``ratio`` is the
+    **median of the paired on/off wall ratios** — per artifact over its own
+    pairs (``pair_ratios``), and for the total over the per-pass wall sums
+    across all artifacts (``pass_ratios``).  On a noisy host that is the
+    difference between measuring the feature and measuring the scheduler:
+    independent best-of-N walls drift apart by whatever jitter hit each
+    side's quietest moment, while adjacent pairs cancel it.  ``off`` / ``on``
+    keep each side's best run for the absolute numbers.
+
+    One schema for every mode: per artifact ``digest`` is the off side's
+    (so :func:`check_digests` applies unchanged), ``digest_match`` asserts
+    every run of both sides produced that same digest — the feature must
+    never perturb the simulation — and the mode's ``counters`` come from
+    the best on-side run.  Overhead (``ratio - 1``) and speedup
+    (``1 / ratio``) are derived by :func:`format_comparison`, not stored.
+    """
+    comparison = COMPARISONS[mode]
+    names = _select(
+        names, comparison.quick_artifacts if quick else comparison.artifacts
+    )
+    repeats = max(1, repeats)
+    kept = ("wall_s", "events", "events_per_s", "peak_rss_kb")
+
+    def wall(run: Dict[str, object]) -> float:
+        return run["wall_s"]
+
+    artifacts: Dict[str, Dict[str, object]] = {}
+    pass_off, pass_on = [0.0] * repeats, [0.0] * repeats
+    for name in names:
+        offs: List[Dict[str, object]] = []
+        ons: List[Dict[str, object]] = []
+        for repeat in range(repeats):
+            order = (None, mode) if repeat % 2 == 0 else (mode, None)
+            runs = {variant: _run_artifact(name, variant) for variant in order}
+            offs.append(runs[None])
+            ons.append(runs[mode])
+            pass_off[repeat] += wall(runs[None])
+            pass_on[repeat] += wall(runs[mode])
+        off, on = min(offs, key=wall), min(ons, key=wall)
+        ratios, ratio = _median_ratio(map(wall, offs), map(wall, ons))
+        artifacts[name] = {
+            "title": off["title"],
+            "digest": off["digest"],
+            "digest_match": all(run["digest"] == off["digest"] for run in offs + ons),
+            "off": {key: off[key] for key in kept},
+            "on": {key: on[key] for key in kept},
+            "pair_ratios": ratios,
+            "ratio": ratio,
+            **{counter: on[counter] for counter in comparison.counters},
+        }
+    pass_ratios, total_ratio = _median_ratio(pass_off, pass_on)
+    records = list(artifacts.values())
+    return {
+        **_environment(quick),
+        "mode": "%s-compare" % mode,
+        "counters": list(comparison.counters),
+        "repeats": repeats,
         "artifacts": artifacts,
         "total": {
-            "full_wall_s": round(full_wall, 4),
-            "forked_wall_s": round(forked_wall, 4),
-            "speedup": (
-                round(full_wall / forked_wall, 2) if forked_wall else None
-            ),
+            "off_wall_s": round(sum(wall(record["off"]) for record in records), 4),
+            "on_wall_s": round(sum(wall(record["on"]) for record in records), 4),
+            "pass_ratios": pass_ratios,
+            "ratio": total_ratio,
+            **{
+                counter: sum(record[counter] for record in records)
+                for counter in comparison.counters
+            },
         },
     }
 
 
-def format_fork_report(report: Dict[str, object]) -> str:
-    """Render a fork-speedup comparison as an aligned text table."""
-    lines = []
-    header = "%-24s %10s %10s %8s %6s %6s" % (
-        "artifact", "full_s", "forked_s", "speedup", "ckpts", "match"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, record in report.get("artifacts", {}).items():
+def format_comparison(report: Dict[str, object]) -> str:
+    """Render any :func:`run_comparison` report as an aligned text table."""
+    counters = tuple(report["counters"])
+    layout = "%-24s %9s %9s %7s %9s %8s" + " %12s" * len(counters) + " %6s"
+    titles = ("artifact", "off_s", "on_s", "ratio", "overhead", "speedup")
+    header = layout % (titles + counters + ("match",))
+
+    def line(name, off_s, on_s, record, match):
+        ratio = record["ratio"] or 0.0
+        cells = (
+            name,
+            "%.3f" % off_s,
+            "%.3f" % on_s,
+            "%.3f" % ratio,
+            "%+.1f%%" % ((ratio - 1.0) * 100.0),
+            "%.2fx" % (1.0 / ratio if ratio else 0.0),
+        )
+        return layout % (
+            cells + tuple(str(record[counter]) for counter in counters) + (match,)
+        )
+
+    lines = [header, "-" * len(header)]
+    for name, record in report["artifacts"].items():
+        match = "yes" if record["digest_match"] else "NO"
         lines.append(
-            "%-24s %10.3f %10.3f %7.2fx %6d %6s"
-            % (
-                name,
-                record["full"]["wall_s"],
-                record["forked"]["wall_s"],
-                record["speedup"] if record["speedup"] is not None else 0.0,
-                record["checkpoints"],
-                "yes" if record["digest_match"] else "NO",
-            )
+            line(name, record["off"]["wall_s"], record["on"]["wall_s"], record, match)
         )
-    total = report.get("total", {})
+    total = report["total"]
     lines.append("-" * len(header))
-    lines.append(
-        "%-24s %10.3f %10.3f %7.2fx %6s %6s"
-        % (
-            "TOTAL",
-            total.get("full_wall_s", 0.0),
-            total.get("forked_wall_s", 0.0),
-            total.get("speedup") or 0.0,
-            "-",
-            "",
-        )
-    )
+    lines.append(line("TOTAL", total["off_wall_s"], total["on_wall_s"], total, ""))
     return "\n".join(lines)
 
 
@@ -990,20 +727,12 @@ def run_bench(
     quick: bool = False,
 ) -> Dict[str, object]:
     """Run the requested artifacts and return the measurement report."""
-    if names is None:
-        names = QUICK_ARTIFACTS if quick else tuple(ARTIFACTS)
-    unknown = [name for name in names if name not in ARTIFACTS]
-    if unknown:
-        raise ValueError("unknown bench artifacts: %s" % ", ".join(unknown))
-    artifacts: Dict[str, Dict[str, object]] = {}
-    for name in names:
-        artifacts[name] = run_artifact(name)
+    names = _select(names, QUICK_ARTIFACTS if quick else tuple(ARTIFACTS))
+    artifacts = {name: _run_artifact(name) for name in names}
     total_wall = sum(record["wall_s"] for record in artifacts.values())
     total_events = sum(record["events"] for record in artifacts.values())
     return {
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "nonce_stream_version": NONCE_STREAM_VERSION,
-        "quick": quick,
+        **_environment(quick),
         "artifacts": artifacts,
         "total": {
             "wall_s": round(total_wall, 4),
@@ -1073,28 +802,6 @@ def check_digests(
 # -- report emission ------------------------------------------------------------------
 
 
-def merge_before(
-    report: Dict[str, object], before: Dict[str, object]
-) -> Dict[str, object]:
-    """Fold a pre-optimization report into ``report`` as before/after pairs."""
-    before_artifacts = before.get("artifacts", {})
-    for name, record in report.get("artifacts", {}).items():
-        prior = before_artifacts.get(name)
-        if not prior:
-            continue
-        record["before_wall_s"] = prior.get("wall_s")
-        record["before_events_per_s"] = prior.get("events_per_s")
-        if prior.get("wall_s") and record.get("wall_s"):
-            record["speedup"] = round(prior["wall_s"] / record["wall_s"], 2)
-    prior_total = before.get("total", {}).get("wall_s")
-    if prior_total and report.get("total", {}).get("wall_s"):
-        report["total"]["before_wall_s"] = prior_total
-        report["total"]["speedup"] = round(
-            prior_total / report["total"]["wall_s"], 2
-        )
-    return report
-
-
 def write_report(report: Dict[str, object], path: Path = DEFAULT_REPORT_PATH) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
@@ -1102,36 +809,17 @@ def write_report(report: Dict[str, object], path: Path = DEFAULT_REPORT_PATH) ->
 
 
 def format_report(report: Dict[str, object]) -> str:
-    """Render the measurement report as an aligned text table."""
-    lines = []
-    header = "%-24s %10s %12s %12s %8s" % (
-        "artifact", "wall_s", "events/s", "before_s", "speedup"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
+    """Render a :func:`run_bench` report as an aligned text table."""
+    header = "%-24s %10s %12s" % ("artifact", "wall_s", "events/s")
+    lines = [header, "-" * len(header)]
     for name, record in report.get("artifacts", {}).items():
         lines.append(
-            "%-24s %10.3f %12.0f %12s %8s"
-            % (
-                name,
-                record["wall_s"],
-                record["events_per_s"],
-                ("%.3f" % record["before_wall_s"])
-                if record.get("before_wall_s")
-                else "-",
-                ("%.2fx" % record["speedup"]) if record.get("speedup") else "-",
-            )
+            "%-24s %10.3f %12.0f" % (name, record["wall_s"], record["events_per_s"])
         )
     total = report.get("total", {})
     lines.append("-" * len(header))
     lines.append(
-        "%-24s %10.3f %12.0f %12s %8s"
-        % (
-            "TOTAL",
-            total.get("wall_s", 0.0),
-            total.get("events_per_s", 0.0),
-            ("%.3f" % total["before_wall_s"]) if total.get("before_wall_s") else "-",
-            ("%.2fx" % total["speedup"]) if total.get("speedup") else "-",
-        )
+        "%-24s %10.3f %12.0f"
+        % ("TOTAL", total.get("wall_s", 0.0), total.get("events_per_s", 0.0))
     )
     return "\n".join(lines)

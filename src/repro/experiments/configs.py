@@ -11,13 +11,6 @@ from typing import Optional, Tuple
 
 from ..config import ProtocolConfig, SimulationConfig, scaled_config
 
-#: Warning text of the deprecated seconds-based ``make_*_factory`` helpers.
-FACTORY_DEPRECATION = (
-    "repro.experiments %s is deprecated; build the adversary through "
-    "repro.api.DEFAULT_REGISTRY.factory(...) (days-based parameters) or an "
-    "AdversarySpec in a Scenario instead"
-)
-
 
 def resolve_base_configs(
     protocol_config: Optional[ProtocolConfig] = None,

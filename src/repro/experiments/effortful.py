@@ -22,75 +22,15 @@ limits prevent the adversary from bringing its unlimited resources to bear.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..adversary.brute_force import DefectionPoint
 from ..api import AdversarySpec, Campaign, Scenario, Session
 from ..api.campaign import campaign_rows
-from ..api.registry import DEFAULT_REGISTRY
 from ..api.resultset import ResultSet, row_exporter
 from ..config import ProtocolConfig, SimulationConfig
-from .configs import FACTORY_DEPRECATION, resolve_base_configs
+from .configs import resolve_base_configs
 from .reporting import format_table
-
-
-def make_brute_force_factory(
-    defection: DefectionPoint,
-    attempts_per_victim_au_per_day: float = 5.0,
-    identity_pool_size: int = 100,
-    use_schedule_oracle: bool = True,
-):
-    """Adversary factory for one defection strategy.
-
-    .. deprecated::
-       Compatibility wrapper over the ``"brute_force"`` registry entry.
-       Use ``DEFAULT_REGISTRY.factory("brute_force", ...)`` or an
-       :class:`~repro.api.AdversarySpec` instead.
-    """
-    warnings.warn(
-        FACTORY_DEPRECATION % "make_brute_force_factory",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DEFAULT_REGISTRY.factory(
-        "brute_force",
-        defection=defection,
-        attempts_per_victim_au_per_day=attempts_per_victim_au_per_day,
-        identity_pool_size=identity_pool_size,
-        use_schedule_oracle=use_schedule_oracle,
-    )
-
-
-def brute_force_scenario(
-    defection: Union[DefectionPoint, str] = DefectionPoint.NONE,
-    n_aus: Optional[int] = None,
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    attempts_per_victim_au_per_day: float = 5.0,
-) -> Scenario:
-    """One Table 1 cell as a declarative scenario."""
-    base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
-    if n_aus is not None:
-        base_sim = base_sim.with_overrides(n_aus=n_aus)
-    defection_value = (
-        defection.value if isinstance(defection, DefectionPoint) else str(defection)
-    )
-    return Scenario.from_configs(
-        "brute-force %s n_aus=%d" % (defection_value, base_sim.n_aus),
-        base_protocol,
-        base_sim,
-        adversary=AdversarySpec(
-            "brute_force",
-            {
-                "defection": defection_value,
-                "attempts_per_victim_au_per_day": attempts_per_victim_au_per_day,
-            },
-        ),
-        seeds=tuple(seeds),
-        parameters={"defection": defection_value, "n_aus": base_sim.n_aus},
-    )
 
 
 def effortful_campaign(

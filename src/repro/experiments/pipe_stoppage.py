@@ -19,44 +19,12 @@ leaves the access failure probability in the low 10^-3 range.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence
 
-from .. import units
 from ..api import Campaign, Scenario, Session
-from ..api.registry import DEFAULT_REGISTRY
 from ..config import ProtocolConfig, SimulationConfig
 from .attacks import attack_sweep_campaign, attack_sweep_rows, attack_sweep_scenario
-from .configs import FACTORY_DEPRECATION
 from .reporting import format_table
-
-
-def make_pipe_stoppage_factory(
-    attack_duration: float,
-    coverage: float,
-    recuperation: float = 30 * units.DAY,
-):
-    """Adversary factory for one (duration, coverage) attack point.
-
-    .. deprecated::
-       Compatibility wrapper over the ``"pipe_stoppage"`` registry entry
-       with the original seconds-based kwargs.  Use
-       ``DEFAULT_REGISTRY.factory("pipe_stoppage", ...)`` (days-based
-       parameters) or an :class:`~repro.api.AdversarySpec` instead.
-    """
-    # stacklevel=2 attributes the warning to the caller, so the default
-    # filter fires once per call *site* (the PR 3 runner-shim pattern).
-    warnings.warn(
-        FACTORY_DEPRECATION % "make_pipe_stoppage_factory",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DEFAULT_REGISTRY.factory(
-        "pipe_stoppage",
-        attack_duration_days=attack_duration / units.DAY,
-        coverage=coverage,
-        recuperation_days=recuperation / units.DAY,
-    )
 
 
 def pipe_stoppage_scenario(

@@ -333,9 +333,9 @@ class Worker:
     def _fork_point(self, lease: Lease) -> None:
         """Warm the session cache for a forkable point before the full run.
 
-        Failures here are deliberately swallowed: the subsequent
-        ``session.run`` simulates whatever the fork pass did not cache, so
-        the point still completes (just without the speedup).
+        The subsequent ``session.run`` simulates whatever the fork pass did
+        not cache (the session logs a group that failed), so the point
+        still completes — just without the speedup.
         """
         groups = self._point_fork_groups(lease.campaign).get(lease.digest)
         if not groups:
@@ -344,10 +344,7 @@ class Worker:
             "point #%d: forking %d run(s) from prefix checkpoint %s"
             % (lease.index, len(groups), groups[0].checkpoint_digest[:12])
         )
-        try:
-            self.session.run_fork_groups(groups)
-        except Exception as error:
-            self._log("point #%d: prefix fork failed (%s); running fully" % (lease.index, error))
+        self.session.run_fork_groups(groups)
 
     # -- telemetry and control -----------------------------------------------------------
 

@@ -1,11 +1,22 @@
 """Session fault handling: per-run timeouts, bounded retries, and the
 PointExecutionError surface the campaign runner builds on."""
 
+import logging
+
 import pytest
 
 from repro import units
-from repro.api import AdversarySpec, PointExecutionError, Scenario, Session
+from repro.api import (
+    AdversarySpec,
+    Campaign,
+    CampaignRunner,
+    PointExecutionError,
+    Scenario,
+    Session,
+)
 from repro.api import session as session_module
+from repro.api.campaign import plan_fork_groups
+from repro.api.scenario import canonical_json
 
 
 def smoke_scenario(**overrides):
@@ -133,3 +144,66 @@ class TestPoolTimeout:
             session.timeout = None
             runs = session.run_metrics(scenario)
             assert len(runs) == 2
+
+    def test_cancelled_fork_group_falls_back_to_its_own_full_runs(
+        self, tmp_path, caplog
+    ):
+        # A lurking attacker (onset day 45) over two seeds and two coverages:
+        # one fork group per seed, so the pool round holds two groups.
+        scenario = smoke_scenario(
+            name="fork timeout",
+            sim={"duration": units.months(5)},
+            adversary=AdversarySpec(
+                "composed",
+                {
+                    "targeting": {"kind": "random_subset", "coverage": 1.0},
+                    "schedule": {
+                        "kind": "piecewise",
+                        "phases": [
+                            {"duration_days": 45.0, "intensity": 0.0, "gap_days": 0.0},
+                            {"duration_days": 20.0, "intensity": 1.0, "gap_days": 10.0},
+                        ],
+                        "repeat": True,
+                    },
+                    "vectors": [{"kind": "pipe_stoppage"}],
+                },
+            ),
+            seeds=(1, 2),
+        )
+        campaign = Campaign(name="fork timeout", scenario=scenario)
+        campaign.add_axis(**{"adversary.targeting.coverage": [0.4, 1.0]})
+        assert len(plan_fork_groups(campaign.expand())) == 2
+
+        session = Session(
+            workers=2,
+            store=str(tmp_path / "store"),
+            timeout=0.001,
+            retries=0,
+            retry_backoff=0.0,
+        )
+        with session:
+            runner = CampaignRunner(session, fork_prefixes=True)
+            with caplog.at_level(logging.WARNING, logger="repro.api.session"):
+                runner.run(campaign)
+            # The first group timed out and took the pool with it; the
+            # second never got its budget.  Neither verdict reaches a point:
+            # forking is a cache, so both groups fall back to full runs...
+            assert "abandoning the process pool" in caplog.text
+            assert "was cancelled; falling back to full runs" in caplog.text
+            assert "failed; falling back to full runs" in caplog.text
+            # ...and a point that then fails does so by its *own* timed-out
+            # run under the ordinary retry budget.
+            status = runner.status(campaign)
+            assert len(status.completed) + len(status.failed) == len(campaign)
+            for error in status.failed.values():
+                assert "failed after 1 attempt(s)" in error
+                assert "time budget" in error
+                assert "pool abandoned" not in error
+
+            session.timeout = None
+            resumed = runner.run(campaign)
+            assert runner.status(campaign).complete
+        reference = CampaignRunner(Session()).run(campaign)
+        assert [canonical_json(point.result.to_dict()) for point in resumed] == [
+            canonical_json(point.result.to_dict()) for point in reference
+        ]

@@ -2,15 +2,15 @@
 
 import pytest
 
+from repro.api.session import default_session
 from repro.cli import build_parser, main
-from repro.experiments.runner import clear_baseline_cache
 
 
 @pytest.fixture(autouse=True)
 def _clear_cache():
-    clear_baseline_cache()
+    default_session().clear_cache()
     yield
-    clear_baseline_cache()
+    default_session().clear_cache()
 
 
 FAST_SCALE = ["--peers", "8", "--aus", "1", "--years", "0.6", "--seed", "5", "--seeds", "5"]

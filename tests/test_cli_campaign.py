@@ -1,13 +1,15 @@
 """CLI coverage for the campaign/store subcommands and the bench harness."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import units
 from repro.api import AdversarySpec, Campaign, ResultStore, Scenario
+from repro.api.session import default_session
 from repro.cli import build_parser, main
-from repro.experiments.runner import clear_baseline_cache
+from repro.experiments import bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "benchmarks" / "bench_baseline.json"
@@ -15,9 +17,9 @@ BASELINE = REPO_ROOT / "benchmarks" / "bench_baseline.json"
 
 @pytest.fixture(autouse=True)
 def _clear_cache():
-    clear_baseline_cache()
+    default_session().clear_cache()
     yield
-    clear_baseline_cache()
+    default_session().clear_cache()
 
 
 def campaign_file(tmp_path, exporter="attack_sweep"):
@@ -213,3 +215,109 @@ class TestBenchQuick:
     def test_bench_rejects_unknown_artifacts(self):
         with pytest.raises(ValueError):
             main(["bench", "--artifacts", "not_a_real_artifact", "--out", ""])
+
+
+#: The comparator's one report schema: per-artifact keys common to every mode.
+COMPARISON_KEYS = {
+    "title", "digest", "digest_match", "off", "on", "pair_ratios", "ratio",
+}
+
+
+class TestBenchComparison:
+    @pytest.mark.parametrize(
+        "mode, artifact",
+        [
+            ("record", "fig2_baseline"),
+            ("telemetry", "fig2_baseline"),
+            ("fork", "delayed_attack_sweep"),
+        ],
+    )
+    def test_every_mode_reports_one_schema_and_matching_digests(self, mode, artifact):
+        report = bench.run_comparison(mode, names=[artifact], repeats=1)
+        counters = bench.COMPARISONS[mode].counters
+        assert report["mode"] == mode + "-compare"
+        assert report["counters"] == list(counters)
+        record = report["artifacts"][artifact]
+        assert set(record) == COMPARISON_KEYS | set(counters)
+        assert record["digest_match"] is True
+        assert set(record["off"]) == set(record["on"])
+        assert len(record["pair_ratios"]) == report["repeats"] == 1
+        assert record["ratio"] == record["pair_ratios"][0] > 0
+        # The on side really was on: it traced, published, checkpointed.
+        assert record[counters[0]] > 0
+        assert set(report["total"]) == {
+            "off_wall_s", "on_wall_s", "pass_ratios", "ratio", *counters
+        }
+        assert bench.check_digests(report, bench.load_baseline(BASELINE)) == []
+        table = bench.format_comparison(report)
+        assert artifact in table and "overhead" in table and counters[0] in table
+
+    def test_unknown_mode_and_artifact_are_rejected(self):
+        with pytest.raises(KeyError):
+            bench.run_comparison("warp")
+        with pytest.raises(ValueError):
+            bench.run_comparison("record", names=["not_a_real_artifact"])
+
+
+def fake_artifact_runner(monkeypatch, on_wall=0.2, on_digest=None):
+    """Replace the one artifact runner with canned records (off wall 0.1 s)."""
+    digest = json.loads(BASELINE.read_text())["digests"]["fig2_baseline"]
+
+    def run(name, variant=None):
+        record = {
+            "title": name,
+            "wall_s": 0.1,
+            "events": 1000,
+            "events_per_s": 10000.0,
+            "rows": 4,
+            "digest": digest,
+            "peak_rss_kb": 1,
+        }
+        if variant is not None:
+            record.update(wall_s=on_wall, digest=on_digest or digest)
+            record.update(dict.fromkeys(bench.COMPARISONS[variant].counters, 1))
+        return record
+
+    monkeypatch.setattr(bench, "_run_artifact", run)
+
+
+class TestBenchCompareCli:
+    COMMON = [
+        "--artifacts", "fig2_baseline", "--repeats", "1", "--baseline", str(BASELINE),
+    ]
+
+    def test_perturbed_on_side_digest_fails(self, monkeypatch, capsys):
+        fake_artifact_runner(monkeypatch, on_digest="0" * 64)
+        exit_code = main(["bench", "--telemetry-compare", "--out", ""] + self.COMMON)
+        output = capsys.readouterr().out
+        assert exit_code == 1
+        assert "TELEMETRY PERTURBED RESULTS" in output
+        assert "fig2_baseline" in output.splitlines()[-1]
+
+    def test_max_overhead_below_the_measured_ratio_fails(self, monkeypatch, capsys):
+        fake_artifact_runner(monkeypatch, on_wall=0.2)  # ratio 2.0: +100%
+        argv = ["bench", "--record-compare", "--out", ""] + self.COMMON
+        assert main(argv + ["--max-overhead", "5"]) == 1
+        assert "RECORDING OVERHEAD 100.0% exceeds the 5.0% budget" in (
+            capsys.readouterr().out
+        )
+        assert main(argv + ["--max-overhead", "150"]) == 0
+        assert "all result digests match" in capsys.readouterr().out
+
+    def test_out_is_honoured_and_defaults_per_mode(self, monkeypatch, tmp_path):
+        fake_artifact_runner(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--fork-compare"] + self.COMMON) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["BENCH_PR9.json"]
+        argv = ["bench", "--fork-compare", "--out", "BENCH_PR2.json"] + self.COMMON
+        assert main(argv) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "BENCH_PR2.json", "BENCH_PR9.json",
+        ]
+        report = json.loads((tmp_path / "BENCH_PR2.json").read_text())
+        assert report["mode"] == "fork-compare"
+
+    def test_compare_modes_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--record-compare", "--fork-compare"])
+        assert "not allowed with" in capsys.readouterr().err

@@ -1,25 +1,25 @@
-"""Integration tests for the experiment harness (runner, sweeps, reporting)."""
+"""Integration tests for the experiment harness (session runs, sweeps, reporting)."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import repro
 from repro import units
 from repro.adversary.brute_force import DefectionPoint
+from repro.api import AdversarySpec, Scenario, Session
+from repro.api.session import default_session
 from repro.config import smoke_config
 from repro.experiments import ablation, admission_attack, baseline, effortful, pipe_stoppage
 from repro.experiments.reporting import format_table, format_value, rows_from_dicts
-from repro.experiments.runner import (
-    baseline_runs,
-    clear_baseline_cache,
-    run_attack_experiment,
-    run_many,
-)
 
 
 @pytest.fixture(autouse=True)
 def _clear_cache():
-    clear_baseline_cache()
+    default_session().clear_cache()
     yield
-    clear_baseline_cache()
+    default_session().clear_cache()
 
 
 @pytest.fixture
@@ -32,31 +32,65 @@ def smoke():
 class TestRunner:
     def test_run_many_produces_one_result_per_seed(self, smoke):
         protocol, sim = smoke
-        results = run_many(protocol, sim, seeds=(1, 2))
+        scenario = Scenario.from_configs("quiet", protocol, sim, seeds=(1, 2))
+        results = Session().run_metrics(scenario)
         assert len(results) == 2
 
     def test_baseline_cache_reuses_runs(self, smoke):
         protocol, sim = smoke
-        first = baseline_runs(protocol, sim, seeds=(1,))
-        second = baseline_runs(protocol, sim, seeds=(1,))
-        assert first is second
-        clear_baseline_cache()
-        third = baseline_runs(protocol, sim, seeds=(1,))
-        assert third is not first
+        scenario = Scenario.from_configs("quiet", protocol, sim, seeds=(1,))
+        session = Session()
+        first = session.run_metrics(scenario, baseline=True)
+        second = session.run_metrics(scenario, baseline=True)
+        assert first[0] is second[0]
+        session.clear_cache()
+        third = session.run_metrics(scenario, baseline=True)
+        assert third[0] is not first[0]
+        assert third[0].to_dict() == first[0].to_dict()
 
     def test_run_attack_experiment_compares_against_baseline(self, smoke):
         protocol, sim = smoke
-        factory = pipe_stoppage.make_pipe_stoppage_factory(
-            attack_duration=units.days(90), coverage=1.0, recuperation=units.days(15)
+        scenario = Scenario.from_configs(
+            "pipe",
+            protocol,
+            sim,
+            adversary=AdversarySpec(
+                "pipe_stoppage",
+                {
+                    "attack_duration_days": 90.0,
+                    "coverage": 1.0,
+                    "recuperation_days": 15.0,
+                },
+            ),
+            seeds=(1,),
+            parameters={"coverage": 1.0},
         )
-        result = run_attack_experiment(
-            "pipe", protocol, sim, factory, seeds=(1,), parameters={"coverage": 1.0}
-        )
+        result = Session().run(scenario)
         assert result.assessment.delay_ratio >= 1.0
         assert result.assessment.cost_ratio is None
         assert result.parameters == {"coverage": 1.0}
         assert len(result.attacked_runs) == 1
         assert len(result.baseline_runs) == 1
+
+
+class TestPackageSurface:
+    def test_every_submodule_imports_and_every_export_resolves(self):
+        # A stale re-export after a deletion must fail here, not first in
+        # the traced benchmark (perf/trace.py imports every submodule too).
+        names = ["repro"] + [
+            info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        assert len(names) > 50
+        for name in names:
+            module = importlib.import_module(name)
+            for export in getattr(module, "__all__", ()):
+                assert hasattr(module, export), "%s.%s" % (name, export)
+
+    def test_experiment_result_is_one_class(self):
+        from repro import api, experiments
+
+        assert repro.ExperimentResult is api.session.ExperimentResult
+        assert experiments.ExperimentResult is api.session.ExperimentResult
 
 
 class TestSweeps:

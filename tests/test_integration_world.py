@@ -5,7 +5,6 @@ import pytest
 from repro import units
 from repro.config import smoke_config
 from repro.experiments.world import build_world
-from repro.experiments.runner import run_single
 
 
 class TestBuildWorld:
@@ -93,16 +92,16 @@ class TestBaselineRun:
 class TestDeterminism:
     def test_same_seed_reproduces_metrics(self):
         protocol, sim = smoke_config(seed=7)
-        first = run_single(protocol, sim)
-        second = run_single(protocol, sim)
+        first = build_world(protocol, sim).run()
+        second = build_world(protocol, sim).run()
         assert first.access_failure_probability == second.access_failure_probability
         assert first.successful_polls == second.successful_polls
         assert first.loyal_effort == pytest.approx(second.loyal_effort)
 
     def test_different_seeds_differ(self):
         protocol, sim = smoke_config(seed=7)
-        first = run_single(protocol, sim)
-        second = run_single(protocol, sim.with_overrides(seed=8))
+        first = build_world(protocol, sim).run()
+        second = build_world(protocol, sim.with_overrides(seed=8)).run()
         assert (
             first.loyal_effort != pytest.approx(second.loyal_effort)
             or first.successful_polls != second.successful_polls
