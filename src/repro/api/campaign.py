@@ -33,18 +33,18 @@ figure of the paper a small campaign artifact runnable via
 from __future__ import annotations
 
 import hashlib
-import json
+import logging
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from .resultset import PointResult, ResultSet, export_rows
 from .scenario import (
     AXIS_SCOPES,
+    JsonSpec,
     Scenario,
-    apply_axis_value,
     canonical_json,
     clone_point_scenario,
+    expand_axes,
     split_axis_target,
 )
 from .session import (
@@ -55,6 +55,8 @@ from .session import (
     default_session,
 )
 from .store import ResultStore
+
+logger = logging.getLogger(__name__)
 
 
 def attack_onset(scenario: Scenario) -> float:
@@ -82,7 +84,13 @@ def attack_onset(scenario: Scenario) -> float:
 
     try:
         schedule = SCHEDULE_REGISTRY.build(dict(spec))
-    except Exception:
+    except (KeyError, TypeError, ValueError) as error:
+        logger.warning(
+            "cannot build the schedule of %r (%s); treating its attack onset "
+            "as 0, so the point runs in full instead of forking",
+            scenario.name,
+            error,
+        )
         return 0.0
     if schedule.open_ended:
         return 0.0
@@ -101,6 +109,20 @@ def attack_onset(scenario: Scenario) -> float:
     return duration
 
 
+def fork_onset(scenario: Scenario) -> Optional[float]:
+    """The point's attack onset if it can fork from a shared prefix, else None.
+
+    Eligible is an adversary whose first engagement falls strictly inside
+    the run: no adversary, a provably-zero (or unprovable) onset, or an
+    onset at/after the horizon leave no prefix to skip.
+    """
+    if scenario.adversary is None:
+        return None
+    onset = attack_onset(scenario)
+    _, sim = scenario.resolve()
+    return onset if 0.0 < onset < float(sim.duration) else None
+
+
 def prefix_key(scenario: Scenario) -> str:
     """Stable identity of a point's baseline prefix across all its seeds.
 
@@ -111,8 +133,10 @@ def prefix_key(scenario: Scenario) -> str:
     lease ordering can keep one worker on one prefix group, maximizing
     checkpoint reuse.
     """
+    # Without an adversary the attacked runs *are* the baseline runs.
+    side = scenario.adversary is not None
     prefixes = [
-        scenario.point_digest(seed, baseline=True) for seed in scenario.seeds
+        digest for _, baseline, digest in scenario.run_keys() if baseline == side
     ]
     return hashlib.sha256(
         canonical_json({"prefixes": prefixes}).encode("utf-8")
@@ -131,9 +155,8 @@ def plan_fork_groups(
     and therefore the group.  A group's fork time is the *earliest* attack
     onset among its members, so the one checkpoint serves them all.
 
-    Points that cannot be forked fall back to full runs by simply not
-    appearing in any group: no adversary, a provably-zero (or unprovable)
-    onset, or an onset at/after the horizon.  A prefix with fewer than two
+    Points that cannot be forked (see :func:`fork_onset`) fall back to full
+    runs by simply not appearing in any group.  A prefix with fewer than two
     attacked members is dropped too — a checkpoint only one suffix would
     fork from saves less than it costs to persist, and keeping single
     points on the ordinary path preserves the "prefix-touching axes run
@@ -142,31 +165,27 @@ def plan_fork_groups(
     buckets: Dict[tuple, Dict[str, object]] = {}
     for point in points:
         scenario = point.scenario
-        if scenario.adversary is None:
-            continue
-        onset = attack_onset(scenario)
-        _, sim = scenario.resolve()
-        if not 0.0 < onset < float(sim.duration):
+        onset = fork_onset(scenario)
+        if onset is None:
             continue
         spec = scenario.adversary.to_dict()
-        for seed in scenario.seeds:
-            prefix = scenario.point_digest(seed, baseline=True)
+        keys = scenario.run_keys()
+        prefixes = {seed: digest for seed, baseline, digest in keys if baseline}
+        for seed, baseline, attacked in keys:
+            if baseline:
+                continue
             bucket = buckets.setdefault(
-                (seed, prefix),
+                (seed, prefixes[seed]),
                 {
                     "scenario": scenario,
-                    "seed": seed,
-                    "prefix": prefix,
                     "fork_time": onset,
                     "attacked": {},
                 },
             )
             bucket["fork_time"] = min(bucket["fork_time"], onset)
-            bucket["attacked"].setdefault(
-                scenario.point_digest(seed, baseline=False), spec
-            )
+            bucket["attacked"].setdefault(attacked, spec)
     groups: List[ForkGroup] = []
-    for bucket in buckets.values():
+    for (seed, prefix), bucket in buckets.items():
         attacked: Dict[str, Dict[str, object]] = bucket["attacked"]
         if len(attacked) < 2:
             continue
@@ -175,17 +194,17 @@ def plan_fork_groups(
             canonical_json(
                 {
                     "format": "prefix-checkpoint",
-                    "prefix": bucket["prefix"],
+                    "prefix": prefix,
                     "fork_time": fork_time,
                 }
             ).encode("utf-8")
         ).hexdigest()
-        members: List[tuple] = [(bucket["prefix"], None)]
+        members: List[tuple] = [(prefix, None)]
         members.extend(attacked.items())
         groups.append(
             ForkGroup(
                 scenario=bucket["scenario"],
-                seed=bucket["seed"],
+                seed=seed,
                 fork_time=fork_time,
                 checkpoint_digest=checkpoint_digest,
                 members=members,
@@ -194,16 +213,38 @@ def plan_fork_groups(
     return groups
 
 
+def slice_fork_groups(
+    groups: Sequence[ForkGroup], scenarios: Sequence[Scenario]
+) -> List[ForkGroup]:
+    """``groups`` with members restricted to the runs ``scenarios`` need.
+
+    Groups (and each group's fork time) are planned over the *whole*
+    campaign, so a resumed campaign and every worker of a fleet compute the
+    identical checkpoint digests and reuse the persisted prefix checkpoints
+    instead of re-simulating them; this narrows them to one call's pending
+    points, or to one worker's leased point, dropping groups none of them
+    is in.
+    """
+    needed = {
+        digest for scenario in scenarios for _, _, digest in scenario.run_keys()
+    }
+    sliced = []
+    for group in groups:
+        members = [member for member in group.members if member[0] in needed]
+        if members:
+            sliced.append(replace(group, members=members))
+    return sliced
+
+
 @dataclass(frozen=True)
 class CampaignPoint:
     """One expanded grid point: its position and concrete scenario."""
 
     index: int
     scenario: Scenario
-
-    @property
-    def digest(self) -> str:
-        return self.scenario.digest
+    #: The scenario's content digest, hashed once when ``expand()`` built
+    #: the point — a point's scenario is not mutated afterwards.
+    digest: str
 
     @property
     def label(self) -> str:
@@ -215,7 +256,7 @@ class CampaignPoint:
 
 
 @dataclass
-class Campaign:
+class Campaign(JsonSpec):
     """A named parameter grid expanded over a base scenario."""
 
     name: str
@@ -313,21 +354,11 @@ class Campaign:
 
     def expand(self) -> List[CampaignPoint]:
         """Expand all axes into concrete point scenarios, first axis outermost."""
-        points: List[Scenario] = [clone_point_scenario(self.scenario)]
         for axis in self.axes:
             self._validate_axis(axis)
-            width = len(next(iter(axis.values())))
-            expanded: List[Scenario] = []
-            for point in points:
-                for position in range(width):
-                    child = clone_point_scenario(point)
-                    for target, values in axis.items():
-                        apply_axis_value(child, target, values[position])
-                    expanded.append(child)
-            points = expanded
         return [
-            CampaignPoint(index=index, scenario=scenario)
-            for index, scenario in enumerate(points)
+            CampaignPoint(index=index, scenario=scenario, digest=scenario.digest)
+            for index, scenario in enumerate(expand_axes(self.scenario, self.axes))
         ]
 
     def __len__(self) -> int:
@@ -379,22 +410,6 @@ class Campaign:
             description=str(payload.get("description") or ""),
         )
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Campaign":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Campaign":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
 
 def status_dict(
     name: str,
@@ -425,6 +440,74 @@ def status_dict(
     return payload
 
 
+def point_entry(
+    index: int,
+    digest: str,
+    label: str,
+    state: str,
+    error: Optional[str] = None,
+    **extra: object,
+) -> Dict[str, object]:
+    """One point's entry in a status payload or a stored manifest.
+
+    Owns the key set: the four fields, any producer-specific ``extra`` that
+    is not None (the broker's ``attempts`` / ``worker`` / ``lease_expires``),
+    and ``error`` iff a non-empty one was passed.
+    """
+    entry: Dict[str, object] = {
+        "index": index,
+        "digest": digest,
+        "label": label,
+        "state": state,
+    }
+    entry.update((key, value) for key, value in extra.items() if value is not None)
+    if error:
+        entry["error"] = error
+    return entry
+
+
+def manifest_payload(
+    name: str, exporter: Optional[str], total: int, entries: Sequence[Mapping]
+) -> Dict[str, object]:
+    """The store's ``campaign`` artifact, from :func:`point_entry` entries.
+
+    One schema for :class:`CampaignRunner` and the service broker.  The
+    manifest knows three states — a live lease is ``pending`` (its result
+    artifact is not there yet) — and keeps the older boolean ``complete``
+    for manifest readers that predate fault handling.
+    """
+    points = []
+    for entry in entries:
+        state = "pending" if entry["state"] == "leased" else entry["state"]
+        points.append(dict(entry, state=state, complete=state == "complete"))
+    return {"name": name, "exporter": exporter, "total": total, "points": points}
+
+
+def _store_entries(
+    points: Sequence[CampaignPoint], done, failed: Mapping[int, str]
+) -> List[Dict[str, object]]:
+    """Entries of points whose state the store decides: ``complete`` when the
+    index is in ``done``, else ``failed`` (with its error), else ``pending``."""
+    entries = []
+    for point in points:
+        if point.index in done:
+            state = "complete"
+        elif point.index in failed:
+            state = "failed"
+        else:
+            state = "pending"
+        error = failed[point.index] if state == "failed" else None
+        entries.append(point_entry(point.index, point.digest, point.label, state, error))
+    return entries
+
+
+def _state_counts(entries: Sequence[Mapping]) -> Dict[str, int]:
+    counts = {"complete": 0, "failed": 0, "pending": 0}
+    for entry in entries:
+        counts[entry["state"]] += 1
+    return counts
+
+
 @dataclass
 class CampaignStatus:
     """Completion state of one campaign against a result store."""
@@ -443,41 +526,16 @@ class CampaignStatus:
     def complete(self) -> bool:
         return not self.pending
 
-    def summary(self) -> str:
-        line = "%s: %d/%d points complete (campaign digest %s)" % (
-            self.name,
-            len(self.completed),
-            self.total,
-            self.digest[:12],
-        )
-        if self.failed:
-            line += ", %d failed" % len(self.failed)
-        return line
-
     def to_dict(self) -> Dict[str, object]:
         """The ``campaign status --json`` payload (see :func:`status_dict`)."""
-        entries: List[Dict[str, object]] = []
-        counts = {"complete": 0, "failed": 0, "pending": 0}
-        points = sorted(self.completed + self.pending, key=lambda p: p.index)
-        done = {point.index for point in self.completed}
-        for point in points:
-            if point.index in done:
-                state = "complete"
-            elif point.index in self.failed:
-                state = "failed"
-            else:
-                state = "pending"
-            counts[state] += 1
-            entry: Dict[str, object] = {
-                "index": point.index,
-                "digest": point.digest,
-                "label": point.label,
-                "state": state,
-            }
-            if state == "failed" and self.failed[point.index]:
-                entry["error"] = self.failed[point.index]
-            entries.append(entry)
-        return status_dict(self.name, self.digest, self.total, counts, entries)
+        entries = _store_entries(
+            sorted(self.completed + self.pending, key=lambda p: p.index),
+            {point.index for point in self.completed},
+            self.failed,
+        )
+        return status_dict(
+            self.name, self.digest, self.total, _state_counts(entries), entries
+        )
 
 
 class CampaignRunner:
@@ -602,7 +660,14 @@ class CampaignRunner:
         self._publish_progress(campaign, digest, points, results, failed)
         try:
             if self.fork_prefixes and to_run:
-                self._run_fork_prefixes(points, to_run)
+                # The forked runs land in the session cache/store, so the
+                # ordinary pass below assembles results without simulating —
+                # and simulates in full whatever a failed group did not produce.
+                self.session.run_fork_groups(
+                    slice_fork_groups(
+                        plan_fork_groups(points), [point.scenario for point in to_run]
+                    )
+                )
             for start in range(0, len(to_run), chunk_size):
                 chunk = to_run[start : start + chunk_size]
                 executed = self.session.run_all(
@@ -649,50 +714,9 @@ class CampaignRunner:
             return
         from ..telemetry.stream import publish_campaign_progress
 
-        complete = len(results)
-        failures = sum(1 for index in failed if index not in results)
-        counts = {
-            "complete": complete,
-            "failed": failures,
-            "pending": max(0, len(points) - complete - failures),
-        }
+        counts = _state_counts(_store_entries(points, results, failed))
         publish_campaign_progress(
             bus, status_dict(campaign.name, digest, len(points), counts)
-        )
-
-    # -- prefix forking ----------------------------------------------------------------
-
-    def _run_fork_prefixes(
-        self,
-        points: Sequence[CampaignPoint],
-        to_run: Sequence[CampaignPoint],
-    ) -> None:
-        """Execute the fork groups covering this call's pending points.
-
-        Groups (and each group's fork time) are planned over the *whole*
-        campaign, not just the pending slice, so an interrupted campaign
-        resumed later computes the identical checkpoint digests and reuses
-        the persisted prefix checkpoints instead of re-simulating them;
-        members are then restricted to the runs this call actually needs.
-        Completed runs land in the session cache/store, so the subsequent
-        ordinary execution pass assembles results without simulating — and
-        simulates in full whatever a failed group did not produce.
-        """
-        needed = set()
-        for point in to_run:
-            scenario = point.scenario
-            for seed in scenario.seeds:
-                needed.add(scenario.point_digest(seed, baseline=False))
-                if scenario.adversary is not None:
-                    needed.add(scenario.point_digest(seed, baseline=True))
-        self.session.run_fork_groups(
-            [
-                replace(
-                    group,
-                    members=[member for member in group.members if member[0] in needed],
-                )
-                for group in plan_fork_groups(points)
-            ]
         )
 
     def iter_results(self, campaign: Campaign) -> "Iterator[PointResult]":
@@ -764,45 +788,24 @@ class CampaignRunner:
         campaign: Campaign,
         points: Sequence[CampaignPoint],
         results: Mapping[int, ExperimentResult],
-        failed: Optional[Mapping[int, str]] = None,
+        failed: Mapping[int, str],
     ) -> None:
         """Persist a human-readable completion manifest next to the results.
 
-        Each point carries a ``state`` (``complete`` / ``failed`` /
-        ``pending``, with failures keeping their error string) plus the
-        older boolean ``complete`` field for manifest readers that predate
-        fault handling.
+        Each point carries its ``state``, failures keeping their error
+        string (the schema is :func:`manifest_payload`'s).
         """
         if self.store is None:
             return
-        failed = failed or {}
-        entries: List[Dict[str, object]] = []
-        for point in points:
-            if point.index in results:
-                state = "complete"
-            elif point.index in failed:
-                state = "failed"
-            else:
-                state = "pending"
-            entry: Dict[str, object] = {
-                "index": point.index,
-                "digest": point.digest,
-                "label": point.label,
-                "complete": state == "complete",
-                "state": state,
-            }
-            if state == "failed":
-                entry["error"] = failed[point.index]
-            entries.append(entry)
         self.store.save_json(
             "campaign",
             Campaign.digest_of(points),
-            {
-                "name": campaign.name,
-                "exporter": campaign.exporter,
-                "total": len(points),
-                "points": entries,
-            },
+            manifest_payload(
+                campaign.name,
+                campaign.exporter,
+                len(points),
+                _store_entries(points, results, failed),
+            ),
         )
 
 

@@ -23,19 +23,20 @@ artifact.
 
 from __future__ import annotations
 
+import hashlib
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
 from .observations import OBSERVATION_KINDS, RunObservations, observe
-from .scenario import Scenario
+from .scenario import Scenario, canonical_json
 from .session import ExperimentResult
 
 
@@ -389,3 +390,25 @@ def export_rows(name: Optional[str], result_set: ResultSet) -> List[Dict[str, ob
             % (name, ", ".join(sorted(ROW_EXPORTERS)) or "<none>")
         )
     return ROW_EXPORTERS[name](result_set)
+
+
+def digest_rows(rows: Iterable[Dict[str, object]]) -> str:
+    """Content digest of a row payload, holding one row at a time.
+
+    Hashes the canonical JSON of each row between literal ``[`` ``,`` ``]``
+    separators, which is byte-identical to ``canonical_json`` of the full
+    list — so streaming reports (lazy result sets over a SQLite store)
+    produce exactly the committed benchmark digests.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(b"[")
+    for position, row in enumerate(rows):
+        if position:
+            hasher.update(b",")
+        hasher.update(canonical_json(row).encode("utf-8"))
+    hasher.update(b"]")
+    return hasher.hexdigest()
+
+
+#: The name streaming callers (and docs/SERVICE.md) use; any iterable works.
+digest_rows_iter = digest_rows

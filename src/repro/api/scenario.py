@@ -20,6 +20,7 @@ import copy
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,6 +80,26 @@ def config_digest(
         "extra": extra,
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+class JsonSpec:
+    """JSON text and file forms of a spec with ``to_dict`` / ``from_dict``."""
+
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+    def save(self, path: Union[str, Path]) -> Path:
+        path = Path(path)
+        path.write_text(self.to_json() + "\n", encoding="utf-8")
+        return path
+
+    @classmethod
+    def load(cls, path: Union[str, Path]):
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass
@@ -200,9 +221,7 @@ def apply_axis_value(
     Sets the targeted override (or, for ``params.*``, only the label),
     records the value in ``parameters`` under the target's final component,
     and suffixes the scenario name with ``<label>=<value>``.  Returns the
-    recorded label.  Both ``Scenario.expand`` and ``Campaign.expand`` build
-    their grids through this one helper, so the two expansions cannot
-    drift.
+    recorded label.
     """
     scope, field_name = split_axis_target(target, scopes)
     if scope == "adversary":
@@ -225,6 +244,30 @@ def apply_axis_value(
     return field_name
 
 
+def expand_axes(
+    scenario: "Scenario",
+    axes: Sequence[Dict[str, List[object]]],
+    scopes: Sequence[str] = AXIS_SCOPES,
+) -> List["Scenario"]:
+    """The cartesian product of ``axes`` over ``scenario``, first axis outermost.
+
+    Each axis maps targets to equal-length value lists advanced in lockstep.
+    The one grid loop behind ``Scenario.expand`` and ``Campaign.expand``.
+    """
+    for axis in axes:
+        for target in axis:
+            split_axis_target(target, scopes)
+    points: List[Scenario] = []
+    widths = [range(len(next(iter(axis.values())))) for axis in axes]
+    for positions in itertools.product(*widths):
+        point = clone_point_scenario(scenario)
+        for axis, position in zip(axes, positions):
+            for target, values in axis.items():
+                apply_axis_value(point, target, values[position], scopes)
+        points.append(point)
+    return points
+
+
 def _coerce_overrides(base: object, overrides: Dict[str, object]) -> Dict[str, object]:
     """Coerce JSON-decoded override values back to the field types of ``base``.
 
@@ -242,7 +285,7 @@ def _coerce_overrides(base: object, overrides: Dict[str, object]) -> Dict[str, o
 
 
 @dataclass
-class Scenario:
+class Scenario(JsonSpec):
     """One declarative experiment: configs + adversary + seeds + sweep axes.
 
     ``protocol`` and ``sim`` are override mappings applied on top of the
@@ -361,17 +404,9 @@ class Scenario:
         """
         if not self.sweep:
             return [self]
-        points: List[Scenario] = [clone_point_scenario(self)]
-        for axis, values in self.sweep.items():
-            split_axis_target(axis, SWEEP_SCOPES)
-            expanded: List[Scenario] = []
-            for point in points:
-                for value in values:
-                    child = clone_point_scenario(point)
-                    apply_axis_value(child, axis, value, SWEEP_SCOPES)
-                    expanded.append(child)
-            points = expanded
-        return points
+        return expand_axes(
+            self, [{axis: values} for axis, values in self.sweep.items()], SWEEP_SCOPES
+        )
 
     # -- serialization ------------------------------------------------------------------
 
@@ -408,22 +443,6 @@ class Scenario:
             },
             parameters=dict(payload.get("parameters") or {}),
         )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Scenario":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     # -- identity ----------------------------------------------------------------------
 
@@ -463,6 +482,28 @@ class Scenario:
 
         return canonical_fault_plan(self.faults)
 
+    def _hashed_parts(self) -> tuple:
+        """``(protocol, sim, canonical adversary, canonical faults)``, resolved.
+
+        What every digest below hashes; they differ only in the seeds stamped
+        on it, whether the adversary is dropped, and the ``sweep`` extra.
+        Never stored: a scenario is mutable, so a kept digest is a stale key.
+        """
+        protocol, sim = self.resolve()
+        return protocol, sim, self._canonical_adversary(), self._canonical_faults()
+
+    @staticmethod
+    def _run_digest(parts: tuple, seed: int, baseline: bool) -> str:
+        """Digest of one single-seed run over already-resolved ``parts``."""
+        protocol, sim, adversary, faults = parts
+        return config_digest(
+            protocol,
+            sim.with_overrides(seed=int(seed)),
+            seeds=(seed,),
+            adversary=None if baseline else adversary,
+            extra={"faults": faults} if faults is not None else None,
+        )
+
     @property
     def digest(self) -> str:
         """Content digest over the *resolved* experiment description.
@@ -473,19 +514,14 @@ class Scenario:
         differently-spelled scenarios describing the same experiment
         therefore share result-store artifacts.
         """
-        protocol, sim = self.resolve()
+        protocol, sim, adversary, faults = self._hashed_parts()
         extra: Dict[str, object] = {}
         if self.sweep:
             extra["sweep"] = _jsonable(dict(self.sweep))
-        faults = self._canonical_faults()
         if faults is not None:
             extra["faults"] = faults
         return config_digest(
-            protocol,
-            sim,
-            seeds=self.seeds,
-            adversary=self._canonical_adversary(),
-            extra=extra or None,
+            protocol, sim, seeds=self.seeds, adversary=adversary, extra=extra or None
         )
 
     def point_digest(self, seed: int, baseline: bool = False) -> str:
@@ -494,12 +530,19 @@ class Scenario:
         Faults are environment, not attack: an active fault plan is part of
         the baseline run's digest too.
         """
-        protocol, sim = self.resolve(seed=seed)
-        adversary = None
-        if not baseline and self.adversary is not None:
-            adversary = self._canonical_adversary()
-        faults = self._canonical_faults()
-        extra = {"faults": faults} if faults is not None else None
-        return config_digest(
-            protocol, sim, seeds=(seed,), adversary=adversary, extra=extra
-        )
+        return self._run_digest(self._hashed_parts(), seed, baseline)
+
+    def run_keys(self) -> List[Tuple[int, bool, str]]:
+        """``(seed, baseline, run digest)`` of every run this point needs.
+
+        In execution order: the attacked run of every seed, then — only with
+        an adversary — the baseline run of every seed (without one the
+        baseline *is* the attacked run).  One resolution serves all of them.
+        """
+        parts = self._hashed_parts()
+        sides = (False, True) if self.adversary is not None else (False,)
+        return [
+            (seed, baseline, self._run_digest(parts, seed, baseline))
+            for baseline in sides
+            for seed in self.seeds
+        ]

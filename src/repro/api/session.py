@@ -367,8 +367,9 @@ class Session:
 
     def run_metrics(self, scenario: Scenario, baseline: bool = False) -> List[RunMetrics]:
         """Per-seed metrics for one scenario point (attacked by default)."""
-        self._require_point(scenario)
-        tasks = self._tasks_for(scenario, baseline=baseline)
+        # No adversary, no baseline keys: the baseline runs *are* the attacked runs.
+        side = baseline and scenario.adversary is not None
+        tasks = [task for task in self._tasks_for(scenario) if task.baseline == side]
         computed, failures = self._compute(tasks)
         self._raise_first(failures)
         return [computed[task.digest] for task in tasks]
@@ -379,13 +380,7 @@ class Session:
         For a no-adversary scenario the baseline *is* the attacked run and
         every ratio metric is 1 by construction.
         """
-        self._require_point(scenario)
-        tasks = self._tasks_for(scenario, baseline=False)
-        if scenario.adversary is not None:
-            tasks = tasks + self._tasks_for(scenario, baseline=True)
-        computed, failures = self._compute(tasks)
-        self._raise_first(failures)
-        return self._assemble(scenario, computed)
+        return self.run_all([scenario])[0]
 
     def run_all(
         self, scenarios: Sequence[Scenario], on_error: str = "raise"
@@ -403,30 +398,19 @@ class Session:
         """
         if on_error not in ("raise", "return"):
             raise ValueError("on_error must be 'raise' or 'return'")
-        tasks: List[_Task] = []
-        for scenario in scenarios:
-            self._require_point(scenario)
-            tasks.extend(self._tasks_for(scenario, baseline=False))
-            if scenario.adversary is not None:
-                tasks.extend(self._tasks_for(scenario, baseline=True))
-        computed, failures = self._compute(tasks)
+        batches = [self._tasks_for(scenario) for scenario in scenarios]
+        computed, failures = self._compute(
+            [task for tasks in batches for task in tasks]
+        )
         if on_error == "raise":
             self._raise_first(failures)
         output: List[object] = []
-        for scenario in scenarios:
-            digests = [
-                scenario.point_digest(seed, baseline=False) for seed in scenario.seeds
-            ]
-            if scenario.adversary is not None:
-                digests += [
-                    scenario.point_digest(seed, baseline=True)
-                    for seed in scenario.seeds
-                ]
-            failed = next((failures[d] for d in digests if d in failures), None)
-            if failed is not None:
-                output.append(failed)
+        for scenario, tasks in zip(scenarios, batches):
+            failed = [failures[task.digest] for task in tasks if task.digest in failures]
+            if failed:
+                output.append(failed[0])
             else:
-                output.append(self._assemble(scenario, computed))
+                output.append(self._assemble(scenario, tasks, computed))
         return output
 
     def sweep(self, scenario: Scenario) -> List[ExperimentResult]:
@@ -489,22 +473,15 @@ class Session:
 
     # -- internals ---------------------------------------------------------------------
 
-    @staticmethod
-    def _require_point(scenario: Scenario) -> None:
+    def _tasks_for(self, scenario: Scenario) -> List[_Task]:
+        """One task per run the point needs, in ``Scenario.run_keys`` order."""
         if scenario.is_sweep:
             raise ValueError(
                 "scenario %r has sweep axes; use Session.sweep()" % scenario.name
             )
-
-    def _tasks_for(self, scenario: Scenario, baseline: bool) -> List[_Task]:
         return [
-            _Task(
-                digest=scenario.point_digest(seed, baseline=baseline),
-                scenario=scenario,
-                seed=seed,
-                baseline=baseline,
-            )
-            for seed in scenario.seeds
+            _Task(digest=digest, scenario=scenario, seed=seed, baseline=baseline)
+            for seed, baseline, digest in scenario.run_keys()
         ]
 
     @staticmethod
@@ -798,30 +775,27 @@ class Session:
             self.store.save_runs(digest, [run])
 
     def _assemble(
-        self, scenario: Scenario, computed: Dict[str, RunMetrics]
+        self,
+        scenario: Scenario,
+        tasks: Sequence[_Task],
+        computed: Dict[str, RunMetrics],
     ) -> ExperimentResult:
-        attacked = [
-            computed[scenario.point_digest(seed, baseline=False)]
-            for seed in scenario.seeds
-        ]
-        if scenario.adversary is not None:
-            baseline = [
-                computed[scenario.point_digest(seed, baseline=True)]
-                for seed in scenario.seeds
-            ]
-        else:
-            baseline = attacked
+        """Compare the point's computed runs; ``tasks`` is its ``_tasks_for``."""
+        attacked = [computed[task.digest] for task in tasks if not task.baseline]
+        # No baseline task means no adversary: the baseline *is* the attacked run.
+        baseline = [computed[task.digest] for task in tasks if task.baseline] or attacked
         assessment = compare_runs(average_metrics(attacked), average_metrics(baseline))
+        digest = scenario.digest
         result = ExperimentResult(
             label=scenario.name,
             assessment=assessment,
             attacked_runs=attacked,
             baseline_runs=baseline,
             parameters=dict(scenario.parameters),
-            scenario_digest=scenario.digest,
+            scenario_digest=digest,
         )
         if self.store is not None:
-            self.store.save_json("result", scenario.digest, result.to_dict())
+            self.store.save_json("result", digest, result.to_dict())
         return result
 
     def _executor(self) -> concurrent.futures.ProcessPoolExecutor:

@@ -67,6 +67,7 @@ from .api import (
     Session,
     export_rows,
 )
+from .api.resultset import digest_rows
 from .api.session import ExperimentResult
 from .api.store import open_store
 from .config import ProtocolConfig, SimulationConfig, scaled_config
@@ -407,8 +408,7 @@ def _campaign_runner(args: argparse.Namespace) -> CampaignRunner:
     )
 
 
-def _print_campaign_rows(campaign: Campaign, results) -> None:
-    rows = export_rows(campaign.exporter, results)
+def _print_campaign_rows(rows: Sequence[Dict[str, object]]) -> None:
     columns: List[str] = []
     for row in rows:
         columns.extend(key for key in row if key not in columns)
@@ -436,7 +436,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         "Campaign %s (digest %s): %d points complete"
         % (campaign.name, campaign.digest[:12], len(results))
     )
-    _print_campaign_rows(campaign, results)
+    _print_campaign_rows(export_rows(campaign.exporter, results))
     if args.store:
         print("Results persisted under %s (digest-keyed JSON)." % args.store)
     return 0
@@ -502,7 +502,14 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         def fetch() -> Dict[str, object]:
             return runner.status(campaign).to_dict()
 
-    payload = fetch()
+    # What a broker fetch raises for an unknown campaign or an unreachable
+    # server; the local path keeps its raw traceback, by design.
+    unreachable = (RuntimeError, OSError) if connect else ()
+    try:
+        payload = fetch()
+    except unreachable as error:
+        print("campaign status: %s: %s" % (connect, error))
+        return 2
     if not getattr(args, "watch", False):
         if args.json:
             print(json_module.dumps(payload, indent=2, sort_keys=True))
@@ -535,15 +542,22 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                     return
 
         threading.Thread(target=consume_sse, daemon=True).start()
+    note = ""
     try:
         while True:
             print("\x1b[2J\x1b[H", end="")
             print(_render_status(payload))
+            if note:
+                print(note)
             if payload.get("complete"):
                 return 0
             wake.wait(interval)
             wake.clear()
-            payload = fetch()
+            try:
+                payload, note = fetch(), ""
+            except unreachable as error:
+                # Transient: keep the last payload on screen, retry next tick.
+                note = "campaign status: %s: %s (retrying)" % (connect, error)
     except KeyboardInterrupt:
         return 0
 
@@ -559,35 +573,30 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
         "Campaign %s (digest %s): %d points complete"
         % (campaign.name, campaign.digest[:12], len(results))
     )
-    _print_campaign_rows(campaign, results)
+    _print_campaign_rows(export_rows(campaign.exporter, results))
     return 0
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    from .experiments import bench as bench_module
-
     campaign = _load_campaign(args.campaign)
     runner = _campaign_runner(args)
     if runner.store is None:
         print("campaign report needs --store (it reads persisted results)")
         return 2
-    # A lazy result set streams point results out of the store one at a
-    # time — reports over large SQLite stores never hold them all at once.
     try:
-        rows = export_rows(campaign.exporter, runner.result_set(campaign, lazy=True))
+        rows = runner.rows(campaign)
     except LookupError as error:
         print(str(error))
         print("run or resume the campaign first")
         return 2
-    digest = bench_module.digest_rows(rows)
+    digest = digest_rows(rows)
     print("Campaign %s report (%d rows)" % (campaign.name, len(rows)))
-    columns: List[str] = []
-    for row in rows:
-        columns.extend(key for key in row if key not in columns)
-    _print_rows(rows, columns)
+    _print_campaign_rows(rows)
     print("result digest: %s" % digest)
     if args.check_digest:
-        baseline = bench_module.load_baseline(Path(args.check_digest))
+        from .experiments.bench import load_baseline
+
+        baseline = load_baseline(Path(args.check_digest))
         key = args.artifact or campaign.name
         if baseline is None or key not in baseline:
             print(

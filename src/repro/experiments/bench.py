@@ -47,8 +47,10 @@ from typing import (
 from .. import units
 from ..api import Session
 from ..api.campaign import Campaign, CampaignRunner
-from ..api.resultset import export_rows
-from ..api.scenario import AdversarySpec, Scenario, canonical_json
+# digest_rows/digest_rows_iter live beside export_rows; tests and docs still
+# name them here, so they stay importable from this module.
+from ..api.resultset import digest_rows, digest_rows_iter, export_rows  # noqa: F401
+from ..api.scenario import AdversarySpec, Scenario
 from ..api.store import ResultStore
 from ..config import ProtocolConfig, SimulationConfig
 from ..crypto.hashing import NONCE_STREAM_VERSION
@@ -439,31 +441,6 @@ QUICK_ARTIFACTS: Tuple[str, ...] = (
     "fig6_admission",
     "paper_smoke_100",
 )
-
-
-def digest_rows_iter(rows) -> str:
-    """Content digest of a row *stream*, holding one row at a time.
-
-    Hashes the canonical JSON of each row between literal ``[`` ``,`` ``]``
-    separators, which is byte-identical to ``canonical_json`` of the full
-    list — so streaming reports (lazy result sets over a SQLite store)
-    produce exactly the committed benchmark digests.
-    """
-    import hashlib
-
-    hasher = hashlib.sha256()
-    hasher.update(b"[")
-    for position, row in enumerate(rows):
-        if position:
-            hasher.update(b",")
-        hasher.update(canonical_json(row).encode("utf-8"))
-    hasher.update(b"]")
-    return hasher.hexdigest()
-
-
-def digest_rows(rows: Sequence[Dict[str, object]]) -> str:
-    """Content digest of one artifact's full row payload."""
-    return digest_rows_iter(iter(rows))
 
 
 def _peak_rss_kb() -> Optional[int]:

@@ -32,13 +32,20 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..api.campaign import Campaign, CampaignPoint, attack_onset, prefix_key, status_dict
+from ..api.campaign import (
+    Campaign,
+    fork_onset,
+    manifest_payload,
+    point_entry,
+    prefix_key,
+    status_dict,
+)
 from ..api.scenario import Scenario
 from .sqlite_store import SQLiteResultStore
 
-#: Point states in the broker manifest.  ``leased`` is the only state the
-#: single-process manifest never uses; everything else matches
-#: ``CampaignRunner._write_manifest``.
+#: Point states in the broker tables.  ``leased`` is the only state the
+#: stored manifest never uses (:func:`~repro.api.campaign.manifest_payload`
+#: folds it into ``pending``).
 POINT_STATES = ("pending", "leased", "complete", "failed")
 
 
@@ -177,7 +184,9 @@ class Broker:
             )
             for point in points:
                 done = self.store.has("result", point.digest)
-                prefix = self._point_prefix(point)
+                # NULL keeps a point that cannot fork out of affinity ordering.
+                forkable = fork_onset(point.scenario) is not None
+                prefix = prefix_key(point.scenario) if forkable else None
                 conn.execute(
                     "INSERT OR IGNORE INTO broker_points"
                     " (campaign, idx, digest, label, scenario, state, prefix)"
@@ -244,23 +253,6 @@ class Broker:
         ]
 
     # -- leasing -------------------------------------------------------------------------
-
-    @staticmethod
-    def _point_prefix(point: CampaignPoint) -> Optional[str]:
-        """The point's prefix-group key, or None when forking cannot apply.
-
-        Mirrors :func:`~repro.api.campaign.plan_fork_groups` eligibility:
-        an adversary whose first engagement falls strictly inside the run.
-        Points without one get NULL and stay out of affinity ordering.
-        """
-        scenario = point.scenario
-        if scenario.adversary is None:
-            return None
-        onset = attack_onset(scenario)
-        duration = float(scenario.resolve()[1].duration)
-        if not 0.0 < onset < duration:
-            return None
-        return prefix_key(scenario)
 
     def lease(
         self, worker: str, campaign: Optional[str] = None
@@ -438,6 +430,24 @@ class Broker:
             "updated": updated,
         }
 
+    def persist(
+        self,
+        digest: str,
+        result: Optional[Dict[str, object]],
+        runs: Dict[str, Dict[str, object]],
+    ) -> None:
+        """Write a finished point's ``runs`` and ``result`` artifacts if missing.
+
+        What every transport does before :meth:`complete`.  Artifacts are
+        digest-keyed, so writes are idempotent and a stale worker's
+        duplicates are byte-identical: what the store already holds is kept.
+        """
+        for run_digest, run in runs.items():
+            if not self.store.has("runs", run_digest):
+                self.store.save_json("runs", run_digest, [run])
+        if result is not None and not self.store.has("result", digest):
+            self.store.save_json("result", digest, result)
+
     def complete(self, worker: str, campaign: str, index: int) -> bool:
         """Mark a leased point complete (current lease holder only).
 
@@ -535,39 +545,36 @@ class Broker:
         with the extra ``leased`` state only a live fleet can produce.
         """
         row = self.store.execute(
-            "SELECT name, total FROM broker_campaigns WHERE digest=?", (campaign,)
+            "SELECT name, total, exporter FROM broker_campaigns WHERE digest=?",
+            (campaign,),
         ).fetchone()
         if row is None:
             raise KeyError("unknown campaign %r" % campaign)
-        name, total = row
+        name, total, exporter = row
         entries: List[Dict[str, object]] = []
         if include_points:
-            for index, digest, label, state, worker, expires, attempts, error in (
-                self.store.execute(
-                    "SELECT idx, digest, label, state, worker, lease_expires,"
-                    " attempts, error FROM broker_points WHERE campaign=?"
-                    " ORDER BY idx",
-                    (campaign,),
-                ).fetchall()
-            ):
-                entry: Dict[str, object] = {
-                    "index": index,
-                    "digest": digest,
-                    "label": label,
-                    "state": state,
-                    "attempts": attempts,
-                }
-                if worker:
-                    entry["worker"] = worker
-                if expires is not None:
-                    entry["lease_expires"] = expires
-                if error:
-                    entry["error"] = error
-                entries.append(entry)
+            entries = [
+                point_entry(
+                    index,
+                    digest,
+                    label,
+                    state,
+                    error,
+                    attempts=attempts,
+                    worker=worker or None,
+                    lease_expires=expires,
+                )
+                for index, digest, label, state, worker, expires, attempts, error in (
+                    self.store.execute(
+                        "SELECT idx, digest, label, state, worker, lease_expires,"
+                        " attempts, error FROM broker_points WHERE campaign=?"
+                        " ORDER BY idx",
+                        (campaign,),
+                    ).fetchall()
+                )
+            ]
         payload = status_dict(name, campaign, total, self._counts(campaign), entries)
-        payload["exporter"] = self.store.execute(
-            "SELECT exporter FROM broker_campaigns WHERE digest=?", (campaign,)
-        ).fetchone()[0]
+        payload["exporter"] = exporter
         return payload
 
     def workers(self) -> List[Dict[str, object]]:
@@ -644,9 +651,7 @@ class Broker:
         """Mirror the broker state into the store's ``campaign`` artifact.
 
         Keeps ``repro-experiments campaign status/report`` (which read the
-        single-process manifest) truthful for service-run campaigns.  A
-        live lease is ``pending`` from the manifest's point of view — the
-        result artifact is not there yet.
+        single-process manifest) truthful for service-run campaigns.
         """
         row = self.store.execute(
             "SELECT name, exporter, total FROM broker_campaigns WHERE digest=?",
@@ -655,25 +660,14 @@ class Broker:
         if row is None:
             return
         name, exporter, total = row
-        entries: List[Dict[str, object]] = []
-        for index, digest, label, state, error in self.store.execute(
-            "SELECT idx, digest, label, state, error FROM broker_points"
-            " WHERE campaign=? ORDER BY idx",
-            (campaign,),
-        ).fetchall():
-            manifest_state = "pending" if state == "leased" else state
-            entry: Dict[str, object] = {
-                "index": index,
-                "digest": digest,
-                "label": label,
-                "complete": manifest_state == "complete",
-                "state": manifest_state,
-            }
-            if manifest_state == "failed" and error:
-                entry["error"] = error
-            entries.append(entry)
+        entries = [
+            point_entry(index, digest, label, state, error if state == "failed" else None)
+            for index, digest, label, state, error in self.store.execute(
+                "SELECT idx, digest, label, state, error FROM broker_points"
+                " WHERE campaign=? ORDER BY idx",
+                (campaign,),
+            ).fetchall()
+        ]
         self.store.save_json(
-            "campaign",
-            campaign,
-            {"name": name, "exporter": exporter, "total": total, "points": entries},
+            "campaign", campaign, manifest_payload(name, exporter, total, entries)
         )

@@ -56,6 +56,7 @@ from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..api.campaign import Campaign, CampaignRunner
+from ..api.resultset import digest_rows
 from ..api.session import Session
 from ..telemetry import EventBus, MetricsAggregator, dashboard_html
 from ..telemetry.stream import RUN_CONTROLS, publish_campaign_progress
@@ -280,20 +281,12 @@ class ExperimentService:
     def _complete(self, body: Dict[str, object]) -> bool:
         """Persist the shipped artifacts, then close the lease.
 
-        Artifacts are digest-keyed, so writes are idempotent and a stale
-        worker's duplicates are byte-identical; the broker still only
-        accepts the close from the current lease holder.
+        The broker only accepts the close from the current lease holder.
         """
         runs = body.get("runs") or {}
         if not isinstance(runs, dict):
             raise ApiError(400, "runs must map run digests to run payloads")
-        for run_digest, run in runs.items():
-            if not self.store.has("runs", run_digest):
-                self.store.save_json("runs", run_digest, [run])
-        point_digest = self._field(body, "digest")
-        result = body.get("result")
-        if result is not None and not self.store.has("result", point_digest):
-            self.store.save_json("result", point_digest, result)
+        self.broker.persist(self._field(body, "digest"), body.get("result"), runs)
         return self.broker.complete(
             self._field(body, "worker"),
             self._field(body, "campaign"),
@@ -309,8 +302,6 @@ class ExperimentService:
             rows = runner.rows(campaign)
         except LookupError as error:
             raise ApiError(409, str(error))
-        from ..experiments.bench import digest_rows
-
         return {
             "digest": digest,
             "exporter": campaign.exporter,

@@ -28,6 +28,7 @@ import json
 import logging
 import os
 import socket
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -36,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 LOGGER = logging.getLogger(__name__)
 
-from ..api.campaign import Campaign, plan_fork_groups
+from ..api.campaign import Campaign, plan_fork_groups, slice_fork_groups
 from ..api.scenario import Scenario
 from ..api.session import ExperimentResult, ForkGroup, Session
 from .broker import Broker, Lease
@@ -51,13 +52,13 @@ def run_payloads(
     session would have persisted itself; a storeless (HTTP) worker ships
     them to the server instead.
     """
-    runs: Dict[str, Dict[str, object]] = {}
-    for seed, run in zip(scenario.seeds, result.attacked_runs):
-        runs[scenario.point_digest(seed, baseline=False)] = run.to_dict()
-    if scenario.adversary is not None:
-        for seed, run in zip(scenario.seeds, result.baseline_runs):
-            runs[scenario.point_digest(seed, baseline=True)] = run.to_dict()
-    return runs
+    # run_keys() lists the attacked keys, then (only with an adversary) the
+    # baseline keys — so without one, zip stops before the baseline runs.
+    runs = result.attacked_runs + result.baseline_runs
+    return {
+        digest: run.to_dict()
+        for (_, _, digest), run in zip(scenario.run_keys(), runs)
+    }
 
 
 class LocalBrokerClient:
@@ -65,7 +66,6 @@ class LocalBrokerClient:
 
     def __init__(self, broker: Broker) -> None:
         self.broker = broker
-        self.store = broker.store
 
     def lease(self, worker: str, campaign: Optional[str] = None) -> Tuple[Optional[Lease], int]:
         lease = self.broker.lease(worker, campaign=campaign)
@@ -90,11 +90,7 @@ class LocalBrokerClient:
     ) -> bool:
         # A store-attached session has usually persisted these already;
         # writing what is missing keeps storeless sessions correct too.
-        for digest, run in runs.items():
-            if not self.store.has("runs", digest):
-                self.store.save_json("runs", digest, [run])
-        if not self.store.has("result", lease.digest):
-            self.store.save_json("result", lease.digest, result)
+        self.broker.persist(lease.digest, result, runs)
         return self.broker.complete(lease.worker, lease.campaign, lease.index)
 
     def fail(self, lease: Lease, error: str) -> bool:
@@ -127,8 +123,8 @@ class HttpBrokerClient:
         except urllib.error.HTTPError as error:
             try:
                 detail = json.loads(error.read().decode("utf-8")).get("error", "")
-            except Exception:
-                detail = ""
+            except (ValueError, AttributeError):
+                detail = ""  # the error body is not a JSON object
             raise RuntimeError(
                 "%s %s failed: HTTP %d %s" % (method, path, error.code, detail)
             ) from error
@@ -150,10 +146,7 @@ class HttpBrokerClient:
         )
 
     def get_campaign(self, digest: str) -> Optional[Campaign]:
-        try:
-            response = self.request("GET", "/api/campaigns/%s/spec" % digest)
-        except (RuntimeError, OSError, ValueError):
-            return None  # older server without the spec route, or transport trouble
+        response = self.request("GET", "/api/campaigns/%s/spec" % digest)
         payload = response.get("campaign")
         return Campaign.from_dict(payload) if payload else None
 
@@ -269,8 +262,8 @@ class Worker:
             from ..telemetry.stream import RunControl
 
             self.session.control = RunControl()
-        #: campaign digest -> point digest -> that point's per-seed groups
-        self._fork_plans: Dict[str, Dict[str, List[ForkGroup]]] = {}
+        #: campaign digest -> the whole campaign's fork groups
+        self._fork_plans: Dict[str, List[ForkGroup]] = {}
 
     def _log(self, message: str) -> None:
         if self.on_event is not None:
@@ -278,66 +271,43 @@ class Worker:
 
     # -- prefix forking ------------------------------------------------------------------
 
-    def _point_fork_groups(self, campaign_digest: str) -> Dict[str, List[ForkGroup]]:
-        """Per-point fork groups for a campaign, planned once and cached.
+    def _campaign_fork_groups(self, campaign_digest: str) -> List[ForkGroup]:
+        """The campaign's fork groups, planned once per worker and cached.
 
         Planning runs over the campaign's *full* point set — the same call
         :class:`~repro.api.campaign.CampaignRunner` makes — so fork times
         and checkpoint digests match a single-process ``--fork-prefixes``
-        run exactly, and every worker in the fleet agrees on them.  Each
-        group is then split into per-point slices (one attacked member per
-        seed, plus the shared baseline) because a lease covers one point.
+        run exactly, and every worker in the fleet agrees on them.
         """
-        cached = self._fork_plans.get(campaign_digest)
-        if cached is not None:
-            return cached
-        plans: Dict[str, List[ForkGroup]] = {}
-        try:
-            campaign = self.client.get_campaign(campaign_digest)
-        except Exception:
-            campaign = None
-        if campaign is not None:
-            points = campaign.expand()
-            member_group: Dict[str, ForkGroup] = {}
-            member_spec: Dict[str, Dict[str, object]] = {}
-            for group in plan_fork_groups(points):
-                for digest, spec in group.members:
-                    if spec is not None:
-                        member_group[digest] = group
-                        member_spec[digest] = spec
-            for point in points:
-                scenario = point.scenario
-                if scenario.adversary is None:
-                    continue
-                for seed in scenario.seeds:
-                    attacked = scenario.point_digest(seed, baseline=False)
-                    group = member_group.get(attacked)
-                    if group is None:
-                        continue
-                    baseline = scenario.point_digest(seed, baseline=True)
-                    plans.setdefault(point.digest, []).append(
-                        ForkGroup(
-                            scenario=scenario,
-                            seed=seed,
-                            fork_time=group.fork_time,
-                            checkpoint_digest=group.checkpoint_digest,
-                            members=[
-                                (baseline, None),
-                                (attacked, member_spec[attacked]),
-                            ],
-                        )
-                    )
-        self._fork_plans[campaign_digest] = plans
-        return plans
+        groups = self._fork_plans.get(campaign_digest)
+        if groups is None:
+            try:
+                campaign = self.client.get_campaign(campaign_digest)
+            except (RuntimeError, OSError, ValueError, sqlite3.Error) as error:
+                LOGGER.warning(
+                    "worker %s: cannot fetch campaign %s to plan prefix forks"
+                    " (%s); its points run in full",
+                    self.worker_id,
+                    campaign_digest[:12],
+                    error,
+                )
+                campaign = None
+            groups = plan_fork_groups(campaign.expand()) if campaign is not None else []
+            self._fork_plans[campaign_digest] = groups
+        return groups
 
     def _fork_point(self, lease: Lease) -> None:
         """Warm the session cache for a forkable point before the full run.
 
-        The subsequent ``session.run`` simulates whatever the fork pass did
-        not cache (the session logs a group that failed), so the point
-        still completes — just without the speedup.
+        A lease covers one point, so each of its groups is sliced to that
+        point's attacked member plus the shared baseline.  The subsequent
+        ``session.run`` simulates whatever the fork pass did not cache (the
+        session logs a group that failed), so the point still completes —
+        just without the speedup.
         """
-        groups = self._point_fork_groups(lease.campaign).get(lease.digest)
+        groups = slice_fork_groups(
+            self._campaign_fork_groups(lease.campaign), [lease.scenario]
+        )
         if not groups:
             return
         self._log(

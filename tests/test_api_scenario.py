@@ -6,8 +6,11 @@ import json
 import pytest
 
 from repro import units
-from repro.api import AdversarySpec, Scenario, config_digest
+from repro.api import AdversarySpec, Campaign, Scenario, config_digest
+from repro.api.campaign import plan_fork_groups, prefix_key
+from repro.api.scenario import apply_axis_value
 from repro.config import smoke_config
+from repro.experiments import bench
 
 
 def make_scenario(**overrides):
@@ -219,3 +222,260 @@ class TestSweepExpansion:
         scenario = make_scenario(sweep={"adversary.coverage": [0.4, 1.0]})
         for point in scenario.expand():
             assert Scenario.from_json(point.to_json()).digest == point.digest
+
+
+def composed_scenario(**overrides):
+    """A composed adversary that lurks for 45 days, then strikes (forkable)."""
+    fields = dict(
+        name="pin composed",
+        base="smoke",
+        sim={"duration": units.months(5)},
+        seeds=(2, 3),
+        adversary=AdversarySpec(
+            "composed",
+            {
+                "node_id": "delayed-adversary",
+                "targeting": {"kind": "random_subset", "coverage": 1.0},
+                "schedule": {
+                    "kind": "piecewise",
+                    "phases": [
+                        {"duration_days": 45.0, "intensity": 0.0, "gap_days": 0.0},
+                        {"duration_days": 20.0, "intensity": 1.0, "gap_days": 10.0},
+                    ],
+                    "repeat": True,
+                },
+                "vectors": [{"kind": "pipe_stoppage"}],
+            },
+        ),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+class TestPinnedStoreKeys:
+    """The compatibility contract for existing stores.
+
+    Every other digest comparison in the suite is relative (``a.digest ==
+    b.digest``), so a refactor of the hashed payload could move every
+    store, checkpoint and lease key with the suite green.  These literals
+    were generated at the commit *before* the identity code was
+    restructured; a change here orphans every persisted artifact.
+    """
+
+    def pinned(self):
+        return Scenario(
+            name="pin",
+            base="smoke",
+            seeds=(1, 2),
+            adversary=AdversarySpec("pipe_stoppage", {"coverage": 0.4}),
+        )
+
+    def test_scenario_run_and_campaign_digests(self):
+        s = self.pinned()
+        assert s.digest == (
+            "0e6e6ab7c914c0f1a3695b450fb29e1e177069bddcb9d0efb189410f7a8dc940"
+        )
+        assert s.point_digest(1) == (
+            "66f3cc3d98f996185f1f8e5ec29ba7eddd96fc4af15303ac71541b419a8d9996"
+        )
+        assert s.point_digest(2, baseline=True) == (
+            "81a2caf487e2ed1b516b9fe87e539a31ebc203791b19b5771d35b29c086a1c2f"
+        )
+        assert prefix_key(s) == (
+            "e6666870fa5c27f98844e8ade19393301e64b1fdb822eac8f7530d01a2071b36"
+        )
+        campaign = Campaign.from_grid("pin", s, {"adversary.coverage": [0.4, 1.0]})
+        assert campaign.digest == (
+            "629eee257a5883ab1e6db0c026dd68aa68dd849f1971041247436dfbaf947673"
+        )
+
+    def test_faulted_scenario(self):
+        s = Scenario(
+            name="pin faulted",
+            base="smoke",
+            seeds=(1, 2),
+            adversary=AdversarySpec("admission_flood", {"coverage": 1.0}),
+            faults={
+                "churn": {"rate_per_peer_per_year": 4.0, "mean_downtime_days": 14.0}
+            },
+        )
+        assert s.digest == (
+            "f692b4b05ab9d2ee013f200503b4738fa04e9f096774bb1fd5000831b8e60e75"
+        )
+        assert s.point_digest(1) == (
+            "7e008cdf027852a776613d57dda1830213d6b7416625a20f826decc3715469a5"
+        )
+        # Faults are environment: they key the baseline run too.
+        assert s.point_digest(2, baseline=True) == (
+            "5302df962c2f62b3178e39ba664b575e216d5751fdc01ac9817bde1c5d47e7c8"
+        )
+        assert prefix_key(s) == (
+            "ffecd412fd1ab2ff5100dc91008eb8ff2111037f918585eef943815f6cd7ce0a"
+        )
+
+    def test_composed_scenario(self):
+        s = composed_scenario()
+        assert s.digest == (
+            "f83dae3efb2e7874cdd92a8d7d8092097040ff219da94e05a496c03a161ab2c0"
+        )
+        assert s.point_digest(2) == (
+            "c787c8093e9c1f99b98793367af9726da93fd6f9150421aafae6124aad63c1da"
+        )
+        assert s.point_digest(3, baseline=True) == (
+            "b4c8c35cf5558b9436319ba3e87e63a66fa8d771dcf81368650df6849b94a37e"
+        )
+        assert prefix_key(s) == (
+            "f33ec1d193decc828d963f9b8929f8f6bfb714dcbe6d104f99f1226e99638ff0"
+        )
+
+    def test_sweep_scenario_and_its_points(self):
+        s = Scenario(
+            name="pin sweep",
+            base="smoke",
+            seeds=(1, 2),
+            adversary=AdversarySpec("pipe_stoppage", {"coverage": 0.4}),
+            sweep={"adversary.coverage": [0.4, 1.0], "protocol.quorum": [4, 5]},
+        )
+        assert s.digest == (
+            "c8074c8167957c6fc0a3ac8f7250896387dd6e9d9dcc4a05ea0e565762e77efa"
+        )
+        assert [point.digest for point in s.expand()] == [
+            "3d1d388fd18a71ff07cd39de363f5c39f0d82a2f9d2b89b44974ec971a34e3a9",
+            "4d9eba1066cd3b4f5bf34c2f9c92c83b4475344d9a953d122aa76a9fba18a63c",
+            "c3359003e75e8408753a074de720e0167d45d8af8110c999592976eaf4f7d1fb",
+            "13b1587e3ff5273e947f1893038a028330ed11f96c771af821bf0d8f461dd737",
+        ]
+
+    def test_fork_group_checkpoint_digest(self):
+        campaign = Campaign(name="pin fork", scenario=composed_scenario())
+        campaign.add_axis(**{"adversary.targeting.coverage": [0.4, 1.0]})
+        assert campaign.digest == (
+            "6197e614c7284f3bcaf7072016d0d1920b531939e8ade8dc75f157c416b4a0cf"
+        )
+        first, second = plan_fork_groups(campaign.expand())
+        assert (first.seed, first.fork_time) == (2, 45.0 * units.DAY)
+        assert first.checkpoint_digest == (
+            "66a537bb799b5eab2a32bfb93663d20e322ba4dff0c6425874ff583e33a83985"
+        )
+        assert [digest for digest, _ in first.members] == [
+            "71886bf7b8b1e36c4d869e7876f48a5f05bba8410a7834652b76465a7c77476d",
+            "866e0c9a92e0678ba929b2bab8531d0310c53b253dc2d5438b4494e191bc27cd",
+            "c787c8093e9c1f99b98793367af9726da93fd6f9150421aafae6124aad63c1da",
+        ]
+        assert second.seed == 3
+        assert second.checkpoint_digest == (
+            "3a66c2f0ab85de5e0988152009fe6b7f9112d1d624d1dd13edae9fb0d42e39fa"
+        )
+
+
+def expected_run_keys(scenario):
+    """``run_keys()`` spelled the long way: one ``point_digest`` per run."""
+    keys = [(seed, False, scenario.point_digest(seed)) for seed in scenario.seeds]
+    if scenario.adversary is not None:
+        keys += [
+            (seed, True, scenario.point_digest(seed, baseline=True))
+            for seed in scenario.seeds
+        ]
+    return keys
+
+
+def record_replay_shaped_campaigns():
+    """The faulted / brute-force / flood campaign shapes of the perf workloads."""
+    protocol, sim = bench.bench_configs(duration=units.months(1))
+    flood = AdversarySpec(
+        "admission_flood",
+        {
+            "attack_duration_days": 10.0,
+            "coverage": 1.0,
+            "invitations_per_victim_per_day": 4.0,
+        },
+    )
+    effortful = AdversarySpec("brute_force", {"attempts_per_victim_au_per_day": 5.0})
+    partition = {
+        "partitions": [{"start_day": 10.0, "duration_days": 5.0, "fraction": 0.4}]
+    }
+    return [
+        Campaign.from_grid(
+            "effortful",
+            Scenario.from_configs("e", protocol, sim, adversary=effortful, seeds=(7,)),
+            {"adversary.defection": ["intro", "remaining", "none"]},
+        ),
+        Campaign.from_grid(
+            "flood",
+            Scenario.from_configs("f", protocol, sim, adversary=flood, seeds=(7, 8)),
+            {"adversary.coverage": [0.4, 1.0]},
+        ),
+        Campaign.from_grid(
+            "partition",
+            Scenario.from_configs(
+                "p", protocol, sim, adversary=flood, faults=partition, seeds=(7,)
+            ),
+            {"faults.partitions.0.duration_days": [5.0, 20.0]},
+        ),
+    ]
+
+
+class TestRunKeys:
+    """``run_keys()`` and the stored ``CampaignPoint.digest`` are single sources:
+    they must say what ``point_digest`` / ``digest`` say, for every campaign
+    shape the repo runs, and must never be cached on the mutable scenario."""
+
+    @pytest.mark.parametrize("name", sorted(bench.ARTIFACTS))
+    def test_every_artifact_point(self, name):
+        self.check_campaign(bench.artifact_campaign(name))
+
+    def test_record_replay_shaped_campaigns(self):
+        for campaign in record_replay_shaped_campaigns():
+            self.check_campaign(campaign)
+
+    @staticmethod
+    def check_campaign(campaign):
+        points = campaign.expand()
+        assert len(points) == len(campaign)
+        for point in points:
+            scenario = point.scenario
+            keys = scenario.run_keys()
+            assert keys == expected_run_keys(scenario)
+            if scenario.adversary is None:
+                assert not any(baseline for _, baseline, _ in keys)
+            assert point.digest == scenario.digest
+
+    def test_mutation_is_seen_no_cache(self):
+        scenario = make_scenario()
+        before = (scenario.digest, scenario.run_keys())
+
+        apply_axis_value(scenario, "adversary.coverage", 0.4)
+        fresh = make_scenario()
+        fresh.adversary.params["coverage"] = 0.4
+        after_axis = (scenario.digest, scenario.run_keys())
+        assert after_axis != before
+        assert after_axis == (fresh.digest, fresh.run_keys())
+
+        scenario.seeds = (5, 6, 7)
+        fresh.seeds = (5, 6, 7)
+        after_seeds = (scenario.digest, scenario.run_keys())
+        assert after_seeds != after_axis
+        assert after_seeds == (fresh.digest, expected_run_keys(fresh))
+        assert [seed for seed, _, _ in after_seeds[1]] == [5, 6, 7, 5, 6, 7]
+
+        scenario.adversary.params["attack_duration_days"] = 99.0
+        rebuilt = make_scenario(
+            seeds=(5, 6, 7),
+            adversary=AdversarySpec(
+                "pipe_stoppage", {"attack_duration_days": 99.0, "coverage": 0.4}
+            ),
+        )
+        assert scenario.digest != after_seeds[0]
+        assert (scenario.digest, scenario.run_keys()) == (
+            rebuilt.digest,
+            rebuilt.run_keys(),
+        )
+
+    def test_run_metrics_baseline_without_an_adversary_is_the_attacked_run(self):
+        from repro.api import Session
+
+        scenario = make_scenario(adversary=None, seeds=(1,), sim={"n_peers": 8})
+        session = Session()
+        assert session.run_metrics(scenario, baseline=True) == session.run_metrics(
+            scenario
+        )

@@ -452,3 +452,26 @@ class TestBrokerPrefixAffinity:
         rows_full = CampaignRunner(Session(store=full_store)).rows(campaign)
         rows_svc = CampaignRunner(Session(store=store)).rows(campaign)
         assert canonical_json(rows_full) == canonical_json(rows_svc)
+
+    def test_unfetchable_campaign_falls_back_to_full_runs_with_a_warning(
+        self, tmp_path, caplog
+    ):
+        campaign = delayed_campaign(name="svc-fallback", duration=units.months(3))
+        store = SQLiteResultStore(tmp_path / "svc.db")
+        broker = Broker(store, lease_seconds=30.0)
+        broker.submit(campaign)
+
+        class NoSpecClient(LocalBrokerClient):
+            def get_campaign(self, digest):
+                raise RuntimeError("GET /spec failed: HTTP 404 unknown route")
+
+        worker = Worker(
+            NoSpecClient(broker), Session(store=store), worker_id="w1", fork_prefixes=True
+        )
+        with caplog.at_level("WARNING", logger="repro.service.worker"):
+            assert worker.run()["completed"] == 2
+        # Surfaced once (the empty plan is cached), never swallowed — and the
+        # points still complete, in full, without a checkpoint.
+        (record,) = [r for r in caplog.records if "plan prefix forks" in r.message]
+        assert "HTTP 404" in record.getMessage() and "run in full" in record.getMessage()
+        assert store.checkpoint_digests() == []

@@ -140,3 +140,47 @@ class TestWorkerCommand:
         assert main(["campaign", "status", str(path), "--store", db, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["complete"] is True
+
+
+class TestStatusConnect:
+    """``campaign status --connect`` reports broker trouble in one line."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        import threading
+
+        from repro.service import make_server
+
+        instance = make_server(SQLiteResultStore(tmp_path / "svc.db"), port=0)
+        threading.Thread(target=instance.serve_forever, daemon=True).start()
+        yield instance
+        instance.shutdown()
+        instance.server_close()
+
+    def test_unknown_campaign_exits_2_without_a_traceback(
+        self, server, tmp_path, capsys
+    ):
+        campaign, path = campaign_file(tmp_path)
+        url = "http://127.0.0.1:%d" % server.server_address[1]
+        # The server is up but has never seen this campaign's digest.
+        assert main(["campaign", "status", str(path), "--connect", url]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.out.strip().splitlines()
+        assert url in line and "404" in line and "unknown campaign" in line
+        assert "Traceback" not in captured.out + captured.err
+
+        # Once submitted, the same command succeeds.
+        from repro.service.worker import HttpBrokerClient
+
+        HttpBrokerClient(url).submit(campaign.to_dict())
+        assert main(["campaign", "status", str(path), "--connect", url, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["digest"] == campaign.digest
+
+    def test_unreachable_server_exits_2(self, server, tmp_path, capsys):
+        _, path = campaign_file(tmp_path)
+        url = "http://127.0.0.1:%d" % server.server_address[1]
+        server.shutdown()
+        server.server_close()
+        assert main(["campaign", "status", str(path), "--connect", url]) == 2
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert url in line

@@ -189,6 +189,73 @@ class TestStatusSchema:
         assert payload["points"][0]["state"] == "pending"
 
 
+class TestProducerParity:
+    """The runner and the broker write one manifest and one status schema."""
+
+    def test_manifest_and_status_agree_between_fleet_and_runner(self, tmp_path):
+        campaign = smoke_campaign(3)
+        store = SQLiteResultStore(tmp_path / "fleet.db")
+        broker = Broker(store, lease_seconds=30.0)
+        broker.submit(campaign)
+        Worker(LocalBrokerClient(broker), session=Session(store=store)).run()
+        fleet_manifest = store.load_json("campaign", campaign.digest)
+        assert [p["state"] for p in fleet_manifest["points"]] == ["complete"] * 3
+
+        runner = CampaignRunner(Session(store=store))
+        runner.run(campaign)
+        assert store.load_json("campaign", campaign.digest) == fleet_manifest
+
+        local = runner.status(campaign).to_dict()
+        fleet = broker.status(campaign.digest)
+        assert (local["digest"], local["total"]) == (fleet["digest"], fleet["total"])
+        counts = dict(fleet["counts"])
+        assert counts.pop("leased") == 0
+        assert local["counts"] == counts
+
+        def identity(payload):
+            return [
+                (p["index"], p["digest"], p["label"], p["state"])
+                for p in payload["points"]
+            ]
+
+        assert identity(local) == identity(fleet)
+        assert identity(local) == [
+            (point.index, point.digest, point.label, "complete")
+            for point in campaign.expand()
+        ]
+
+    def test_failed_point_carries_its_error_in_both_manifests(self, tmp_path, broker):
+        campaign = smoke_campaign(2)
+        broker.submit(campaign)
+        lease = broker.lease("w1")
+        broker.lease("w2")
+        broker.fail("w1", lease.campaign, lease.index, "boom")
+        entries = broker.store.load_json("campaign", campaign.digest)["points"]
+        assert entries[0] == {
+            "index": 0,
+            "digest": lease.digest,
+            "label": lease.label,
+            "state": "failed",
+            "complete": False,
+            "error": "boom",
+        }
+        # The manifest was mirrored while w2 held its lease: a live lease
+        # is ``pending`` there, and errors stay with failed points only.
+        assert set(entries[1]) == {"index", "digest", "label", "state", "complete"}
+        assert entries[1]["state"] == "pending"
+        # The runner reads that manifest: same state, same error.
+        local = CampaignRunner(Session(store=broker.store)).status(campaign).to_dict()
+        assert local["points"][0]["state"] == "failed"
+        assert local["points"][0]["error"] == "boom"
+        assert local["counts"] == {"complete": 0, "failed": 1, "pending": 1}
+        # The status endpoint shows the lease and keeps its extras.
+        status = broker.status(campaign.digest)
+        assert status["points"][1]["state"] == "leased"
+        assert status["points"][1]["worker"] == "w2"
+        assert status["points"][0]["attempts"] == 1
+        assert "worker" not in status["points"][0]
+
+
 class TestDigestParity:
     def test_fleet_with_killed_worker_matches_single_process(self, tmp_path):
         campaign = smoke_campaign(4)

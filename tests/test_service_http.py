@@ -186,3 +186,54 @@ class TestEndToEnd:
             client, session=Session(), worker_id="live", poll_interval=0.1
         ).run()
         assert stats["completed"] == 1
+
+
+class TestLayering:
+    def test_serving_rows_does_not_import_the_bench_harness(self, tmp_path):
+        # The row digest lives beside export_rows in repro.api.resultset; the
+        # service must not pull the benchmark harness in to compute it.  Checked
+        # in a fresh interpreter: the pytest process imported bench long ago.
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import sys
+
+            from repro import units
+            from repro.api import Campaign, Scenario, Session
+            from repro.service.http_api import ExperimentService
+            from repro.service.sqlite_store import SQLiteResultStore
+            from repro.service.worker import LocalBrokerClient, Worker
+
+            assert "repro.experiments.bench" not in sys.modules
+            store = SQLiteResultStore(sys.argv[1])
+            service = ExperimentService(store)
+            base = Scenario(
+                name="layering", base="smoke", sim={"duration": units.months(1)}, seeds=(1,)
+            )
+            campaign = Campaign.from_grid("layering", base, {"sim.n_aus": [1]})
+            _, submitted = service.handle("POST", "/api/campaigns", campaign.to_dict())
+            Worker(LocalBrokerClient(service.broker), session=Session(store=store)).run()
+            status, payload = service.handle(
+                "GET", "/api/campaigns/%s/rows" % submitted["digest"]
+            )
+            assert status == 200, payload
+            assert len(payload["rows_digest"]) == 64
+            assert "repro.experiments.bench" not in sys.modules, "bench was imported"
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "layering.db")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
