@@ -471,15 +471,17 @@ def manifest_payload(
 ) -> Dict[str, object]:
     """The store's ``campaign`` artifact, from :func:`point_entry` entries.
 
-    One schema for :class:`CampaignRunner` and the service broker.  The
-    manifest knows three states — a live lease is ``pending`` (its result
-    artifact is not there yet) — and keeps the older boolean ``complete``
-    for manifest readers that predate fault handling.
+    One schema for :class:`CampaignRunner` and the service broker, and the
+    one owner of what is persisted: every point's identity, and ``failed``
+    with its error for a point whose last attempt failed.  The rest is
+    derived on read — ``complete`` iff the store holds the ``result``.
     """
     points = []
     for entry in entries:
-        state = "pending" if entry["state"] == "leased" else entry["state"]
-        points.append(dict(entry, state=state, complete=state == "complete"))
+        kept = {key: entry[key] for key in ("index", "digest", "label")}
+        if entry["state"] == "failed":
+            kept.update(state="failed", error=entry.get("error", ""))
+        points.append(kept)
     return {"name": name, "exporter": exporter, "total": total, "points": points}
 
 
@@ -588,6 +590,25 @@ class CampaignRunner:
         except (KeyError, TypeError, ValueError):
             return None
 
+    def _stored_failures(self, digest: str, done) -> Optional[Dict[int, str]]:
+        """Errors of the points the stored manifest of campaign ``digest``
+        marks ``failed`` and ``done`` does not hold, keyed by point index;
+        ``None`` when the store has no manifest for the campaign."""
+        manifest = (
+            self.store.load_json("campaign", digest) if self.store is not None else None
+        )
+        if not isinstance(manifest, dict):
+            return None
+        failed: Dict[int, str] = {}
+        for entry in manifest.get("points") or []:
+            try:
+                index = int(entry.get("index"))
+            except (TypeError, ValueError):
+                continue
+            if entry.get("state") == "failed" and index not in done:
+                failed[index] = str(entry.get("error") or "")
+        return failed
+
     def status(self, campaign: Campaign) -> CampaignStatus:
         """Which points are already complete in the store, which are pending.
 
@@ -598,25 +619,13 @@ class CampaignRunner:
         digest = Campaign.digest_of(points)
         completed = [point for point in points if self._load_point(point) is not None]
         done = {point.index for point in completed}
-        failed: Dict[int, str] = {}
-        manifest = (
-            self.store.load_json("campaign", digest) if self.store is not None else None
-        )
-        if isinstance(manifest, dict):
-            for entry in manifest.get("points") or []:
-                try:
-                    index = int(entry.get("index"))
-                except (TypeError, ValueError):
-                    continue
-                if entry.get("state") == "failed" and index not in done:
-                    failed[index] = str(entry.get("error") or "")
         return CampaignStatus(
             name=campaign.name,
             digest=digest,
             total=len(points),
             completed=completed,
             pending=[point for point in points if point.index not in done],
-            failed=failed,
+            failed=self._stored_failures(digest, done) or {},
         )
 
     # -- execution ---------------------------------------------------------------------
@@ -634,18 +643,17 @@ class CampaignRunner:
         holds the completed points in expansion order; check
         :meth:`status` for completeness.
 
-        Points are dispatched in worker-sized chunks with the manifest
-        rewritten after each, so both an interactive Ctrl-C (which flushes
-        the manifest before re-raising) and a hard kill leave a store that
-        :meth:`resume` continues exactly like ``--max-points``.  A point
-        whose runs fail or time out past the session's retry budget is
-        marked ``failed`` in the manifest — with its error, without a
-        result artifact — so it does not poison the pool and ``resume``
-        re-leases it automatically.
+        Points are dispatched in worker-sized chunks and every result is in
+        the store once its point completes, so an interactive Ctrl-C and a
+        hard kill leave a store that :meth:`resume` continues exactly like
+        ``--max-points``.  A point whose runs fail or time out past the
+        session's retry budget is marked ``failed`` in the manifest — with
+        its error, without a result artifact — so it does not poison the
+        pool and ``resume`` re-leases it automatically; the manifest is
+        written when the store has none and when that marking changes.
         """
         points = campaign.expand()
         results: Dict[int, ExperimentResult] = {}
-        failed: Dict[int, str] = {}
         pending: List[CampaignPoint] = []
         for point in points:
             loaded = self._load_point(point)
@@ -657,36 +665,42 @@ class CampaignRunner:
         to_run = pending if max_points is None else pending[:max_points]
         chunk_size = max(1, self.session.workers)
         digest = Campaign.digest_of(points)
+        failed = self._stored_failures(digest, results)
+        if failed is None:
+            failed = {}
+            self._write_manifest(campaign, digest, points, results, failed)
         self._publish_progress(campaign, digest, points, results, failed)
-        try:
-            if self.fork_prefixes and to_run:
-                # The forked runs land in the session cache/store, so the
-                # ordinary pass below assembles results without simulating —
-                # and simulates in full whatever a failed group did not produce.
-                self.session.run_fork_groups(
-                    slice_fork_groups(
-                        plan_fork_groups(points), [point.scenario for point in to_run]
+        if self.fork_prefixes and to_run:
+            # The forked runs land in the session cache/store, so the
+            # ordinary pass below assembles results without simulating —
+            # and simulates in full whatever a failed group did not produce.
+            self.session.run_fork_groups(
+                slice_fork_groups(
+                    plan_fork_groups(points), [point.scenario for point in to_run]
+                )
+            )
+        for start in range(0, len(to_run), chunk_size):
+            chunk = to_run[start : start + chunk_size]
+            executed = self.session.run_all(
+                [point.scenario for point in chunk], on_error="return"
+            )
+            recorded = dict(failed)
+            for point, result in zip(chunk, executed):
+                if isinstance(result, PointExecutionError):
+                    failed[point.index] = str(result)
+                    logger.warning(
+                        "campaign %s: point #%d (%s) failed: %s",
+                        digest,
+                        point.index,
+                        point.digest,
+                        result,
                     )
-                )
-            for start in range(0, len(to_run), chunk_size):
-                chunk = to_run[start : start + chunk_size]
-                executed = self.session.run_all(
-                    [point.scenario for point in chunk], on_error="return"
-                )
-                for point, result in zip(chunk, executed):
-                    if isinstance(result, PointExecutionError):
-                        failed[point.index] = str(result)
-                    else:
-                        results[point.index] = result
-                self._write_manifest(campaign, points, results, failed)
-                self._publish_progress(campaign, digest, points, results, failed)
-        except KeyboardInterrupt:
-            # Flush per-point state before propagating: whatever completed
-            # is already checkpointed in the store, and the manifest now
-            # reflects it, so the interrupted campaign resumes cleanly.
-            self._write_manifest(campaign, points, results, failed)
-            raise
-        self._write_manifest(campaign, points, results, failed)
+                else:
+                    results[point.index] = result
+                    failed.pop(point.index, None)
+            if failed != recorded:
+                self._write_manifest(campaign, digest, points, results, failed)
+            self._publish_progress(campaign, digest, points, results, failed)
 
         return ResultSet(
             [
@@ -786,20 +800,18 @@ class CampaignRunner:
     def _write_manifest(
         self,
         campaign: Campaign,
+        digest: str,
         points: Sequence[CampaignPoint],
         results: Mapping[int, ExperimentResult],
         failed: Mapping[int, str],
     ) -> None:
-        """Persist a human-readable completion manifest next to the results.
-
-        Each point carries its ``state``, failures keeping their error
-        string (the schema is :func:`manifest_payload`'s).
-        """
+        """Persist the campaign's manifest (:func:`manifest_payload`'s schema)
+        next to the results: the points' identities and current failures."""
         if self.store is None:
             return
         self.store.save_json(
             "campaign",
-            Campaign.digest_of(points),
+            digest,
             manifest_payload(
                 campaign.name,
                 campaign.exporter,

@@ -43,9 +43,7 @@ from ..api.campaign import (
 from ..api.scenario import Scenario
 from .sqlite_store import SQLiteResultStore
 
-#: Point states in the broker tables.  ``leased`` is the only state the
-#: stored manifest never uses (:func:`~repro.api.campaign.manifest_payload`
-#: folds it into ``pending``).
+#: Point states in the broker tables.
 POINT_STATES = ("pending", "leased", "complete", "failed")
 
 
@@ -168,6 +166,9 @@ class Broker:
         points = campaign.expand()
         digest = Campaign.digest_of(points)
         now = self.clock()
+        # Resubmitting is the fleet's ``resume``: failed points go back in
+        # the queue (those the store holds a result for are closed below).
+        self.requeue_failed(digest)
         with self.store.transaction() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO broker_campaigns"
@@ -212,15 +213,6 @@ class Broker:
                         "UPDATE broker_points SET state='complete', worker=NULL,"
                         " lease_expires=NULL, error=NULL"
                         " WHERE campaign=? AND idx=? AND state != 'complete'",
-                        (digest, point.index),
-                    )
-                else:
-                    # Resubmitting is the fleet's ``resume``: failed points
-                    # go back in the queue.
-                    conn.execute(
-                        "UPDATE broker_points SET state='pending', worker=NULL,"
-                        " lease_expires=NULL"
-                        " WHERE campaign=? AND idx=? AND state='failed'",
                         (digest, point.index),
                     )
         self._sync_manifest(digest)
@@ -477,8 +469,6 @@ class Broker:
                     "UPDATE broker_workers SET completed=completed+1 WHERE worker=?",
                     (worker,),
                 )
-        if won:
-            self._sync_manifest(campaign)
         return won
 
     def fail(self, worker: str, campaign: str, index: int, error: str) -> bool:
@@ -648,26 +638,16 @@ class Broker:
         )
 
     def _sync_manifest(self, campaign: str) -> None:
-        """Mirror the broker state into the store's ``campaign`` artifact.
+        """Write the store's ``campaign`` artifact from the broker tables.
 
-        Keeps ``repro-experiments campaign status/report`` (which read the
-        single-process manifest) truthful for service-run campaigns.
+        Keeps ``repro-experiments campaign status`` truthful for service-run
+        campaigns: it reads failures there and completion from the results.
         """
-        row = self.store.execute(
-            "SELECT name, exporter, total FROM broker_campaigns WHERE digest=?",
-            (campaign,),
-        ).fetchone()
-        if row is None:
-            return
-        name, exporter, total = row
-        entries = [
-            point_entry(index, digest, label, state, error if state == "failed" else None)
-            for index, digest, label, state, error in self.store.execute(
-                "SELECT idx, digest, label, state, error FROM broker_points"
-                " WHERE campaign=? ORDER BY idx",
-                (campaign,),
-            ).fetchall()
-        ]
+        status = self.status(campaign)
         self.store.save_json(
-            "campaign", campaign, manifest_payload(name, exporter, total, entries)
+            "campaign",
+            campaign,
+            manifest_payload(
+                status["name"], status["exporter"], status["total"], status["points"]
+            ),
         )

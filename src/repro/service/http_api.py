@@ -194,7 +194,9 @@ class ExperimentService:
             if rest == ["rows"] and method == "GET":
                 return 200, self._rows(digest)
             if rest == ["requeue"] and method == "POST":
-                return 200, {"requeued": self.broker.requeue_failed(digest)}
+                requeued = self.broker.requeue_failed(digest)
+                self._publish_progress(digest)
+                return 200, {"requeued": requeued}
 
         if route == ["workers"] and method == "GET":
             return 200, {"workers": self.broker.workers()}

@@ -234,14 +234,21 @@ class TestRunner:
     def test_manifest_artifact_records_completion(self, tmp_path):
         campaign = grid_campaign()
         store = ResultStore(tmp_path)
-        CampaignRunner(Session(store=store)).run(campaign, max_points=2)
+        runner = CampaignRunner(Session(store=store))
+        runner.run(campaign, max_points=2)
+        # The artifact names the campaign and its points; which of them are
+        # complete is read off the result artifacts, not recorded in it.
         manifest = store.load_json("campaign", campaign.digest)
         assert manifest["total"] == 4
-        assert [p["complete"] for p in manifest["points"]] == [
-            True,
-            True,
-            False,
-            False,
+        assert [(p["index"], p["digest"]) for p in manifest["points"]] == [
+            (point.index, point.digest) for point in campaign.expand()
+        ]
+        status = runner.status(campaign).to_dict()
+        assert [p["state"] for p in status["points"]] == [
+            "complete",
+            "complete",
+            "pending",
+            "pending",
         ]
 
     def test_run_campaign_uses_the_shared_default_session(self):

@@ -1,5 +1,7 @@
 """Campaign-level fault handling: failed points in the manifest, resume
-re-leasing, Ctrl-C manifest flushing, and fault-plan axes."""
+re-leasing, Ctrl-C resumability, and fault-plan axes."""
+
+import logging
 
 import pytest
 
@@ -36,15 +38,21 @@ def two_point_campaign():
     )
 
 
-def manifest(store, campaign):
-    return store.load_json("campaign", campaign.digest)
+def status_of(store, campaign):
+    """The ``campaign status --json`` payload a fresh runner reads off ``store``."""
+    return CampaignRunner(Session(store=store)).status(campaign).to_dict()
+
+
+def states_of(payload):
+    return {entry["index"]: entry["state"] for entry in payload["points"]}
 
 
 class SelectiveFailure:
     """execute_point stand-in failing runs whose resolved value matches."""
 
-    def __init__(self, poisoned_coverage):
+    def __init__(self, poisoned_coverage, error=RuntimeError):
         self.poisoned_coverage = poisoned_coverage
+        self.error = error
         self.real = session_module.execute_point
 
     def __call__(self, scenario, seed, baseline=False, registry=None, trace_path=None):
@@ -54,14 +62,16 @@ class SelectiveFailure:
             and adversary is not None
             and adversary.params.get("coverage") == self.poisoned_coverage
         ):
-            raise RuntimeError("poisoned point")
+            raise self.error("poisoned point")
         return self.real(
             scenario, seed, baseline=baseline, registry=registry, trace_path=trace_path
         )
 
 
 class TestFailedPoints:
-    def test_failed_point_is_marked_and_the_rest_complete(self, tmp_path, monkeypatch):
+    def test_failed_point_is_marked_and_the_rest_complete(
+        self, tmp_path, monkeypatch, caplog
+    ):
         monkeypatch.setattr(
             session_module, "execute_point", SelectiveFailure(1.0)
         )
@@ -70,15 +80,21 @@ class TestFailedPoints:
         runner = CampaignRunner(
             Session(store=store, retries=0, retry_backoff=0.0), store=store
         )
-        results = runner.run(campaign)
+        with caplog.at_level(logging.WARNING, logger="repro.api.campaign"):
+            results = runner.run(campaign)
         assert len(results) == 1
-        payload = manifest(store, campaign)
-        states = {entry["index"]: entry["state"] for entry in payload["points"]}
-        assert states[0] == "complete"
-        assert states[1] == "failed"
-        failed_entry = payload["points"][1]
-        assert "poisoned point" in failed_entry["error"]
-        assert failed_entry["complete"] is False
+        payload = status_of(store, campaign)
+        assert states_of(payload) == {0: "complete", 1: "failed"}
+        assert "poisoned point" in payload["points"][1]["error"]
+        assert payload["counts"] == {"complete": 1, "failed": 1, "pending": 0}
+        assert payload["complete"] is False
+        # The failure is logged where it is recorded, correlated by digests.
+        (record,) = [r for r in caplog.records if r.name == "repro.api.campaign"]
+        message = record.getMessage()
+        point = campaign.expand()[1]
+        assert record.levelno == logging.WARNING
+        assert campaign.digest in message and point.digest in message
+        assert "#1" in message and "poisoned point" in message
 
     def test_resume_releases_failed_points(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
@@ -92,8 +108,10 @@ class TestFailedPoints:
         # the failed point and finish the campaign.
         results = CampaignRunner(Session(store=store), store=store).run(campaign)
         assert len(results) == len(campaign)
-        payload = manifest(store, campaign)
-        assert all(entry["state"] == "complete" for entry in payload["points"])
+        payload = status_of(store, campaign)
+        assert states_of(payload) == {0: "complete", 1: "complete"}
+        assert all("error" not in entry for entry in payload["points"])
+        assert payload["complete"] is True
 
     def test_failure_does_not_abort_later_chunks(self, tmp_path, monkeypatch):
         # workers=1 -> chunk size 1: the poisoned first point must not stop
@@ -107,48 +125,57 @@ class TestFailedPoints:
             Session(store=store, retries=0, retry_backoff=0.0), store=store
         ).run(campaign)
         assert len(results) == 1
-        states = {
-            entry["index"]: entry["state"]
-            for entry in manifest(store, campaign)["points"]
-        }
-        assert states == {0: "failed", 1: "complete"}
+        assert states_of(status_of(store, campaign)) == {0: "failed", 1: "complete"}
+
+    def test_capped_run_keeps_the_failure_record(self, tmp_path, monkeypatch):
+        # A run that stops short of a previously failed point has learnt
+        # nothing about it: the point stays failed, with its error.
+        monkeypatch.setattr(session_module, "execute_point", SelectiveFailure(1.0))
+        store = ResultStore(tmp_path)
+        campaign = two_point_campaign()
+        runner = CampaignRunner(
+            Session(store=store, retries=0, retry_backoff=0.0), store=store
+        )
+        runner.run(campaign)
+        before = status_of(store, campaign)
+        assert states_of(before) == {0: "complete", 1: "failed"}
+        runner.run(campaign, max_points=0)
+        assert status_of(store, campaign) == before
 
 
 class TestKeyboardInterrupt:
-    def test_interrupt_flushes_the_manifest_before_propagating(
-        self, tmp_path, monkeypatch
-    ):
-        real = session_module.execute_point
-        seen = []
-
-        def interrupt_second_point(
-            scenario, seed, baseline=False, registry=None, trace_path=None
-        ):
-            coverage = (scenario.adversary or AdversarySpec("pipe_stoppage", {})).params.get(
-                "coverage"
-            )
-            if not baseline and coverage == 1.0:
-                raise KeyboardInterrupt()
-            seen.append(coverage)
-            return real(
-                scenario,
-                seed,
-                baseline=baseline,
-                registry=registry,
-                trace_path=trace_path,
-            )
-
-        monkeypatch.setattr(session_module, "execute_point", interrupt_second_point)
+    def test_interrupt_leaves_a_resumable_store(self, tmp_path, monkeypatch):
+        # Nothing is flushed on the way out: the completed point's result
+        # artifact is its completion, so the store alone says where to resume.
+        monkeypatch.setattr(
+            session_module, "execute_point", SelectiveFailure(1.0, KeyboardInterrupt)
+        )
         store = ResultStore(tmp_path)
         campaign = two_point_campaign()
         runner = CampaignRunner(Session(store=store), store=store)
         with pytest.raises(KeyboardInterrupt):
             runner.run(campaign)
-        payload = manifest(store, campaign)
-        assert payload is not None
-        states = {entry["index"]: entry["state"] for entry in payload["points"]}
-        assert states[0] == "complete"
-        assert states[1] == "pending"
+        payload = status_of(store, campaign)
+        assert states_of(payload) == {0: "complete", 1: "pending"}
+        assert payload["counts"] == {"complete": 1, "failed": 0, "pending": 1}
+
+    def test_interrupted_resume_keeps_the_failure_record(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        campaign = two_point_campaign()
+        session = Session(store=store, retries=0, retry_backoff=0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(session_module, "execute_point", SelectiveFailure(1.0))
+            CampaignRunner(session, store=store).run(campaign)
+        before = status_of(store, campaign)
+        assert states_of(before) == {0: "complete", 1: "failed"}
+        # Ctrl-C in the first chunk of the resume, before the failed point
+        # has been retried to an outcome.
+        monkeypatch.setattr(
+            session_module, "execute_point", SelectiveFailure(1.0, KeyboardInterrupt)
+        )
+        with pytest.raises(KeyboardInterrupt):
+            CampaignRunner(session, store=store).resume(campaign)
+        assert status_of(store, campaign) == before
 
     def test_interrupted_campaign_resumes_like_max_points(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)

@@ -134,7 +134,7 @@ class TestRunAllOnError:
 class TestPoolTimeout:
     def test_timed_out_runs_fail_and_the_pool_recovers(self):
         scenario = smoke_scenario(adversary=None, seeds=(1, 2))
-        session = Session(workers=2, timeout=0.01, retries=0, retry_backoff=0.0)
+        session = Session(workers=2, timeout=0.001, retries=0, retry_backoff=0.0)
         with session:
             with pytest.raises(PointExecutionError) as excinfo:
                 session.run_metrics(scenario)

@@ -24,6 +24,19 @@ def smoke_campaign(points=2):
     )
 
 
+def point_result(campaign, index):
+    """A real result payload for one point: the store-side reader parses it."""
+    return Session().run(campaign.expand()[index].scenario).to_dict()
+
+
+def manifest_bytes(store, campaign):
+    """The stored ``campaign`` artifact of a SQLite store, as written."""
+    (payload,) = store.execute(
+        'SELECT payload FROM "artifact_campaign" WHERE digest=?', (campaign.digest,)
+    ).fetchone()
+    return payload
+
+
 class FakeClock:
     def __init__(self):
         self.now = 0.0
@@ -153,14 +166,18 @@ class TestLeaseProtocol:
         assert broker.status(lease.campaign)["counts"]["pending"] == 1
 
     def test_manifest_mirrors_broker_state(self, store, broker):
+        # The store-side reader sees what the broker sees (a live lease is
+        # ``pending`` to it: the result artifact is not there yet).
         campaign = smoke_campaign(2)
-        status = broker.submit(campaign)
+        broker.submit(campaign)
         lease = broker.lease("w1")
-        store.save_json("result", lease.digest, {"v": 1})
+        broker.persist(lease.digest, point_result(campaign, lease.index), {})
         broker.complete("w1", lease.campaign, lease.index)
-        manifest = store.load_json("campaign", status["digest"])
-        states = [entry["state"] for entry in manifest["points"]]
-        assert states == ["complete", "pending"]
+        broker.lease("w2")
+        local = CampaignRunner(Session(store=store)).status(campaign).to_dict()
+        assert [entry["state"] for entry in local["points"]] == ["complete", "pending"]
+        fleet = broker.status(campaign.digest)
+        assert [entry["state"] for entry in fleet["points"]] == ["complete", "leased"]
 
     def test_workers_listing_tracks_leases_and_counts(self, store, broker):
         broker.submit(smoke_campaign(2))
@@ -199,11 +216,15 @@ class TestProducerParity:
         broker.submit(campaign)
         Worker(LocalBrokerClient(broker), session=Session(store=store)).run()
         fleet_manifest = store.load_json("campaign", campaign.digest)
-        assert [p["state"] for p in fleet_manifest["points"]] == ["complete"] * 3
+        # Identities only: completion is the result artifacts.
+        assert [set(p) for p in fleet_manifest["points"]] == [
+            {"index", "digest", "label"}
+        ] * 3
+        fleet_bytes = manifest_bytes(store, campaign)
 
         runner = CampaignRunner(Session(store=store))
         runner.run(campaign)
-        assert store.load_json("campaign", campaign.digest) == fleet_manifest
+        assert manifest_bytes(store, campaign) == fleet_bytes
 
         local = runner.status(campaign).to_dict()
         fleet = broker.status(campaign.digest)
@@ -236,17 +257,17 @@ class TestProducerParity:
             "digest": lease.digest,
             "label": lease.label,
             "state": "failed",
-            "complete": False,
             "error": "boom",
         }
-        # The manifest was mirrored while w2 held its lease: a live lease
-        # is ``pending`` there, and errors stay with failed points only.
-        assert set(entries[1]) == {"index", "digest", "label", "state", "complete"}
-        assert entries[1]["state"] == "pending"
-        # The runner reads that manifest: same state, same error.
+        # The manifest was written while w2 held its lease: only a failure
+        # is a recorded state, everything else is the point's identity.
+        assert set(entries[1]) == {"index", "digest", "label"}
+        # The runner reads that manifest: same state, same error; the
+        # leased point has no result yet, so it is pending to the store.
         local = CampaignRunner(Session(store=broker.store)).status(campaign).to_dict()
         assert local["points"][0]["state"] == "failed"
         assert local["points"][0]["error"] == "boom"
+        assert local["points"][1]["state"] == "pending"
         assert local["counts"] == {"complete": 0, "failed": 1, "pending": 1}
         # The status endpoint shows the lease and keeps its extras.
         status = broker.status(campaign.digest)

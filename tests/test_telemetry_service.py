@@ -56,6 +56,25 @@ class TestServiceBus:
         # After the lease, the progress event reflects the leased count.
         assert progress[-1]["data"]["counts"]["leased"] == 1
 
+    def test_requeue_publishes_progress(self, service):
+        service.handle("POST", "/api/campaigns", smoke_campaign(1).to_dict())
+        _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
+        lease = leased["lease"]
+        service.handle(
+            "POST",
+            "/api/fail",
+            {"worker": "w1", "campaign": lease["campaign"], "index": 0, "error": "x"},
+        )
+        subscriber = service.bus.subscribe(topics=["campaign_progress"])
+        _, requeued = service.handle(
+            "POST", "/api/campaigns/%s/requeue" % lease["campaign"], {}
+        )
+        assert requeued["requeued"] == 1
+        (event,) = subscriber.drain()
+        assert event["data"]["digest"] == lease["campaign"]
+        assert event["data"]["counts"]["failed"] == 0
+        assert event["data"]["counts"]["pending"] == 1
+
     def test_heartbeat_accepts_telemetry_and_returns_control(self, service):
         service.handle("POST", "/api/campaigns", smoke_campaign(1).to_dict())
         _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
