@@ -22,13 +22,15 @@ Run:  python examples/effortful_adversary.py
 from __future__ import annotations
 
 from repro import DefectionPoint, scaled_config, units
-from repro.experiments.effortful import effortful_table, format_table1
+from repro.api import campaign_rows
+from repro.experiments.effortful import TABLE1_COLUMNS, effortful_campaign
+from repro.experiments.reporting import format_table
 
 
 def main() -> None:
     protocol, sim = scaled_config(n_peers=16, n_aus=1, duration=units.years(1), seed=31)
     print("Running the brute-force adversary at three defection points ...")
-    rows = effortful_table(
+    campaign = effortful_campaign(
         defections=(DefectionPoint.INTRO, DefectionPoint.REMAINING, DefectionPoint.NONE),
         collection_sizes=(sim.n_aus,),
         seeds=(31,),
@@ -36,8 +38,9 @@ def main() -> None:
         sim_config=sim,
         attempts_per_victim_au_per_day=5.0,
     )
+    rows = campaign_rows(campaign)
     print()
-    print(format_table1(rows))
+    print(format_table(TABLE1_COLUMNS, [[row.get(c) for c in TABLE1_COLUMNS] for row in rows]))
     print()
     print("Paper's Table 1 (50-AU collection) for comparison:")
     print("  INTRO     : friction 1.40, cost ratio 1.93, delay 1.11, access 4.99e-4")

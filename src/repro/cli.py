@@ -65,6 +65,7 @@ from .api import (
     CampaignRunner,
     Scenario,
     Session,
+    campaign_rows,
     export_rows,
 )
 from .api.resultset import digest_rows
@@ -73,8 +74,7 @@ from .api.store import open_store
 from .config import ProtocolConfig, SimulationConfig, scaled_config
 from .experiments import ablation as ablation_module
 from .experiments import baseline, effortful
-from .experiments.attacks import attack_sweep_rows
-from .experiments.pipe_stoppage import FIGURE_COLUMNS as ATTACK_COLUMNS
+from .experiments.attacks import FIGURE_COLUMNS
 from .experiments.reporting import format_table
 
 
@@ -164,15 +164,15 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     protocol, sim = _configs(args)
-    rows = baseline.baseline_sweep(
+    campaign = baseline.baseline_campaign(
         poll_intervals_months=args.intervals,
         storage_mtbf_years=args.mtbf,
         collection_sizes=(args.aus,),
         seeds=args.seeds,
         protocol_config=protocol,
         sim_config=sim,
-        session=_session(args),
     )
+    rows = campaign_rows(campaign, session=_session(args))
     print("Figure 2 — baseline access failure probability (no attack)")
     _print_rows(
         rows,
@@ -209,9 +209,10 @@ def _make_attack_command(entry: AdversaryEntry):
             seeds=tuple(args.seeds),
         )
         scenario.sweep = axes
-        rows = attack_sweep_rows(scenario, session=_session(args))
+        campaign = Campaign.from_sweep(scenario, exporter="attack_sweep")
+        rows = campaign_rows(campaign, session=_session(args))
         print("%s — %s" % (entry.cli_command, entry.description))
-        _print_rows(rows, ATTACK_COLUMNS)
+        _print_rows(rows, FIGURE_COLUMNS)
         return 0
 
     return handler
@@ -220,41 +221,36 @@ def _make_attack_command(entry: AdversaryEntry):
 def _cmd_table1(args: argparse.Namespace) -> int:
     protocol, sim = _configs(args)
     defections = [DefectionPoint(value) for value in args.defections]
-    rows = effortful.effortful_table(
+    campaign = effortful.effortful_campaign(
         defections=defections,
         collection_sizes=(args.aus,),
         seeds=args.seeds,
         protocol_config=protocol,
         sim_config=sim,
         attempts_per_victim_au_per_day=args.rate,
-        session=_session(args),
     )
+    rows = campaign_rows(campaign, session=_session(args))
     print("Table 1 — brute-force effortful adversary")
     _print_rows(rows, effortful.TABLE1_COLUMNS)
     return 0
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    protocol, sim = _configs(args)
-    session = _session(args)
     if args.which == "admission":
-        rows = ablation_module.admission_control_ablation(
-            seeds=args.seeds, protocol_config=protocol, sim_config=sim, session=session
-        )
+        factory = ablation_module.admission_ablation_campaign
         columns = ["admission_control", "coefficient_of_friction", "loyal_effort"]
         title = "Ablation — admission control on/off under a garbage flood"
     elif args.which == "effort":
-        rows = ablation_module.effort_balancing_ablation(
-            seeds=args.seeds, protocol_config=protocol, sim_config=sim, session=session
-        )
+        factory = ablation_module.effort_ablation_campaign
         columns = ["introductory_effort_fraction", "cost_ratio", "adversary_effort"]
         title = "Ablation — introductory-effort toll vs the reservation attack"
     else:
-        rows = ablation_module.desynchronization_ablation(
-            seeds=args.seeds, protocol_config=protocol, sim_config=sim, session=session
-        )
+        factory = ablation_module.desync_ablation_campaign
         columns = ["mode", "success_rate", "refusal_rate", "successful_polls"]
         title = "Ablation — desynchronized vs compressed solicitation"
+    protocol, sim = _configs(args)
+    campaign = factory(seeds=args.seeds, protocol_config=protocol, sim_config=sim)
+    rows = campaign_rows(campaign, session=_session(args))
     print(title)
     _print_rows(rows, columns)
     return 0
@@ -316,6 +312,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .experiments import bench as bench_module
 
     names = args.artifacts.split(",") if args.artifacts else None
+    unknown = [name for name in names or () if name not in bench_module.ARTIFACTS]
+    if unknown:
+        print(
+            "unknown bench artifact(s) %s (known artifacts: %s)"
+            % (", ".join(unknown), ", ".join(sorted(bench_module.ARTIFACTS)))
+        )
+        return 2
     comparison = bench_module.COMPARISONS.get(args.compare)
     if comparison is None:
         report = bench_module.run_bench(names=names, quick=args.quick)
@@ -358,26 +361,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 )
                 return 1
 
+    # Claims are judged whatever the digest flags say: --no-check skips the
+    # digest comparison only, and --update-baseline still writes the new
+    # digests while the exit code says the move broke a claim.
     baseline_path = Path(args.baseline)
     if args.update_baseline:
-        bench_module.save_baseline(report, baseline_path)
+        try:
+            bench_module.save_baseline(report, baseline_path)
+        except ValueError as error:
+            print(error)
+            return 1
         print("digest baseline written to %s" % baseline_path)
-    elif args.check:
-        baseline = bench_module.load_baseline(baseline_path)
-        if baseline is None:
-            print(
-                "no digest baseline at %s (run with --update-baseline to create one)"
-                % baseline_path
-            )
-            return 1
-        problems = bench_module.check_digests(report, baseline)
-        if problems:
-            print("RESULT DIGEST DRIFT — experiment results changed:")
-            for problem in problems:
-                print("  " + problem)
-            return 1
+    checked = args.check and not args.update_baseline
+    problems = bench_module.judge(
+        report["artifacts"], baseline_path if checked else None
+    )
+    if _print_problems(problems):
+        return 1
+    if checked:
         print("all result digests match the committed baseline")
     return 0
+
+
+def _print_problems(problems: Sequence[str]) -> bool:
+    """Print what :func:`repro.experiments.bench.judge` found; True if anything."""
+    if problems:
+        print("RESULT CHECK FAILED — digest drift or a broken paper claim:")
+        for problem in problems:
+            print("  " + problem)
+    return bool(problems)
 
 
 def _load_campaign(reference: str) -> Campaign:
@@ -594,22 +606,16 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     _print_campaign_rows(rows)
     print("result digest: %s" % digest)
     if args.check_digest:
-        from .experiments.bench import load_baseline
+        from .experiments import bench as bench_module
 
-        baseline = load_baseline(Path(args.check_digest))
         key = args.artifact or campaign.name
-        if baseline is None or key not in baseline:
-            print(
-                "no baseline digest for %r in %s" % (key, args.check_digest)
-            )
-            return 1
-        if digest != baseline[key]:
-            print(
-                "RESULT DIGEST DRIFT: %s != baseline %s"
-                % (digest[:16], baseline[key][:16])
-            )
+        claims = bench_module.evaluate_claims(key, rows)
+        record = {"digest": digest, "claims": claims}
+        if _print_problems(bench_module.judge({key: record}, Path(args.check_digest))):
             return 1
         print("result digest matches the committed baseline for %r" % key)
+        if claims["total"]:
+            print("%d/%d paper claims hold on these rows" % ((claims["total"],) * 2))
     return 0
 
 

@@ -18,25 +18,29 @@ Each module corresponds to one artifact of Section 7:
   (combined multi-vector attack, adaptive vector switching, and the
   targeting x vector matrix; see docs/ADVERSARIES.md).
 
+Every figure has one entry point: its ``*_campaign`` factory returns the
+parameter grid as a declarative :class:`repro.api.Campaign`, and
+``repro.api.campaign_rows(campaign, session=...)`` runs it and exports its
+rows.  :mod:`repro.experiments.bench` calls the same factories at laptop
+scale for the digest-pinned artifacts, and holds the paper's claims about
+each figure's rows next to the artifact they describe.
+
 :mod:`repro.experiments.world` builds a simulated world from configuration;
 :mod:`repro.experiments.attacks` expresses the duration x coverage attack
-sweeps as declarative :class:`repro.api.Scenario` objects;
-:mod:`repro.experiments.reporting` renders rows as text tables like the ones
-in EXPERIMENTS.md.  Runs execute through :class:`repro.api.Session`.
+sweeps as one campaign shape; :mod:`repro.experiments.reporting` renders rows
+as text tables.  Runs execute through :class:`repro.api.Session`.
 """
 
-from .attacks import attack_sweep_campaign, attack_sweep_rows, attack_sweep_scenario
+from .attacks import attack_sweep_campaign
 
 # Importing the artifact modules registers their named row exporters
 # ("figure2", "table1", "ablation_*"), so `repro.api.resultset.export_rows`
 # can resolve any campaign loaded from JSON after `import repro.experiments`.
 from . import ablation as _ablation  # noqa: F401
-from . import admission_attack as _admission_attack  # noqa: F401
 from . import baseline as _baseline  # noqa: F401
 from . import composed as _composed  # noqa: F401
 from . import effortful as _effortful  # noqa: F401
 from . import faults as _faults  # noqa: F401
-from . import pipe_stoppage as _pipe_stoppage  # noqa: F401
 from ..api.session import ExperimentResult
 from .world import World, build_world
 from .reporting import format_table
@@ -45,8 +49,6 @@ __all__ = [
     "World",
     "build_world",
     "attack_sweep_campaign",
-    "attack_sweep_scenario",
-    "attack_sweep_rows",
     "ExperimentResult",
     "format_table",
 ]

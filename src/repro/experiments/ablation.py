@@ -29,8 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .. import units
-from ..api import AdversarySpec, Campaign, Scenario, Session
-from ..api.campaign import campaign_rows
+from ..api import AdversarySpec, Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
 from ..config import ProtocolConfig, SimulationConfig
 from .configs import resolve_base_configs
@@ -86,27 +85,6 @@ def admission_ablation_export(results: ResultSet) -> List[Dict[str, object]]:
     return rows
 
 
-def admission_control_ablation(
-    attack_duration_days: float = 120.0,
-    coverage: float = 1.0,
-    invitations_per_victim_per_day: float = 96.0,
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Garbage-invitation flood with the admission-control defense on vs. off."""
-    campaign = admission_ablation_campaign(
-        attack_duration_days=attack_duration_days,
-        coverage=coverage,
-        invitations_per_victim_per_day=invitations_per_victim_per_day,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-    )
-    return campaign_rows(campaign, session=session)
-
-
 # -- effort balancing -------------------------------------------------------------------
 
 
@@ -157,25 +135,6 @@ def effort_ablation_export(results: ResultSet) -> List[Dict[str, object]]:
             }
         )
     return rows
-
-
-def effort_balancing_ablation(
-    introductory_fractions: Sequence[float] = (0.20, 0.02),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    attempts_per_victim_au_per_day: float = 5.0,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Reservation (INTRO-defection) attack under different introductory tolls."""
-    campaign = effort_ablation_campaign(
-        introductory_fractions=introductory_fractions,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        attempts_per_victim_au_per_day=attempts_per_victim_au_per_day,
-    )
-    return campaign_rows(campaign, session=session)
 
 
 # -- desynchronization ------------------------------------------------------------------
@@ -244,20 +203,3 @@ def desync_ablation_export(results: ResultSet) -> List[Dict[str, object]]:
             }
         )
     return rows
-
-
-def desynchronization_ablation(
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    vote_cost_as_fraction_of_interval: float = 0.025,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Spread-out (desynchronized) vs. compressed (synchronized) solicitation."""
-    campaign = desync_ablation_campaign(
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        vote_cost_as_fraction_of_interval=vote_cost_as_fraction_of_interval,
-    )
-    return campaign_rows(campaign, session=session)

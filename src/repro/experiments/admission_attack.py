@@ -21,35 +21,11 @@ on invitations that land in refractory periods and must be retried.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..api import Campaign, Scenario, Session
+from ..api import Campaign
 from ..config import ProtocolConfig, SimulationConfig
-from .attacks import attack_sweep_campaign, attack_sweep_rows, attack_sweep_scenario
-from .reporting import format_table
-
-
-def admission_flood_scenario(
-    durations_days: Sequence[float] = (10.0, 90.0, 270.0),
-    coverages: Sequence[float] = (0.4, 1.0),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    recuperation_days: float = 30.0,
-    invitations_per_victim_per_day: float = 4.0,
-) -> Scenario:
-    """The Figures 6–8 sweep as one declarative scenario."""
-    return attack_sweep_scenario(
-        "admission_flood",
-        durations_days=durations_days,
-        coverages=coverages,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        recuperation_days=recuperation_days,
-        name="admission-flood",
-        invitations_per_victim_per_day=invitations_per_victim_per_day,
-    )
+from .attacks import attack_sweep_campaign
 
 
 def admission_flood_campaign(
@@ -73,57 +49,4 @@ def admission_flood_campaign(
         recuperation_days=recuperation_days,
         name=name,
         invitations_per_victim_per_day=invitations_per_victim_per_day,
-    )
-
-
-def admission_attack_sweep(
-    durations_days: Sequence[float] = (10.0, 90.0, 270.0),
-    coverages: Sequence[float] = (0.4, 1.0),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    recuperation_days: float = 30.0,
-    invitations_per_victim_per_day: float = 4.0,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Sweep attack duration x coverage for the garbage-invitation flood."""
-    scenario = admission_flood_scenario(
-        durations_days=durations_days,
-        coverages=coverages,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        recuperation_days=recuperation_days,
-        invitations_per_victim_per_day=invitations_per_victim_per_day,
-    )
-    return attack_sweep_rows(scenario, session=session)
-
-
-def paper_scale_parameters() -> Dict[str, object]:
-    """The full Figures 6-8 parameter grid as reported by the paper."""
-    return {
-        "durations_days": (1, 5, 10, 30, 90, 180, 720),
-        "coverages": (0.10, 0.40, 0.70, 1.00),
-        "recuperation_days": 30,
-        "collection_sizes": (50, 600),
-        "n_peers": 100,
-        "duration_years": 2,
-        "runs_per_point": 3,
-    }
-
-
-FIGURE_COLUMNS = (
-    "attack_duration_days",
-    "coverage",
-    "access_failure_probability",
-    "delay_ratio",
-    "coefficient_of_friction",
-)
-
-
-def format_figures(rows: Sequence[Dict[str, object]]) -> str:
-    """Render sweep rows as the Figures 6-8 series table."""
-    return format_table(
-        FIGURE_COLUMNS,
-        [[row.get(column) for column in FIGURE_COLUMNS] for row in rows],
     )

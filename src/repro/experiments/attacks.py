@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..api import AdversarySpec, Campaign, Scenario, Session
-from ..api.campaign import campaign_rows
+from ..api import AdversarySpec, Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
 from ..config import ProtocolConfig, SimulationConfig
 from .configs import resolve_base_configs
 
 
-def attack_sweep_scenario(
+def attack_sweep_campaign(
     kind: str,
     durations_days: Sequence[float],
     coverages: Sequence[float],
@@ -31,9 +30,10 @@ def attack_sweep_scenario(
     recuperation_days: float = 30.0,
     name: Optional[str] = None,
     **extra_params: object,
-) -> Scenario:
-    """One declarative sweep over (coverage outer, duration inner).
+) -> Campaign:
+    """The duration x coverage grid as a campaign with the figure exporter.
 
+    One declarative sweep over (coverage outer, duration inner).
     ``extra_params`` are forwarded into the adversary spec (e.g. the
     admission flood's ``invitations_per_victim_per_day``).
     """
@@ -51,32 +51,6 @@ def attack_sweep_scenario(
         "adversary.coverage": list(coverages),
         "adversary.attack_duration_days": list(durations_days),
     }
-    return scenario
-
-
-def attack_sweep_campaign(
-    kind: str,
-    durations_days: Sequence[float],
-    coverages: Sequence[float],
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    recuperation_days: float = 30.0,
-    name: Optional[str] = None,
-    **extra_params: object,
-) -> Campaign:
-    """The duration x coverage grid as a campaign with the figure exporter."""
-    scenario = attack_sweep_scenario(
-        kind,
-        durations_days=durations_days,
-        coverages=coverages,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        recuperation_days=recuperation_days,
-        name=name,
-        **extra_params,
-    )
     return Campaign.from_sweep(scenario, name=name or kind, exporter="attack_sweep")
 
 
@@ -108,15 +82,11 @@ def attack_sweep_export(results: ResultSet) -> List[Dict[str, object]]:
     return rows
 
 
-def attack_sweep_rows(
-    scenario: Scenario,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Run a duration x coverage sweep scenario and emit one row per point.
-
-    (The sweep scenario is converted into the equivalent campaign, so the
-    expanded points — and their digests — are identical to
-    ``Scenario.expand()``.)
-    """
-    campaign = Campaign.from_sweep(scenario, exporter="attack_sweep")
-    return campaign_rows(campaign, session=session)
+#: Display columns of the Figures 3-5 and 6-8 series tables.
+FIGURE_COLUMNS = (
+    "attack_duration_days",
+    "coverage",
+    "access_failure_probability",
+    "delay_ratio",
+    "coefficient_of_friction",
+)

@@ -21,12 +21,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .. import units
-from ..api import Campaign, Scenario, Session
-from ..api.campaign import campaign_rows
+from ..api import Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
 from ..config import ProtocolConfig, SimulationConfig
 from .configs import resolve_base_configs
-from .reporting import format_table
 
 
 def baseline_campaign(
@@ -97,62 +95,6 @@ def figure2_export(results: ResultSet) -> List[Dict[str, object]]:
     return rows
 
 
-def baseline_sweep(
-    poll_intervals_months: Sequence[float] = (2.0, 3.0, 6.0, 12.0),
-    storage_mtbf_years: Sequence[float] = (1.0, 5.0),
-    collection_sizes: Sequence[int] = (2,),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Sweep poll interval x storage MTBF x collection size without an attack.
-
-    Returns one row per parameter combination with the measured access
-    failure probability and supporting counters.  The grid is expanded and
-    executed as one :class:`Campaign`, so every (grid point, seed) run lands
-    on the session's task batch together.
-    """
-    campaign = baseline_campaign(
-        poll_intervals_months=poll_intervals_months,
-        storage_mtbf_years=storage_mtbf_years,
-        collection_sizes=collection_sizes,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-    )
-    return campaign_rows(campaign, session=session)
-
-
-def baseline_reference_point(
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-) -> Dict[str, object]:
-    """The paper's reference operating point: 3-month polls, 5-year MTBF."""
-    rows = baseline_sweep(
-        poll_intervals_months=(3.0,),
-        storage_mtbf_years=(5.0,),
-        collection_sizes=(sim_config.n_aus if sim_config is not None else 2,),
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-    )
-    return rows[0]
-
-
-def paper_scale_parameters() -> Dict[str, object]:
-    """The full Figure 2 parameter grid as reported by the paper."""
-    return {
-        "poll_intervals_months": (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
-        "storage_mtbf_years": (1, 2, 3, 4, 5),
-        "collection_sizes": (50, 600),
-        "n_peers": 100,
-        "duration_years": 2,
-        "runs_per_point": 3,
-    }
-
-
 FIGURE2_COLUMNS = (
     "poll_interval_months",
     "storage_mtbf_years",
@@ -161,11 +103,3 @@ FIGURE2_COLUMNS = (
     "successful_polls",
     "failed_polls",
 )
-
-
-def format_figure2(rows: Sequence[Dict[str, object]]) -> str:
-    """Render baseline sweep rows as the Figure 2 series table."""
-    return format_table(
-        FIGURE2_COLUMNS,
-        [[row.get(column) for column in FIGURE2_COLUMNS] for row in rows],
-    )

@@ -25,12 +25,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..adversary.brute_force import DefectionPoint
-from ..api import AdversarySpec, Campaign, Scenario, Session
-from ..api.campaign import campaign_rows
+from ..api import AdversarySpec, Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
 from ..config import ProtocolConfig, SimulationConfig
 from .configs import resolve_base_configs
-from .reporting import format_table
 
 
 def effortful_campaign(
@@ -70,31 +68,6 @@ def effortful_campaign(
     return campaign
 
 
-def effortful_table(
-    defections: Sequence[DefectionPoint] = (
-        DefectionPoint.INTRO,
-        DefectionPoint.REMAINING,
-        DefectionPoint.NONE,
-    ),
-    collection_sizes: Sequence[int] = (2,),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    attempts_per_victim_au_per_day: float = 5.0,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Regenerate the rows of Table 1 (defection point x collection size)."""
-    campaign = effortful_campaign(
-        defections=defections,
-        collection_sizes=collection_sizes,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        attempts_per_victim_au_per_day=attempts_per_victim_au_per_day,
-    )
-    return campaign_rows(campaign, session=session)
-
-
 @row_exporter("table1")
 def table1_export(results: ResultSet) -> List[Dict[str, object]]:
     """One Table 1 row per point, built from the typed observations."""
@@ -124,25 +97,6 @@ def table1_export(results: ResultSet) -> List[Dict[str, object]]:
     return rows
 
 
-def paper_scale_parameters() -> Dict[str, object]:
-    """The full Table 1 configuration as reported by the paper."""
-    return {
-        "defections": ("INTRO", "REMAINING", "NONE"),
-        "collection_sizes": (50, 600),
-        "n_peers": 100,
-        "duration_years": 2,
-        "runs_per_point": 3,
-        "paper_values": {
-            ("INTRO", 50): {"friction": 1.40, "cost_ratio": 1.93, "delay": 1.11, "access": 4.99e-4},
-            ("INTRO", 600): {"friction": 1.31, "cost_ratio": 2.04, "delay": 1.10, "access": 6.35e-4},
-            ("REMAINING", 50): {"friction": 2.61, "cost_ratio": 1.55, "delay": 1.11, "access": 5.90e-4},
-            ("REMAINING", 600): {"friction": 2.50, "cost_ratio": 1.60, "delay": 1.10, "access": 6.16e-4},
-            ("NONE", 50): {"friction": 2.60, "cost_ratio": 1.02, "delay": 1.11, "access": 5.58e-4},
-            ("NONE", 600): {"friction": 2.49, "cost_ratio": 1.06, "delay": 1.10, "access": 6.19e-4},
-        },
-    }
-
-
 TABLE1_COLUMNS = (
     "defection",
     "n_aus",
@@ -151,11 +105,3 @@ TABLE1_COLUMNS = (
     "delay_ratio",
     "access_failure_probability",
 )
-
-
-def format_table1(rows: Sequence[Dict[str, object]]) -> str:
-    """Render the effortful-adversary rows as the Table 1 layout."""
-    return format_table(
-        TABLE1_COLUMNS,
-        [[row.get(column) for column in TABLE1_COLUMNS] for row in rows],
-    )

@@ -19,33 +19,11 @@ leaves the access failure probability in the low 10^-3 range.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..api import Campaign, Scenario, Session
+from ..api import Campaign
 from ..config import ProtocolConfig, SimulationConfig
-from .attacks import attack_sweep_campaign, attack_sweep_rows, attack_sweep_scenario
-from .reporting import format_table
-
-
-def pipe_stoppage_scenario(
-    durations_days: Sequence[float] = (5.0, 30.0, 90.0),
-    coverages: Sequence[float] = (0.4, 1.0),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    recuperation_days: float = 30.0,
-) -> Scenario:
-    """The Figures 3–5 sweep as one declarative scenario."""
-    return attack_sweep_scenario(
-        "pipe_stoppage",
-        durations_days=durations_days,
-        coverages=coverages,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        recuperation_days=recuperation_days,
-        name="pipe-stoppage",
-    )
+from .attacks import attack_sweep_campaign
 
 
 def pipe_stoppage_campaign(
@@ -67,58 +45,4 @@ def pipe_stoppage_campaign(
         sim_config=sim_config,
         recuperation_days=recuperation_days,
         name=name,
-    )
-
-
-def pipe_stoppage_sweep(
-    durations_days: Sequence[float] = (5.0, 30.0, 90.0),
-    coverages: Sequence[float] = (0.4, 1.0),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    recuperation_days: float = 30.0,
-    session: Optional[Session] = None,
-) -> List[Dict[str, object]]:
-    """Sweep attack duration x coverage; returns one row per point.
-
-    Each row carries the three paper metrics for Figures 3, 4, and 5.
-    """
-    scenario = pipe_stoppage_scenario(
-        durations_days=durations_days,
-        coverages=coverages,
-        seeds=seeds,
-        protocol_config=protocol_config,
-        sim_config=sim_config,
-        recuperation_days=recuperation_days,
-    )
-    return attack_sweep_rows(scenario, session=session)
-
-
-def paper_scale_parameters() -> Dict[str, object]:
-    """The full Figures 3-5 parameter grid as reported by the paper."""
-    return {
-        "durations_days": (1, 5, 10, 30, 60, 90, 180),
-        "coverages": (0.10, 0.40, 0.70, 1.00),
-        "recuperation_days": 30,
-        "collection_sizes": (50, 600),
-        "n_peers": 100,
-        "duration_years": 2,
-        "runs_per_point": 3,
-    }
-
-
-FIGURE_COLUMNS = (
-    "attack_duration_days",
-    "coverage",
-    "access_failure_probability",
-    "delay_ratio",
-    "coefficient_of_friction",
-)
-
-
-def format_figures(rows: Sequence[Dict[str, object]]) -> str:
-    """Render sweep rows as the Figures 3-5 series table."""
-    return format_table(
-        FIGURE_COLUMNS,
-        [[row.get(column) for column in FIGURE_COLUMNS] for row in rows],
     )

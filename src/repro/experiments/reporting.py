@@ -6,7 +6,7 @@ figures and table report; this module keeps the formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def format_value(value: object) -> str:
@@ -39,10 +39,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     lines = [render_line(list(headers)), separator]
     lines.extend(render_line(row) for row in rendered_rows)
     return "\n".join(lines)
-
-
-def rows_from_dicts(
-    records: Iterable[Dict[str, object]], columns: Sequence[str]
-) -> List[List[object]]:
-    """Project dictionaries onto a fixed column order."""
-    return [[record.get(column) for column in columns] for record in records]

@@ -14,7 +14,7 @@ from repro.api import (
     Session,
 )
 from repro.api.campaign import campaign_rows, run_campaign
-from repro.experiments.bench import digest_rows
+from repro.api.resultset import digest_rows
 
 
 def point_scenario(**overrides):

@@ -5,8 +5,7 @@ import pytest
 
 from repro import units
 from repro.api import Campaign, CampaignRunner, ResultStore, Scenario, Session
-from repro.api.resultset import ResultSet
-from repro.experiments.bench import digest_rows, digest_rows_iter
+from repro.api.resultset import ResultSet, digest_rows, digest_rows_iter
 
 
 def run_small_campaign(tmp_path, points=2):

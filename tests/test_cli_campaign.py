@@ -212,14 +212,55 @@ class TestBenchQuick:
                          "paper_smoke_100"):
             assert artifact in output
 
-    def test_bench_rejects_unknown_artifacts(self):
-        with pytest.raises(ValueError):
-            main(["bench", "--artifacts", "not_a_real_artifact", "--out", ""])
+    def test_bench_rejects_unknown_artifacts(self, capsys):
+        assert main(["bench", "--artifacts", "not_a_real_artifact", "--out", ""]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "unknown bench artifact(s) not_a_real_artifact" in line
+        assert "fig2_baseline" in line and "partition_attack" in line
+
+
+class TestTornBaseline:
+    """A baseline that exists but cannot be read is not an absent baseline."""
+
+    @pytest.mark.parametrize("text", ["{broken", '{"digests": ["not", "a", "map"]}'])
+    def test_bench_reports_it_by_path_and_reason(
+        self, monkeypatch, tmp_path, capsys, text
+    ):
+        fake_artifact_runner(monkeypatch)
+        torn = tmp_path / "bench_baseline.json"
+        torn.write_text(text, encoding="utf-8")
+        argv = ["bench", "--artifacts", "fig2_baseline", "--out", "", "--baseline"]
+        for extra in ([], ["--update-baseline"]):
+            assert main(argv + [str(torn)] + extra) == 1
+            output = capsys.readouterr().out
+            assert "unreadable digest baseline %s: " % torn in output
+            assert "--update-baseline" not in output
+            assert "no digest baseline" not in output
+        assert torn.read_text(encoding="utf-8") == text
+
+    def test_campaign_report_reports_it_by_path_and_reason(self, tmp_path, capsys):
+        _, path = campaign_file(tmp_path)
+        store = str(tmp_path / "store")
+        main(["campaign", "run", str(path), "--store", store])
+        capsys.readouterr()
+        torn = tmp_path / "bench_baseline.json"
+        torn.write_text("{broken", encoding="utf-8")
+        argv = ["campaign", "report", str(path), "--store", store]
+        assert main(argv + ["--check-digest", str(torn)]) == 1
+        output = capsys.readouterr().out
+        assert "unreadable digest baseline %s: " % torn in output
+        assert "no baseline digest" not in output
+
+    def test_an_absent_baseline_is_still_reported_as_absent(self, monkeypatch, capsys):
+        fake_artifact_runner(monkeypatch)
+        argv = ["bench", "--artifacts", "fig2_baseline", "--out", "", "--baseline"]
+        assert main(argv + ["/nonexistent/bench_baseline.json"]) == 1
+        assert "no digest baseline at /nonexistent" in capsys.readouterr().out
 
 
 #: The comparator's one report schema: per-artifact keys common to every mode.
 COMPARISON_KEYS = {
-    "title", "digest", "digest_match", "off", "on", "pair_ratios", "ratio",
+    "title", "digest", "claims", "digest_match", "off", "on", "pair_ratios", "ratio",
 }
 
 
@@ -248,7 +289,7 @@ class TestBenchComparison:
         assert set(report["total"]) == {
             "off_wall_s", "on_wall_s", "pass_ratios", "ratio", *counters
         }
-        assert bench.check_digests(report, bench.load_baseline(BASELINE)) == []
+        assert bench.judge(report["artifacts"], BASELINE) == []
         table = bench.format_comparison(report)
         assert artifact in table and "overhead" in table and counters[0] in table
 
@@ -271,6 +312,7 @@ def fake_artifact_runner(monkeypatch, on_wall=0.2, on_digest=None):
             "events_per_s": 10000.0,
             "rows": 4,
             "digest": digest,
+            "claims": {"total": 0, "broken": []},
             "peak_rss_kb": 1,
         }
         if variant is not None:

@@ -8,11 +8,12 @@ import pytest
 import repro
 from repro import units
 from repro.adversary.brute_force import DefectionPoint
-from repro.api import AdversarySpec, Scenario, Session
+from repro.api import AdversarySpec, Scenario, Session, campaign_rows
 from repro.api.session import default_session
 from repro.config import smoke_config
 from repro.experiments import ablation, admission_attack, baseline, effortful, pipe_stoppage
-from repro.experiments.reporting import format_table, format_value, rows_from_dicts
+from repro.experiments.attacks import FIGURE_COLUMNS
+from repro.experiments.reporting import format_table, format_value
 
 
 @pytest.fixture(autouse=True)
@@ -96,7 +97,7 @@ class TestPackageSurface:
 class TestSweeps:
     def test_baseline_sweep_rows_have_expected_columns(self, smoke):
         protocol, sim = smoke
-        rows = baseline.baseline_sweep(
+        campaign = baseline.baseline_campaign(
             poll_intervals_months=(2.0, 4.0),
             storage_mtbf_years=(1.0,),
             collection_sizes=(1,),
@@ -104,6 +105,7 @@ class TestSweeps:
             protocol_config=protocol,
             sim_config=sim,
         )
+        rows = campaign_rows(campaign)
         assert len(rows) == 2
         for row in rows:
             assert set(baseline.FIGURE2_COLUMNS) <= set(row)
@@ -115,15 +117,22 @@ class TestSweeps:
 
     def test_baseline_reference_point(self, smoke):
         protocol, sim = smoke
-        row = baseline.baseline_reference_point(
-            seeds=(1,), protocol_config=protocol, sim_config=sim
+        # The paper's reference operating point: 3-month polls, 5-year MTBF.
+        campaign = baseline.baseline_campaign(
+            poll_intervals_months=(3.0,),
+            storage_mtbf_years=(5.0,),
+            collection_sizes=(sim.n_aus,),
+            seeds=(1,),
+            protocol_config=protocol,
+            sim_config=sim,
         )
+        (row,) = campaign_rows(campaign)
         assert row["poll_interval_months"] == 3.0
         assert row["storage_mtbf_years"] == 5.0
 
     def test_pipe_stoppage_sweep_structure(self, smoke):
         protocol, sim = smoke
-        rows = pipe_stoppage.pipe_stoppage_sweep(
+        campaign = pipe_stoppage.pipe_stoppage_campaign(
             durations_days=(60.0,),
             coverages=(1.0,),
             seeds=(1,),
@@ -131,6 +140,7 @@ class TestSweeps:
             sim_config=sim,
             recuperation_days=15.0,
         )
+        rows = campaign_rows(campaign)
         assert len(rows) == 1
         row = rows[0]
         assert row["coverage"] == 1.0
@@ -140,7 +150,7 @@ class TestSweeps:
 
     def test_admission_sweep_structure(self, smoke):
         protocol, sim = smoke
-        rows = admission_attack.admission_attack_sweep(
+        campaign = admission_attack.admission_flood_campaign(
             durations_days=(60.0,),
             coverages=(1.0,),
             seeds=(1,),
@@ -148,37 +158,32 @@ class TestSweeps:
             sim_config=sim,
             invitations_per_victim_per_day=6.0,
         )
+        rows = campaign_rows(campaign)
         assert len(rows) == 1
         assert rows[0]["attack_duration_days"] == 60.0
         assert rows[0]["delay_ratio"] > 0
 
     def test_effortful_table_structure(self, smoke):
         protocol, sim = smoke
-        rows = effortful.effortful_table(
+        campaign = effortful.effortful_campaign(
             defections=(DefectionPoint.INTRO, DefectionPoint.NONE),
             collection_sizes=(1,),
             seeds=(1,),
             protocol_config=protocol,
             sim_config=sim,
         )
+        rows = campaign_rows(campaign)
         assert [row["defection"] for row in rows] == ["intro", "none"]
         for row in rows:
             assert row["cost_ratio"] is not None and row["cost_ratio"] > 0
             assert row["coefficient_of_friction"] > 0
             assert set(effortful.TABLE1_COLUMNS) <= set(row)
 
-    def test_paper_scale_parameter_documentation(self):
-        assert baseline.paper_scale_parameters()["runs_per_point"] == 3
-        assert 180 in pipe_stoppage.paper_scale_parameters()["durations_days"]
-        assert 720 in admission_attack.paper_scale_parameters()["durations_days"]
-        table1 = effortful.paper_scale_parameters()
-        assert ("NONE", 600) in table1["paper_values"]
-
 
 class TestAblation:
     def test_admission_control_ablation_shows_the_defense_helps(self, smoke):
         protocol, sim = smoke
-        rows = ablation.admission_control_ablation(
+        campaign = ablation.admission_ablation_campaign(
             attack_duration_days=60.0,
             coverage=1.0,
             invitations_per_victim_per_day=48.0,
@@ -186,6 +191,7 @@ class TestAblation:
             protocol_config=protocol,
             sim_config=sim,
         )
+        rows = campaign_rows(campaign)
         assert [row["admission_control"] for row in rows] == [True, False]
         enabled, disabled = rows
         # With the filter disabled, every garbage invitation is considered,
@@ -194,21 +200,23 @@ class TestAblation:
 
     def test_effort_balancing_ablation_cheapens_the_attack(self, smoke):
         protocol, sim = smoke
-        rows = ablation.effort_balancing_ablation(
+        campaign = ablation.effort_ablation_campaign(
             introductory_fractions=(0.20, 0.02),
             seeds=(1,),
             protocol_config=protocol,
             sim_config=sim,
         )
+        rows = campaign_rows(campaign)
         assert len(rows) == 2
         full_toll, tiny_toll = rows
         assert tiny_toll["adversary_effort"] < full_toll["adversary_effort"]
 
     def test_desynchronization_ablation_reports_both_modes(self, smoke):
         protocol, sim = smoke
-        rows = ablation.desynchronization_ablation(
+        campaign = ablation.desync_ablation_campaign(
             seeds=(1,), protocol_config=protocol, sim_config=sim
         )
+        rows = campaign_rows(campaign)
         assert [row["mode"] for row in rows] == ["desynchronized", "synchronized"]
         for row in rows:
             assert 0.0 <= row["success_rate"] <= 1.0
@@ -232,11 +240,10 @@ class TestReporting:
         assert all(len(line) == len(lines[0]) for line in lines[1:])
         assert "long-name" in lines[3]
 
-    def test_rows_from_dicts_projects_columns(self):
-        records = [{"a": 1, "b": 2}, {"a": 3}]
-        assert rows_from_dicts(records, ["a", "b"]) == [[1, 2], [3, None]]
-
     def test_figure_formatters_render(self):
+        def render(columns, rows):
+            return format_table(columns, [[row.get(c) for c in columns] for row in rows])
+
         rows = [
             {
                 "poll_interval_months": 3,
@@ -247,7 +254,7 @@ class TestReporting:
                 "failed_polls": 1,
             }
         ]
-        assert "poll_interval_months" in baseline.format_figure2(rows)
+        assert "poll_interval_months" in render(baseline.FIGURE2_COLUMNS, rows)
         attack_rows = [
             {
                 "attack_duration_days": 30,
@@ -257,8 +264,7 @@ class TestReporting:
                 "coefficient_of_friction": 1.2,
             }
         ]
-        assert "delay_ratio" in pipe_stoppage.format_figures(attack_rows)
-        assert "delay_ratio" in admission_attack.format_figures(attack_rows)
+        assert "delay_ratio" in render(FIGURE_COLUMNS, attack_rows)
         table1_rows = [
             {
                 "defection": "none",
@@ -269,4 +275,4 @@ class TestReporting:
                 "access_failure_probability": 5e-4,
             }
         ]
-        assert "cost_ratio" in effortful.format_table1(table1_rows)
+        assert "cost_ratio" in render(effortful.TABLE1_COLUMNS, table1_rows)

@@ -6,8 +6,7 @@ import pytest
 from repro import units
 from repro.api import Campaign, CampaignRunner, ResultStore, Scenario, Session
 from repro.api.campaign import status_dict
-from repro.api.resultset import export_rows
-from repro.experiments.bench import digest_rows
+from repro.api.resultset import digest_rows, export_rows
 from repro.service import Broker, LocalBrokerClient, Worker
 from repro.service.sqlite_store import SQLiteResultStore
 
