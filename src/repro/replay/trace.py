@@ -111,13 +111,19 @@ class Tracer:
     which is what keeps record-on runs digest-identical to record-off runs.
 
     Tap methods are deliberately lean — one record-list build and one sink
-    call, no indirection — because ``send`` fires for every message in the
-    busiest experiments.  When the sink is a :class:`TraceWriter` buffer,
-    ``writer`` is set too and the *cold* taps (``poll``, ``dmg``) drive the
-    writer's size-triggered flushes, keeping the hot taps to a bare append.
+    call, no indirection.  The hottest record, ``send``, has no method: the
+    network builds it in place and calls ``sink`` directly.  When the sink
+    is a :class:`TraceWriter` buffer, ``writer`` is set too and the *cold*
+    taps (``poll``, ``dmg``, ``fault``) drive the writer's size-triggered
+    flushes, keeping the hot taps to a bare append.
     """
 
     __slots__ = ("simulator", "sink", "writer")
+
+    #: Whether :func:`attach_tracer` wires the network ``send`` tap, which
+    #: fires for every message.  A subclass with no use for ``send``
+    #: records sets this False so that site keeps its bare ``None``.
+    taps_send = True
 
     def __init__(
         self,
@@ -172,12 +178,6 @@ class Tracer:
         """Tap: :meth:`repro.adversary.composed.ComposedAdversary._begin_window`."""
         self.sink(["win", now, node_id, index, list(active), list(victims)])
 
-    def send(self, sender: str, recipient: str, payload: object, size_bytes: int) -> None:
-        """Tap: :meth:`repro.sim.network.Network.send` (the hot path)."""
-        self.sink(
-            ["send", self.simulator._now, sender, recipient, type(payload).__name__, size_bytes]
-        )
-
     def fault(self, now: float, subject: str, event: str) -> None:
         """Tap: :class:`repro.faults.engine.FaultEngine` state transitions."""
         self.sink(["fault", now, subject, event])
@@ -185,22 +185,25 @@ class Tracer:
             self.writer.maybe_flush()
 
 
-def attach_tracer(world, tracer: Tracer) -> None:
-    """Wire ``tracer`` into every tap site of ``world``.
+def attach_tracer(world, tracer: Optional[Tracer]) -> None:
+    """Wire ``tracer`` into every tap site of ``world``; ``None`` unhooks them.
 
-    Replaces any storage-failure damage hook already installed (the replay
-    subsystem owns that hook while recording).
+    The one list of tap sites: the poll collector, the network ``send``
+    tap (only when ``tracer.taps_send``), every peer's admission tap, the
+    adversary's window tap, the fault engine and the storage-failure
+    damage hook.  Replaces any damage hook already installed (the tracer
+    owns that hook while attached).
     """
     world.tracer = tracer
     world.collector.tracer = tracer
-    world.network.tracer = tracer
+    world.network.tracer = tracer if tracer is not None and tracer.taps_send else None
     for peer in world.peers:
         peer.tracer = tracer
     if world.adversary is not None and hasattr(world.adversary, "tracer"):
         world.adversary.tracer = tracer
     if getattr(world, "fault_engine", None) is not None:
         world.fault_engine.tracer = tracer
-    world.failure_model.set_damage_hook(tracer.damage)
+    world.failure_model.set_damage_hook(None if tracer is None else tracer.damage)
 
 
 def detach_tracer(world) -> None:
@@ -209,16 +212,7 @@ def detach_tracer(world) -> None:
     Required before :meth:`Checkpoint.capture`: a tracer holds an open file
     sink that cannot be deep-copied.
     """
-    world.tracer = None
-    world.collector.tracer = None
-    world.network.tracer = None
-    for peer in world.peers:
-        peer.tracer = None
-    if world.adversary is not None and hasattr(world.adversary, "tracer"):
-        world.adversary.tracer = None
-    if getattr(world, "fault_engine", None) is not None:
-        world.fault_engine.tracer = None
-    world.failure_model.set_damage_hook(None)
+    attach_tracer(world, None)
 
 
 class TraceWriter:

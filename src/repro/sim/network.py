@@ -273,7 +273,7 @@ class Network:
         tracer = self.tracer
         if tracer is not None:
             # Inlined "send" record build (grammar: repro.replay.trace) —
-            # this is the busiest tap, so it skips the Tracer.send hop.
+            # this is the busiest tap, so Tracer has no method hop for it.
             tracer.sink(
                 ["send", self.simulator._now, sender, recipient,
                  type(payload).__name__, size_bytes]

@@ -8,14 +8,22 @@ leave every result bit-identical to an unobserved, uncontrolled run.
 import json
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro import units
 from repro.api import AdversarySpec, Scenario, Session
 from repro.api.session import build_point_world
+from repro.cli import main
+from repro.replay import Checkpoint, Tracer, attach_tracer, iter_records, record_run
 from repro.telemetry import EventBus, RunControl, RUN_CONTROLS, attach_world_bus
-from repro.telemetry.stream import DENSE_FLUSH, _BusTracer
+from repro.telemetry.tap import DENSE_FLUSH, BusTracer
+
+SMOKE_SCENARIO_FILE = (
+    Path(__file__).resolve().parent.parent / "examples" / "scenarios" / "smoke_pipe_stoppage.json"
+)
 
 
 def smoke_scenario(**overrides):
@@ -88,6 +96,88 @@ class TestDigestIdentity:
         attach_world_bus(world, EventBus())
         assert getattr(world.network, "tracer", None) is None
 
+    def test_checkpoint_restores_the_tap_wiring_it_found(self):
+        observed = build_point_world(smoke_scenario(seeds=(5,)), 5)
+        attach_world_bus(observed, EventBus())
+        Checkpoint.capture(observed)
+        assert observed.network.tracer is None
+        recorded = build_point_world(smoke_scenario(seeds=(5,)), 5)
+        tracer = Tracer(recorded.simulator, [].append)
+        attach_tracer(recorded, tracer)
+        Checkpoint.capture(recorded)
+        assert recorded.network.tracer is tracer
+
+
+class TestBusSeesTheTrace:
+    """The bus carries the records a trace of the same run holds."""
+
+    def test_sparse_records_equal_and_dense_counts_match(self, tmp_path):
+        scenario = Scenario(
+            name="bus vs trace",
+            base="smoke",
+            sim={"duration": units.months(5)},
+            adversary=AdversarySpec(
+                "admission_flood", {"attack_duration_days": 20.0, "coverage": 1.0}
+            ),
+            faults={
+                "crash": {"rate_per_peer_per_year": 6.0, "mean_downtime_days": 3.0},
+                "partitions": [{"start_day": 10.0, "duration_days": 5.0, "fraction": 0.4}],
+            },
+            seeds=(1,),
+        )
+        path = tmp_path / "run.jsonl.gz"
+        record_run(scenario, 1, path)
+        trace = list(iter_records(path))
+
+        world = build_point_world(scenario, 1)
+        bus = EventBus()
+        subscription = bus.subscribe(capacity=1 << 20)
+        tracer = attach_world_bus(world, bus)
+        world.run()
+        tracer.flush()
+        events = subscription.drain()
+        assert subscription.dropped == 0
+
+        for kind, topic in (("poll", "poll"), ("win", "adversary_window"), ("fault", "fault")):
+            expected = [record for record in trace if record[0] == kind]
+            assert expected, "scenario fires no %r record" % kind
+            assert [event["data"] for event in events if event["topic"] == topic] == expected
+
+        decisions = Counter()
+        for event in events:
+            if event["topic"] == "admission":
+                decisions.update(event["data"][4])
+        assert decisions == Counter(record[4] for record in trace if record[0] == "adm")
+        cells = Counter()
+        for event in events:
+            if event["topic"] == "damage":
+                for peer, au, count in event["data"][4]:
+                    cells[(peer, au)] += count
+        expected_cells = Counter((record[2], record[3]) for record in trace if record[0] == "dmg")
+        assert expected_cells and cells == expected_cells
+
+
+class TestRunMetricsFlag:
+    def test_exposition_counts_what_the_runs_measured(self, capsys):
+        result = Session().run(Scenario.load(SMOKE_SCENARIO_FILE))
+        runs = list(result.attacked_runs) + list(result.baseline_runs)
+        assert main(["run", str(SMOKE_SCENARIO_FILE), "--metrics"]) == 0
+        samples = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("repro_"):
+                name, value = line.rsplit(" ", 1)
+                samples[name] = float(value)
+        assert samples['repro_polls_concluded_total{outcome="success"}'] == sum(
+            run.successful_polls for run in runs
+        )
+        assert samples['repro_polls_concluded_total{outcome="failure"}'] == sum(
+            run.failed_polls + run.inconclusive_polls for run in runs
+        )
+        assert samples["repro_damage_blocks_total"] == sum(
+            run.extras["storage_failures"] for run in runs
+        )
+        assert samples["repro_adversary_windows_total"] > 0
+
 
 class _StubSim:
     _now = 42.0
@@ -99,7 +189,7 @@ class TestDenseAggregation:
     def _tracer(self):
         bus = EventBus()
         subscription = bus.subscribe(topics=["admission", "damage"])
-        tracer = _BusTracer(_StubSim(), bus, run="r1")
+        tracer = BusTracer(_StubSim(), bus, run="r1")
         return tracer, subscription
 
     def test_admission_summary_counts_and_window(self):
@@ -140,15 +230,6 @@ class TestDenseAggregation:
         assert tail["data"][3] == 1
         tracer.flush()
         assert subscription.drain() == []  # empty aggregates publish nothing
-
-    def test_sink_records_route_into_aggregates(self):
-        tracer, subscription = self._tracer()
-        tracer.sink(["adm", 5.0, "v", "p", "admitted"])
-        tracer.sink(["dmg", 6.0, "peer-1", "au-1", 3])
-        tracer.sink(["send", 7.0, "a", "b", "Poll", 100])  # unbridged: dropped
-        tracer.flush()
-        events = subscription.drain()
-        assert sorted(event["data"][0] for event in events) == ["admsum", "dmgsum"]
 
 
 class TestRunControl:
