@@ -113,6 +113,7 @@ def execute_point(
     bus: Optional[object] = None,
     control: Optional[object] = None,
     run_id: Optional[str] = None,
+    timeout: Optional[float] = None,
 ) -> RunMetrics:
     """Build and run one world for ``scenario`` at ``seed``.
 
@@ -127,38 +128,42 @@ def execute_point(
     ``control`` gates execution for pause/step debugging.  Neither
     perturbs the run.  Record mode owns the single per-site tracer
     attribute, so a recorded run publishes no in-simulation events (its
-    lifecycle events still flow from the session).
+    lifecycle events still flow from the session).  A run still going
+    ``timeout`` wall-clock seconds after this call raises
+    :class:`TimeoutError` (see :meth:`World.advance
+    <repro.experiments.world.World.advance>`).
     """
     if trace_path is not None:
         from ..replay import record_run
 
-        return record_run(
-            scenario, seed, trace_path, baseline=baseline, registry=registry
-        )
+        return record_run(scenario, seed, trace_path, baseline, registry, timeout)
+    from ..experiments.world import deadline_after
+
+    deadline = deadline_after(timeout)
     world = build_point_world(scenario, seed, baseline=baseline, registry=registry)
     if bus is None:
-        return world.run(control=control)
+        return world.run(control=control, deadline=deadline)
     from ..telemetry.stream import attach_world_bus
 
     tracer = attach_world_bus(world, bus, run=run_id)
-    metrics = world.run(control=control)
+    metrics = world.run(control=control, deadline=deadline)
     # Dense topics batch inside the tracer; push the partial batches so
     # subscribers see the run's tail.
     tracer.flush()
     return metrics
 
 
-def _execute_payload(payload: Tuple[str, int, bool, Optional[str]]) -> RunMetrics:
-    """Process-pool entry point: one (scenario JSON, seed, baseline, trace path) task.
+def _execute_payload(payload: Tuple[Callable[..., object], str, tuple, dict]) -> object:
+    """Process-pool entry point: ``(function, scenario JSON, args, kwargs)``.
 
-    Worker processes resolve adversary kinds against the default registry, so
-    custom adversaries must be registered at import time of an importable
-    module to be available under ``workers > 1``.
+    Calls ``function`` — :func:`execute_point` or :func:`execute_fork_group`
+    — on the decoded scenario.  Worker processes resolve adversary kinds
+    against the default registry, so custom adversaries must be registered
+    at import time of an importable module to be available under
+    ``workers > 1``.
     """
-    scenario_json, seed, baseline, trace_path = payload
-    return execute_point(
-        Scenario.from_json(scenario_json), seed, baseline=baseline, trace_path=trace_path
-    )
+    function, scenario_json, args, kwargs = payload
+    return function(Scenario.from_json(scenario_json), *args, **kwargs)
 
 
 @dataclass
@@ -190,6 +195,7 @@ def execute_fork_group(
     members: Sequence[Tuple[str, Optional[Dict[str, object]]]],
     registry: Optional[AdversaryRegistry] = None,
     checkpoint_path: Optional[str] = None,
+    timeout: Optional[float] = None,
 ) -> Dict[str, RunMetrics]:
     """Run one fork group; returns run metrics keyed by run digest.
 
@@ -202,7 +208,10 @@ def execute_fork_group(
     horizon.  A missing or unreadable checkpoint file is recaptured and
     rewritten atomically; a version-drifted one is recaptured too (the
     checkpoint is a pure cache — correctness comes from the run digests).
+    ``timeout`` bounds each of the group's runs on its own — the prefix
+    capture, the baseline continuation and every fork — from its start.
     """
+    from ..experiments.world import deadline_after
     from ..replay.checkpoint import Checkpoint, CheckpointError
     from ..replay.signature import SignatureMismatch
 
@@ -214,8 +223,9 @@ def execute_fork_group(
         except (CheckpointError, SignatureMismatch):
             checkpoint = None
     if checkpoint is None:
+        deadline = deadline_after(timeout)
         live_world = build_point_world(scenario, seed, baseline=True, registry=registry)
-        checkpoint = Checkpoint.capture_at(live_world, fork_time)
+        checkpoint = Checkpoint.capture_at(live_world, fork_time, deadline=deadline)
         if checkpoint_path is not None:
             # The ``.tmp`` suffix keeps orphans sweepable by ``store prune``.
             target = Path(checkpoint_path)
@@ -227,35 +237,19 @@ def execute_fork_group(
         if spec is not None:
             continue
         # The prefix continued to the horizon *is* the baseline run.
+        deadline = deadline_after(timeout)
         world = live_world if live_world is not None else checkpoint.restore()
         live_world = None  # consumed; a second baseline member would restore
-        results[digest] = world.run()
+        results[digest] = world.run(deadline=deadline)
     for digest, spec in members:
         if spec is None:
             continue
+        deadline = deadline_after(timeout)
         world = checkpoint.fork(
             adversary_spec=spec, registry=registry, align_origin=True
         )
-        results[digest] = world.run()
+        results[digest] = world.run(deadline=deadline)
     return results
-
-
-def _execute_fork_payload(
-    payload: Tuple[str, int, float, Tuple, Optional[str]]
-) -> Dict[str, RunMetrics]:
-    """Process-pool entry point for one fork group.
-
-    Like :func:`_execute_payload`, worker processes resolve adversary kinds
-    against the default registry.
-    """
-    scenario_json, seed, fork_time, members, checkpoint_path = payload
-    return execute_fork_group(
-        Scenario.from_json(scenario_json),
-        seed,
-        fork_time,
-        list(members),
-        checkpoint_path=checkpoint_path,
-    )
 
 
 class PointExecutionError(RuntimeError):
@@ -296,14 +290,12 @@ class _Unit:
     """One piece of work for :meth:`Session._dispatch`: a run task or a fork group.
 
     ``call()`` runs it in this process; ``remote()`` builds its picklable
-    ``(entry point, payload)`` pair for the process pool, where it may take
-    ``timeout`` seconds.  ``task`` is set on run-task units: the round
-    publishes their ``run_lifecycle`` events.
+    ``(entry point, payload)`` pair for the process pool.  ``task`` is set
+    on run-task units: the round publishes their ``run_lifecycle`` events.
     """
 
     call: Callable[[], object]
     remote: Callable[[], Tuple[Callable[[tuple], object], tuple]]
-    timeout: Optional[float]
     task: Optional[_Task] = None
 
 
@@ -320,12 +312,17 @@ class Session:
     required; a cached run whose trace artifact exists but is corrupt is
     recomputed (regenerating the trace) so record sessions are self-healing.
 
-    ``timeout`` bounds each pooled run's wall-clock seconds (hung workers are
-    terminated and their pool re-spawned; serial runs cannot be interrupted
-    and ignore it).  A failed or timed-out run is retried up to ``retries``
-    times with exponential backoff starting at ``retry_backoff`` seconds;
-    a run that still fails surfaces as :class:`PointExecutionError` instead
-    of hanging or poisoning the whole batch.
+    ``timeout`` bounds each run's wall-clock seconds, counted from the
+    run's start, serial or pooled alike: the run checks its deadline
+    between event slices and raises :class:`TimeoutError` (see
+    :meth:`World.advance <repro.experiments.world.World.advance>`).  So a
+    run stuck *inside* one event handler is not stopped, on the pool as
+    anywhere else — that is a bug, not an overrun.  A failed or timed-out
+    run is retried up to ``retries`` times with exponential backoff
+    starting at ``retry_backoff`` seconds; a run that still fails surfaces
+    as :class:`PointExecutionError` instead of hanging or poisoning the
+    whole batch.  A pool process that dies fails the runs of its round
+    (charged like any failure), and the next round starts a fresh pool.
 
     ``telemetry`` (an :class:`~repro.telemetry.bus.EventBus`) publishes
     ``run_lifecycle`` events for every computed run, and — on the serial
@@ -334,10 +331,9 @@ class Session:
     (worker processes cannot reach the parent's bus), and record mode owns
     the tracer tap sites, so recorded runs skip the in-simulation topics
     too.  ``control`` (a :class:`~repro.telemetry.stream.RunControl`)
-    gates serial runs for pause/step debugging; while a run is in flight
-    it is registered in :data:`~repro.telemetry.stream.RUN_CONTROLS` under
-    its run digest.  Neither perturbs results: observed runs are digest-
-    identical to unobserved ones.
+    gates serial runs for pause/step debugging; whoever holds it drives
+    the run.  Neither perturbs results: observed runs are digest-identical
+    to unobserved ones.
     """
 
     workers: int = 1
@@ -427,9 +423,9 @@ class Session:
         over the same scenarios assembles results without simulating.
         Groups are the parallel unit: with ``workers > 1`` they execute on
         the process pool.  Returns the cached and forked runs keyed by run
-        digest.  Forking is a pure cache: a group that fails, times out or
-        is cancelled is logged and left to that ordinary path, which then
-        simulates its runs in full under the usual retry budget.
+        digest.  Forking is a pure cache: a group that fails or times out is
+        logged and left to that ordinary path, which then simulates its
+        runs in full under the usual retry budget.
         """
         if self.record:
             raise ValueError(
@@ -458,14 +454,12 @@ class Session:
                     results[digest] = run
                     self._remember(digest, run)
             else:
-                cancelled = isinstance(outcome, concurrent.futures.CancelledError)
                 logger.warning(
-                    "fork group %s of %r (seed %d) %s; falling back to full "
-                    "runs for its %d member(s)",
+                    "fork group %s of %r (seed %d) failed; falling back to "
+                    "full runs for its %d member(s)",
                     group.checkpoint_digest[:12],
                     group.scenario.name,
                     group.seed,
-                    "was cancelled" if cancelled else "failed",
                     len(group.members),
                     exc_info=outcome,
                 )
@@ -523,11 +517,6 @@ class Session:
                 if isinstance(outcome, RunMetrics):
                     results[task.digest] = outcome
                     self._remember(task.digest, outcome)
-                elif isinstance(outcome, concurrent.futures.CancelledError):
-                    # Collateral of another task's timeout: the run never got
-                    # its own time budget, so requeue without charging an
-                    # attempt.
-                    next_queue.append(task)
                 else:
                     attempts[task.digest] += 1
                     if attempts[task.digest] <= self.retries:
@@ -551,40 +540,26 @@ class Session:
     def _task_unit(self, task: _Task) -> _Unit:
         """The work unit for one pending run: a full simulation of ``task``."""
         trace_path = str(self._trace_target(task.digest)) if self.record else None
+        # Optional kwargs are passed only when set, so plain sessions call
+        # execute_point with its classic signature (which tests and
+        # instrumentation are free to monkeypatch).
+        kwargs: Dict[str, object] = {"baseline": task.baseline, "trace_path": trace_path}
+        if self.timeout is not None:
+            kwargs["timeout"] = self.timeout
 
         def call() -> RunMetrics:
-            bus, control = self.telemetry, self.control
-            # Telemetry kwargs are passed only when live, so bus-less
-            # sessions call execute_point with its classic signature (which
-            # tests and instrumentation are free to monkeypatch).
-            extra: Dict[str, object] = {}
-            if bus is not None:
-                extra.update(bus=bus, run_id=task.digest)
-            if control is not None:
-                from ..telemetry.stream import RUN_CONTROLS
-
-                extra["control"] = control
-                RUN_CONTROLS.register(task.digest, control)
-            try:
-                return execute_point(
-                    task.scenario,
-                    task.seed,
-                    baseline=task.baseline,
-                    registry=self.registry,
-                    trace_path=trace_path,
-                    **extra,
-                )
-            finally:
-                if control is not None:
-                    RUN_CONTROLS.unregister(task.digest)
+            extra = dict(kwargs, registry=self.registry)
+            if self.telemetry is not None:
+                extra.update(bus=self.telemetry, run_id=task.digest)
+            if self.control is not None:
+                extra["control"] = self.control
+            return execute_point(task.scenario, task.seed, **extra)
 
         def remote():
             scenario_json = task.scenario.to_json(indent=None)
-            return _execute_payload, (
-                scenario_json, task.seed, task.baseline, trace_path
-            )
+            return _execute_payload, (execute_point, scenario_json, (task.seed,), kwargs)
 
-        return _Unit(call, remote, self.timeout, task)
+        return _Unit(call, remote, task)
 
     def _fork_unit(self, group: ForkGroup) -> _Unit:
         """The work unit for one fork group: its prefix plus every member suffix."""
@@ -593,45 +568,31 @@ class Session:
             if self.store is not None
             else None
         )
+        args = (group.seed, group.fork_time, group.members)
+        kwargs = {"checkpoint_path": checkpoint_path, "timeout": self.timeout}
 
         def call() -> object:
             return execute_fork_group(
-                group.scenario,
-                group.seed,
-                group.fork_time,
-                group.members,
-                registry=self.registry,
-                checkpoint_path=checkpoint_path,
+                group.scenario, *args, registry=self.registry, **kwargs
             )
 
         def remote():
-            return _execute_fork_payload, (
-                group.scenario.to_json(indent=None),
-                group.seed,
-                group.fork_time,
-                tuple(group.members),
-                checkpoint_path,
-            )
+            scenario_json = group.scenario.to_json(indent=None)
+            return _execute_payload, (execute_fork_group, scenario_json, args, kwargs)
 
-        # A group runs its prefix plus every member suffix, so the per-run
-        # timeout scales with the group size.
-        runs = len(group.members) + 1
-        return _Unit(
-            call, remote, None if self.timeout is None else self.timeout * runs
-        )
+        return _Unit(call, remote)
 
     def _dispatch(self, units: Sequence[_Unit]) -> List[object]:
         """Execute one round of work units; one outcome per unit, in order.
 
         An outcome is what the unit returned or the exception that stopped
-        it; KeyboardInterrupt and SystemExit always propagate.  Units run in
+        it — a timed-out run's own :class:`TimeoutError` included;
+        KeyboardInterrupt and SystemExit always propagate.  Units run in
         this process, in order, unless the session has workers to spread
-        them over.  Pool rounds gather in submission order and enforce each
-        unit's time budget: the first timeout (or broken pool) fails that
-        unit, cancels what has not finished — those units never got their
-        own budget, so their outcome is a ``CancelledError`` — and abandons
-        the pool, terminating its possibly hung workers so the next round
-        starts clean.
+        them over.  Pool rounds gather in submission order.  A pool process
+        that dies breaks the pool: every unit it had not finished fails with
+        the ``BrokenExecutor``, and the session drops the pool so the next
+        round spawns a fresh one.
         """
         outcomes: List[object] = []
         pooled = (
@@ -653,29 +614,21 @@ class Session:
         futures = [pool.submit(*unit.remote()) for unit in units]
         for unit in units:
             self._publish_run(unit.task)
-        abandon: Optional[BaseException] = None
+        broken: Optional[BaseException] = None
         for unit, future in zip(units, futures):
-            if abandon is not None and not future.done():
-                future.cancel()
-                outcomes.append(concurrent.futures.CancelledError("pool abandoned"))
-                continue
             try:
-                outcome = future.result(timeout=unit.timeout)
-            except concurrent.futures.TimeoutError:
-                outcome = abandon = TimeoutError(
-                    "exceeded the %.1fs time budget" % (unit.timeout or 0.0)
-                )
+                outcome = future.result()
             except concurrent.futures.BrokenExecutor as exc:
-                outcome = abandon = exc
+                outcome = broken = exc
             except Exception as exc:
                 outcome = exc
             # Futures resolve in submission order, so per-run wall time is
             # not observable from the parent: pool events carry no wall_s.
             self._publish_run(unit.task, outcome)
             outcomes.append(outcome)
-        if abandon is not None:
-            logger.warning("abandoning the process pool: %r", abandon)
-            self._abandon_pool()
+        if broken is not None:
+            logger.warning("a pool process died; respawning the pool: %r", broken)
+            self.close()
         return outcomes
 
     def _publish_run(
@@ -687,17 +640,11 @@ class Session:
         """Publish the ``run_lifecycle`` event for one attempt at a run task.
 
         No ``outcome`` yet announces ``started``; metrics publish
-        ``finished`` and an exception ``failed``.  A cancelled pool run
-        publishes nothing — it never consumed its time budget and will
-        re-announce itself when the retry round restarts it — and neither
-        does a unit that is not a run task.
+        ``finished`` and an exception ``failed``.  A unit that is not a run
+        task publishes nothing.
         """
         bus = self.telemetry
-        if (
-            bus is None
-            or task is None
-            or isinstance(outcome, concurrent.futures.CancelledError)
-        ):
+        if bus is None or task is None:
             return
         from ..telemetry.stream import publish_run_event
 
@@ -717,28 +664,6 @@ class Session:
             wall_s=wall_s,
             **details,
         )
-
-    def _abandon_pool(self) -> None:
-        """Tear down the process pool, terminating hung workers."""
-        pool = self._pool
-        if pool is None:
-            return
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        self._pool = None
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception as exc:
-                logger.warning(
-                    "could not terminate pool worker %s: %r", process.pid, exc
-                )
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception as exc:
-            logger.warning("abandoned pool did not shut down cleanly: %r", exc)
 
     def _trace_corrupt(self, digest: str) -> bool:
         """True when record mode finds an existing-but-bad trace for ``digest``.

@@ -135,8 +135,9 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="abandon any single point run that exceeds SECONDS (it is "
-        "retried up to --retries times, then marked failed)",
+        help="stop any single run still going SECONDS of wall clock after "
+        "it started, serial or pooled (it is retried up to --retries "
+        "times, then marked failed)",
     )
     parser.add_argument(
         "--retries",
@@ -1406,7 +1407,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-run wall-clock bound (pooled runs only)",
+        help="per-run wall-clock bound; a run that overruns it fails like "
+        "any other error (see --retries)",
     )
     worker_parser.add_argument(
         "--retries", type=int, default=1,

@@ -9,6 +9,7 @@ functions of their configuration, including the master seed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -29,6 +30,15 @@ from ..core.peer import Peer
 #: returns an adversary (anything with install/start/stop and an ``effort``
 #: account), or None for a baseline run.
 AdversaryFactory = Callable[["World"], object]
+
+#: Events per slice when a deadline, but no control, bounds a run
+#: (:class:`~repro.telemetry.stream.RunControl`'s default slice).
+SLICE_EVENTS = 4096
+
+
+def deadline_after(timeout: Optional[float]) -> Optional[float]:
+    """The :meth:`World.advance` deadline ``timeout`` seconds from now (None: none)."""
+    return None if timeout is None else time.monotonic() + timeout
 
 
 @dataclass
@@ -100,27 +110,54 @@ class World:
             self.fault_engine.start()
 
     def run(
-        self, until: Optional[float] = None, control: Optional[object] = None
+        self,
+        until: Optional[float] = None,
+        control: Optional[object] = None,
+        deadline: Optional[float] = None,
     ) -> RunMetrics:
         """Run the world to ``until`` (default: the configured duration).
 
-        ``control`` (a :class:`~repro.telemetry.stream.RunControl`, or any
-        object with a ``gate() -> int`` method) executes the run in bounded
-        event slices gated by the control — pause/step debugging.  Without
-        one, the uncontrolled hot loop runs the whole horizon; either way
-        events process in the identical order, so the metrics are
-        bit-identical.
+        ``control`` and ``deadline`` are :meth:`advance`'s; neither
+        changes the metrics of a run that finishes.
         """
         if not self.started:
             self.start()
         horizon = self.sim_config.duration if until is None else until
-        if control is None:
-            self.simulator.run(until=horizon)
-        else:
-            while not self.simulator.run_slice(horizon, control.gate()):
-                pass
+        self.advance(horizon, control=control, deadline=deadline)
         self.completed = True
         return self.metrics(observation_window=horizon)
+
+    def advance(
+        self,
+        horizon: float,
+        control: Optional[object] = None,
+        deadline: Optional[float] = None,
+    ) -> None:
+        """Process events up to ``horizon``: where a run is steered or stopped.
+
+        ``control`` (a :class:`~repro.telemetry.stream.RunControl`, or any
+        object with a ``gate() -> int`` method) is asked for each event
+        slice's size, which is how pause/step take effect.  ``deadline`` is
+        a :func:`time.monotonic` instant (see :func:`deadline_after`);
+        once the gate has returned past it, the run raises
+        :class:`TimeoutError` before its next slice, so time spent paused
+        counts against the budget.  With neither, the uncontrolled hot
+        loop runs the whole horizon; either way events process in the
+        identical order, so a run that finishes has bit-identical metrics.
+        """
+        simulator = self.simulator
+        if control is None and deadline is None:
+            simulator.run(until=horizon)
+            return
+        while True:
+            events = SLICE_EVENTS if control is None else control.gate()
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError(
+                    "exceeded its wall-clock time budget at simulated t=%.0fs"
+                    % simulator.now
+                )
+            if simulator.run_slice(horizon, events):
+                return
 
     def metrics(self, observation_window: Optional[float] = None) -> RunMetrics:
         """Summarize the run so far into :class:`RunMetrics`."""

@@ -150,15 +150,18 @@ class Checkpoint:
         return cls(blob, time=simulator.now)
 
     @classmethod
-    def capture_at(cls, world, time: float) -> "Checkpoint":
+    def capture_at(
+        cls, world, time: float, deadline: Optional[float] = None
+    ) -> "Checkpoint":
         """Run ``world`` forward to ``time`` and snapshot it there.
 
-        Starts the world if needed and advances the simulator directly
-        (never via :meth:`World.run`, which would finalize metrics and mark
-        the world completed).  The caller keeps the live world: running it
-        on to the horizon afterwards produces exactly the metrics an
-        uninterrupted run would — this is how a prefix run doubles as the
-        group's baseline point.
+        Starts the world if needed and advances it with
+        :meth:`World.advance` (never :meth:`World.run`, which would
+        finalize metrics and mark the world completed), so ``deadline``
+        bounds the prefix exactly as it bounds a run.  The caller keeps the
+        live world: running it on to the horizon afterwards produces
+        exactly the metrics an uninterrupted run would — this is how a
+        prefix run doubles as the group's baseline point.
         """
         if world.completed:
             raise CheckpointError("cannot capture a prefix of a completed world")
@@ -170,7 +173,7 @@ class Checkpoint:
                 "cannot capture at t=%g: world is already at t=%g"
                 % (time, simulator.now)
             )
-        simulator.run(until=time)
+        world.advance(time, deadline=deadline)
         return cls.capture(world)
 
     def restore(self):

@@ -72,16 +72,21 @@ def record_run(
     trace_path,
     baseline: bool = False,
     registry=None,
+    timeout=None,
 ):
     """Execute one scenario point with trace capture; return its metrics.
 
     The trace is finalized atomically on success and discarded (aborted)
-    if the run raises.  Recording draws no randomness and never touches
-    simulation state, so the returned metrics are bit-identical to a
-    record-off :func:`~repro.api.session.execute_point` run.
+    if the run raises — including the :class:`TimeoutError` of a run
+    that overruns ``timeout`` wall-clock seconds, counted from this call.
+    Recording draws no randomness and never touches simulation state, so
+    the returned metrics are bit-identical to a record-off
+    :func:`~repro.api.session.execute_point` run.
     """
     from ..api.session import build_point_world
+    from ..experiments.world import deadline_after
 
+    deadline = deadline_after(timeout)
     world = build_point_world(scenario, seed, baseline=baseline, registry=registry)
     signature = ReplaySignature.for_point(scenario, seed, baseline)
     writer = TraceWriter(
@@ -92,7 +97,7 @@ def record_run(
     tracer = Tracer(world.simulator, writer.sink, writer=writer)
     attach_tracer(world, tracer)
     try:
-        metrics = world.run()
+        metrics = world.run(deadline=deadline)
     except BaseException:
         writer.abort()
         raise

@@ -215,8 +215,7 @@ class Broker:
                         " WHERE campaign=? AND idx=? AND state != 'complete'",
                         (digest, point.index),
                     )
-        self._sync_manifest(digest)
-        return self.status(digest)
+        return self._sync_manifest(digest)
 
     def campaign(self, digest: str) -> Optional[Campaign]:
         """The submitted campaign object for ``digest`` (None if unknown)."""
@@ -637,11 +636,12 @@ class Broker:
             (worker, now, now),
         )
 
-    def _sync_manifest(self, campaign: str) -> None:
+    def _sync_manifest(self, campaign: str) -> Dict[str, object]:
         """Write the store's ``campaign`` artifact from the broker tables.
 
         Keeps ``repro-experiments campaign status`` truthful for service-run
         campaigns: it reads failures there and completion from the results.
+        Returns the status payload the artifact was built from.
         """
         status = self.status(campaign)
         self.store.save_json(
@@ -651,3 +651,4 @@ class Broker:
                 status["name"], status["exporter"], status["total"], status["points"]
             ),
         )
+        return status

@@ -59,7 +59,7 @@ from ..api.campaign import Campaign, CampaignRunner
 from ..api.resultset import digest_rows
 from ..api.session import Session
 from ..telemetry import EventBus, MetricsAggregator, dashboard_html
-from ..telemetry.stream import RUN_CONTROLS, publish_campaign_progress
+from ..telemetry.stream import publish_campaign_progress
 from .broker import Broker
 from .sqlite_store import SQLiteResultStore
 
@@ -259,24 +259,15 @@ class ExperimentService:
     ) -> Dict[str, object]:
         """Pause/resume/step the run for a point digest.
 
-        Two delivery paths, applied together: a session running *in this
-        process* (registered in :data:`~repro.telemetry.stream.RUN_CONTROLS`)
-        is acted on directly; the broker's control table carries the request
-        to fleet workers in their next heartbeat response.
+        The service runs no simulation itself, so the request goes where
+        the runs are: the broker's control table carries it to the fleet
+        worker holding the point, in that worker's next heartbeat response.
         """
         if action not in ("pause", "resume", "step"):
             raise ApiError(404, "unknown run action %r" % action)
         events = int(body.get("events", 1) or 1)
-        local = RUN_CONTROLS.get(digest)
-        if local is not None:
-            if action == "pause":
-                local.pause()
-            elif action == "resume":
-                local.resume()
-            else:
-                local.step(events)
         control = self.broker.set_control(digest, action, events=events)
-        return {"digest": digest, "action": action, "control": control, "local": local is not None}
+        return {"digest": digest, "action": action, "control": control}
 
     # -- handlers ------------------------------------------------------------------------
 

@@ -54,42 +54,6 @@ class RandomStreams:
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 
-    # -- checkpointing -----------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Capture every named stream's exact generator state.
-
-        The snapshot is a plain picklable mapping (``Random.getstate()``
-        tuples keyed by stream name) used by the replay subsystem's
-        checkpoints: restoring it resumes every stream mid-sequence, so the
-        draws after a restore are bit-identical to an uninterrupted run.
-        """
-        return {
-            "master_seed": self.master_seed,
-            "streams": {
-                name: rng.getstate() for name, rng in self._streams.items()
-            },
-        }
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        """Restore the stream states captured by :meth:`snapshot`.
-
-        Streams not present in the snapshot are dropped (they did not exist
-        at capture time, so re-creating them on demand re-seeds them exactly
-        as the original timeline would have).
-        """
-        if snapshot.get("master_seed") != self.master_seed:
-            raise ValueError(
-                "snapshot was taken under master seed %r, not %r"
-                % (snapshot.get("master_seed"), self.master_seed)
-            )
-        states = snapshot.get("streams") or {}
-        self._streams = {}
-        for name, state in states.items():
-            rng = random.Random()
-            rng.setstate(state)
-            self._streams[name] = rng
-
 
 class RandomLanes:
     """Deterministic per-component RNG lanes under one parent stream name.
@@ -119,35 +83,6 @@ class RandomLanes:
 
     def __contains__(self, component: str) -> bool:
         return lane_name(self.parent, component) in self._streams
-
-    def snapshot(self) -> Dict[str, object]:
-        """Generator states of this parent's lanes only (see ``RandomStreams``)."""
-        prefix = self.parent + "/"
-        return {
-            "master_seed": self._streams.master_seed,
-            "parent": self.parent,
-            "streams": {
-                name: rng.getstate()
-                for name, rng in self._streams._streams.items()
-                if name.startswith(prefix)
-            },
-        }
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        """Restore lane states captured by :meth:`snapshot` (other streams untouched)."""
-        if snapshot.get("master_seed") != self._streams.master_seed:
-            raise ValueError(
-                "snapshot was taken under master seed %r, not %r"
-                % (snapshot.get("master_seed"), self._streams.master_seed)
-            )
-        prefix = self.parent + "/"
-        backing = self._streams._streams
-        for name in [key for key in backing if key.startswith(prefix)]:
-            del backing[name]
-        for name, state in (snapshot.get("streams") or {}).items():
-            rng = random.Random()
-            rng.setstate(state)
-            backing[name] = rng
 
 
 def lane_name(parent: str, component: str) -> str:

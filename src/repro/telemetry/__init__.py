@@ -17,9 +17,7 @@ from .metrics import (
 )
 from .stream import (
     RECORD_TOPICS,
-    RUN_CONTROLS,
     RunControl,
-    RunRegistry,
     attach_world_bus,
     publish_campaign_progress,
     publish_run_event,
@@ -36,9 +34,7 @@ __all__ = [
     "MetricsAggregator",
     "MetricsRegistry",
     "RECORD_TOPICS",
-    "RUN_CONTROLS",
     "RunControl",
-    "RunRegistry",
     "attach_world_bus",
     "publish_campaign_progress",
     "publish_run_event",

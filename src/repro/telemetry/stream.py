@@ -20,10 +20,12 @@ the uncontrolled hot loop.  The slice boundary is deterministic only in
 the sense that it never changes the *order* of processed events — metrics
 from a controlled run are bit-identical to a plain one.
 
-:data:`RUN_CONTROLS` maps run digests of in-flight points to their
-controls; sessions register while executing so in-process callers (and
-tests) can reach a live run.  Fleet workers get their controls relayed by
-the broker inside heartbeat responses instead (see docs/SERVICE.md).
+A run is reached through its control: in process by whoever holds it
+(``Session(control=...)``, ``World.run(control=...)``), across the fleet
+by the broker's control row, which workers apply from their heartbeat
+responses (see docs/SERVICE.md).  The same slice boundary is where a
+run's wall-clock deadline is checked (:meth:`World.advance
+<repro.experiments.world.World.advance>`).
 """
 
 from __future__ import annotations
@@ -117,34 +119,6 @@ class RunControl:
             "slice_events": self.slice_events,
             "stepped": self.stepped,
         }
-
-
-class RunRegistry:
-    """Live run-control index: run digest -> :class:`RunControl`."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._controls: Dict[str, RunControl] = {}
-
-    def register(self, digest: str, control: RunControl) -> None:
-        with self._lock:
-            self._controls[digest] = control
-
-    def unregister(self, digest: str) -> None:
-        with self._lock:
-            self._controls.pop(digest, None)
-
-    def get(self, digest: str) -> Optional[RunControl]:
-        with self._lock:
-            return self._controls.get(digest)
-
-    def active(self) -> Dict[str, RunControl]:
-        with self._lock:
-            return dict(self._controls)
-
-
-#: Process-wide registry of in-flight runs (see the module docstring).
-RUN_CONTROLS = RunRegistry()
 
 
 def publish_run_event(

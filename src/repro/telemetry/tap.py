@@ -114,7 +114,7 @@ class BusTracer(Tracer):
         self._flush_dmg()
 
     # Voter/poller identities are deliberately dropped from admission
-    # summaries; the heatmap's (peer, AU) cells survive in damage ones.
+    # summaries; the (peer, AU) cells survive in damage ones.
 
     def admission(self, now, voter, poller, decision) -> None:
         n = self._adm_n

@@ -93,6 +93,19 @@ class TestSubmit:
         assert status["counts"]["complete"] == 1
         assert status["counts"]["pending"] == 1
 
+    def test_submit_builds_its_status_once(self, broker, monkeypatch):
+        calls = []
+        real_status = Broker.status
+
+        def counting_status(self, *args, **kwargs):
+            calls.append(args)
+            return real_status(self, *args, **kwargs)
+
+        monkeypatch.setattr(Broker, "status", counting_status)
+        status = broker.submit(smoke_campaign(2))
+        assert len(calls) == 1
+        assert status["counts"]["pending"] == 2
+
     def test_resubmit_requeues_failed_points(self, broker):
         campaign = smoke_campaign(1)
         broker.submit(campaign)
@@ -310,3 +323,18 @@ class TestDigestParity:
 
         fleet_rows = CampaignRunner(Session(store=store)).rows(campaign)
         assert digest_rows(fleet_rows) == reference_digest
+
+
+class TestWorkerTimeout:
+    def test_overrun_point_is_reported_failed_with_the_budget(self, store):
+        broker = Broker(store, lease_seconds=10.0)
+        campaign = smoke_campaign(1)
+        broker.submit(campaign)
+        # A budget spent before the world is even built: the worker's
+        # sliced run stops at its first deadline check.
+        session = Session(workers=1, timeout=1e-9, retries=0, retry_backoff=0.0)
+        stats = Worker(LocalBrokerClient(broker), session=session).run()
+        assert (stats["completed"], stats["failed"]) == (0, 1)
+        (point,) = broker.status(campaign.digest)["points"]
+        assert point["state"] == "failed"
+        assert "time budget" in point["error"]

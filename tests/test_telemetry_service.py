@@ -124,23 +124,6 @@ class TestControlRoutes:
     def test_unknown_action_is_404(self, service):
         assert service.handle("POST", "/api/runs/%s/explode" % ("ab" * 20), {})[0] == 404
 
-    def test_local_registered_control_is_driven_directly(self, service):
-        from repro.telemetry import RUN_CONTROLS, RunControl
-
-        digest = "cd" * 20
-        control = RunControl()
-        RUN_CONTROLS.register(digest, control)
-        try:
-            _, payload = service.handle("POST", "/api/runs/%s/pause" % digest, {})
-            assert payload["local"] is True
-            assert control.paused
-            service.handle("POST", "/api/runs/%s/step" % digest, {"events": 9})
-            assert control.stepped == 9
-            service.handle("POST", "/api/runs/%s/resume" % digest, {})
-            assert not control.paused
-        finally:
-            RUN_CONTROLS.unregister(digest)
-
 
 class TestBrokerControls:
     def test_control_table_accumulates_steps(self, store):

@@ -18,7 +18,7 @@ from repro.api import AdversarySpec, Scenario, Session
 from repro.api.session import build_point_world
 from repro.cli import main
 from repro.replay import Checkpoint, Tracer, attach_tracer, iter_records, record_run
-from repro.telemetry import EventBus, RunControl, RUN_CONTROLS, attach_world_bus
+from repro.telemetry import EventBus, RunControl, attach_world_bus
 from repro.telemetry.tap import DENSE_FLUSH, BusTracer
 
 SMOKE_SCENARIO_FILE = (
@@ -287,21 +287,3 @@ class TestRunControl:
         assert not done.is_set()
         control.resume()
         assert done.wait(timeout=30.0)
-
-    def test_session_registers_run_controls_while_executing(self):
-        seen = {}
-        real_gate = RunControl.gate
-        control = RunControl()
-
-        def spying_gate(self):
-            seen.update(RUN_CONTROLS.active())
-            return real_gate(self)
-
-        scenario = smoke_scenario(seeds=(7,), adversary=None)
-        try:
-            RunControl.gate = spying_gate
-            Session(control=control).run(scenario)
-        finally:
-            RunControl.gate = real_gate
-        assert control in seen.values()
-        assert not RUN_CONTROLS.active()  # unregistered after the run
