@@ -44,7 +44,6 @@ replay traces as gzip files on disk.
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import tempfile
@@ -162,24 +161,22 @@ class ResultStore:
     def check_trace(self, digest: str) -> bool:
         """True when the trace for ``digest`` is present, readable, and complete.
 
-        Scans the gzip stream down to the footer line.  A missing trace
-        reads as False; a truncated or corrupt one (bad gzip stream, no
-        ``["end", ...]`` footer) is quarantined to ``<name>.corrupt`` and
-        reads as False, so record-mode sessions regenerate it.
+        Reads the trace through to its footer with the one trace reader.
+        A missing trace reads as False; one of another version, truncated
+        or corrupt (bad gzip stream, torn frame, no footer) is quarantined
+        to ``<name>.corrupt`` and reads as False, so record-mode sessions
+        regenerate it.
         """
+        from ..replay.signature import SignatureMismatch
+        from ..replay.trace import TraceReader
+
         path = self.trace_path(digest)
         if not path.exists():
             return False
-        last = b""
         try:
-            with gzip.open(path, "rb") as stream:
-                for line in stream:
-                    if line.strip():
-                        last = line
-        except (OSError, EOFError, ValueError):
-            self._quarantine(path)
-            return False
-        if not last.lstrip().startswith(b'["end"'):
+            with TraceReader(path) as reader:
+                reader.read_footer()
+        except (SignatureMismatch, OSError, EOFError, ValueError):
             self._quarantine(path)
             return False
         return True

@@ -23,7 +23,7 @@ TRACE_FORMAT = "repro-replay-trace"
 
 #: Version of the trace record grammar (see docs/REPLAY.md).  Bump whenever
 #: a record shape changes or a new record kind is added.
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 class SignatureMismatch(Exception):

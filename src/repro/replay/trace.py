@@ -2,53 +2,73 @@
 
 Trace container
 ---------------
-A trace is a gzipped, line-oriented file:
+A trace is a stored (level-0) gzip stream; the gzip CRC and length
+trailer are what make a truncated trace detectable.  The file keeps its
+``.jsonl.gz`` name (``trace-<digest>.jsonl.gz`` in a result store) for
+store-layout compatibility, although only its first line is JSON:
 
-* line 1 — a JSON *header* object: ``{"format", "version", "signature",
-  "scenario", "seed", "baseline"}``, where ``scenario`` is the full
-  :meth:`~repro.api.scenario.Scenario.to_dict` payload (traces are
-  self-contained: replay rebuilds the world from the header alone);
-* lines 2..N — JSON arrays in emission (simulation) order: either one
-  *record* (first element is the kind string) or one *chunk* — an array
-  of records batch-serialized together (first element is a list).
-  Readers flatten chunks transparently;
-* last line — the *footer* record ``["end", time, events_processed,
-  metrics_digest]`` (always its own line, never inside a chunk).
+* line 1 — a JSON *header* object and ``\\n``: ``{"format", "version",
+  "signature", "scenario", "seed", "baseline"}``, where ``scenario`` is
+  the full :meth:`~repro.api.scenario.Scenario.to_dict` payload (traces
+  are self-contained: replay rebuilds the world from the header alone);
+* then binary *frames*, each opening with one tag byte: ``C`` — one
+  chunk of up to 4096 records in emission (simulation) order — and,
+  last, ``E`` — the footer: a ``<I`` byte length and the JSON array
+  ``["end", time, events_processed, metrics_digest]``.
 
-Every record is built exclusively from JSON-native values (str, int,
-float, list), so a parsed record compares ``==`` to the record a verifying
-replay re-emits — floats round-trip exactly through ``json``'s repr-based
-serialization.
+A ``C`` frame is the ``<IIIB`` header (record count ``n``, new-strings
+byte length, ``win`` byte length, string-index width 2 or 4) followed by
 
-Record grammar (``TRACE_VERSION`` 1)
+1. the strings this chunk adds to the trace's running string table, as
+   one JSON list (indices count across the whole trace, from 0);
+2. ``n`` kind bytes, one per record (the code is the index in
+   :data:`_KINDS`);
+3. the chunk's ``win`` records as one JSON list (they hold
+   variable-length lists);
+4. for each kind of :data:`_LAYOUTS` in order, over that kind's records
+   in the chunk: a ``float64`` column of times, one column of
+   string-table indices per string field (``uint16``, or ``uint32`` once
+   the table outgrows 16 bits), and one ``int32`` column per int field —
+   all little-endian.
+
+Every record is ``[kind, t, *strings, *ints]`` with JSON-native values,
+so a decoded record compares ``==`` to the record a verifying replay
+re-emits: times round-trip exactly through ``float64``, and an int that
+does not fit ``int32`` is refused at flush, naming its kind and field.
+
+Record grammar (``TRACE_VERSION`` 2)
 ------------------------------------
+``["send", t, sender, recipient, payload, size]`` (``d s s s i``) — one
+message put on the wire (``payload`` is the payload class name).
+
+``["adm", t, voter, poller, decision]`` (``d s s s``) — one
+admission-control decision (``decision`` is the
+:class:`~repro.core.admission.AdmissionDecision` value string).
+
 ``["poll", t, peer, au, reason, success, alarm, inner_votes, agreeing,
-disagreeing, repairs]`` — one concluded poll (``t`` = conclusion time,
-``success``/``alarm`` are 0/1).
+disagreeing, repairs]`` (``d s s s i i i i i i``) — one concluded poll
+(``t`` = conclusion time, ``success``/``alarm`` are 0/1).
 
-``["adm", t, voter, poller, decision]`` — one admission-control decision
-(``decision`` is the :class:`~repro.core.admission.AdmissionDecision`
-value string).
+``["dmg", t, peer, au, block]`` (``d s s i``) — one storage-failure block
+damage event.
 
-``["dmg", t, peer, au, block]`` — one storage-failure block damage event.
-
-``["win", t, node, index, active, victims]`` — one adversary attack
-window opening (``active`` = engaged vector indices, ``victims`` = target
-peer ids; both empty for an idle window).
-
-``["send", t, sender, recipient, payload, size]`` — one message put on
-the wire (``payload`` is the payload class name).
-
-``["fault", t, subject, event]`` — one fault-injection transition
-(``subject`` is a peer id or ``"net"``; ``event`` is one of ``crash``,
-``restart``, ``leave``, ``rejoin``, ``partition_start``,
+``["fault", t, subject, event]`` (``d s s``) — one fault-injection
+transition (``subject`` is a peer id or ``"net"``; ``event`` is one of
+``crash``, ``restart``, ``leave``, ``rejoin``, ``partition_start``,
 ``partition_end``, ``degrade``, ``restore``).  Only emitted by worlds
-with an active fault plan, so fault-free traces are unchanged.
+with an active fault plan.
+
+``["win", t, node, index, active, victims]`` (JSON) — one adversary
+attack window opening (``active`` = engaged vector indices, ``victims``
+= target peer ids; both empty for an idle window).
 
 Writers finalize atomically: records stream to ``<path>.tmp`` and the
 finished trace is ``os.replace``d into place, so a killed run leaves an
 orphan ``*.tmp`` (swept by ``ResultStore.prune``) rather than a truncated
-trace that parses.
+trace that parses.  Readers check the header ``version`` before decoding
+any body byte, read frame by frame with exact-length reads, and raise
+:class:`~repro.replay.signature.SignatureMismatch` for a trace of another
+version, a torn frame or a missing footer.
 """
 
 from __future__ import annotations
@@ -56,24 +76,46 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import struct
+import sys
+import zlib
+from array import array
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .signature import ReplaySignature, SignatureMismatch, TRACE_FORMAT, TRACE_VERSION
 
-# orjson (when the interpreter ships it) serializes a record ~6x faster
-# than the stdlib and emits byte-identical compact JSON for the
-# str/int/float/list values traces are built from; record mode's <10%
-# overhead budget is spent mostly here, so take the fast path when we can.
-try:  # pragma: no cover - exercised implicitly by every trace test
-    import orjson as _orjson
-except ImportError:  # pragma: no cover - stdlib fallback
-    _orjson = None
-
-#: Records buffered before each chunk line hits the gzip stream; keeps
+#: Records buffered before each chunk frame hits the gzip stream; keeps
 #: the per-record cost of record mode to a list append + an occasional
-#: one-call batch serialize + write.
+#: columnar encode + write.
 _WRITE_CHUNK = 4096
+
+#: ``(string fields, int fields)`` of every fixed-layout kind, in column
+#: order; each such record is ``[kind, t, *strings, *ints]``.  Kinds are in
+#: name order, so one sort on the kind groups a chunk's records by code.
+_LAYOUTS: Dict[str, Sequence[Sequence[str]]] = {
+    "adm": (("voter", "poller", "decision"), ()),
+    "dmg": (("peer", "au"), ("block",)),
+    "fault": (("subject", "event"), ()),
+    "poll": (
+        ("peer", "au", "reason"),
+        ("success", "alarm", "inner_votes", "agreeing", "disagreeing", "repairs"),
+    ),
+    "send": (("sender", "recipient", "payload"), ("size",)),
+}
+
+#: Kind byte ``code`` names ``_KINDS[code]``.
+_KINDS = (*_LAYOUTS, "win")
+assert list(_KINDS) == sorted(_KINDS)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_WIN = _KIND_CODES["win"]
+
+_CHUNK = struct.Struct("<IIIB")
+_FOOTER = struct.Struct("<I")
+_INDEX_TYPES = {2: "H", 4: "I"}
+_SWAP = sys.byteorder != "little"
 
 #: Per-kind index of the peer-id field(s), for --peer filtering.
 _PEER_FIELDS: Dict[str, Sequence[int]] = {
@@ -86,19 +128,120 @@ _PEER_FIELDS: Dict[str, Sequence[int]] = {
 }
 
 
-def _dump(payload: object) -> str:
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+def _dump(payload: object) -> bytes:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-if _orjson is not None:
-    _dump_record = _orjson.dumps
-    _load_line = _orjson.loads
-else:
+def _pack(column: array) -> bytes:
+    if _SWAP:
+        column.byteswap()
+    return column.tobytes()
 
-    def _dump_record(record: List[object]) -> bytes:
-        return json.dumps(record, separators=(",", ":")).encode("utf-8")
 
-    _load_line = json.loads
+def _unpack(typecode: str, data: bytes) -> array:
+    column = array(typecode)
+    column.frombytes(data)
+    if _SWAP:
+        column.byteswap()
+    return column
+
+
+def _column(typecode: str, kind: str, records, first: int, names) -> array:
+    """The fixed-width column of fields ``first..`` (``names``) of ``records``."""
+    fields = range(first, first + len(names))
+    try:
+        return array(
+            typecode, list(chain.from_iterable(map(itemgetter(j), records) for j in fields))
+        )
+    except (OverflowError, TypeError):
+        for j, name in zip(fields, names):
+            for record in records:
+                try:
+                    array(typecode, (record[j],))
+                except (OverflowError, TypeError):
+                    raise ValueError(
+                        "trace record %r field %r holds %r, which does not fit %s"
+                        % (kind, name, record[j], "int32" if typecode == "i" else "float64")
+                    ) from None
+        raise
+
+
+def _dump_chunk(records: List[List[object]], strings: Dict[object, int]) -> bytes:
+    """One ``C`` frame for ``records``; appends their new strings to ``strings``."""
+    kind_bytes = bytes(map(_KIND_CODES.__getitem__, map(itemgetter(0), records)))
+    ordered = sorted(records, key=itemgetter(0))
+    groups = []
+    start = 0
+    for code, (kind, (string_fields, int_fields)) in enumerate(_LAYOUTS.items()):
+        count = kind_bytes.count(code)
+        if count:
+            group = ordered[start : start + count]
+            start += count
+            values = list(
+                chain.from_iterable(
+                    map(itemgetter(j), group) for j in range(2, 2 + len(string_fields))
+                )
+            )
+            groups.append((kind, group, values, string_fields, int_fields))
+    wins = ordered[start:]
+
+    # New strings are rare after the first chunk: find them with a set, then
+    # put them in first-use order so the bytes are the same every run.
+    used = [group[2] for group in groups]
+    fresh = set().union(*used).difference(strings)
+    new = []
+    if fresh:
+        new = [value for value in dict.fromkeys(chain.from_iterable(used)) if value in fresh]
+    strings.update(zip(new, range(len(strings), len(strings) + len(new))))
+    width = 2 if len(strings) <= 1 << 16 else 4
+    index_type = _INDEX_TYPES[width]
+    lookup = strings.__getitem__
+
+    columns = []
+    for kind, group, values, string_fields, int_fields in groups:
+        columns.append(_column("d", kind, group, 1, ("t",)))
+        columns.append(array(index_type, list(map(lookup, values))))
+        if int_fields:
+            columns.append(_column("i", kind, group, 2 + len(string_fields), int_fields))
+    new_json, wins_json = _dump(new), _dump(wins)
+    return b"".join(
+        [
+            b"C",
+            _CHUNK.pack(len(records), len(new_json), len(wins_json), width),
+            new_json,
+            kind_bytes,
+            wins_json,
+        ]
+        + [_pack(column) for column in columns]
+    )
+
+
+def _load_line(read: Callable[[int], bytes], strings: List[object]) -> List[List[object]]:
+    """Decode the ``C`` frame after its tag: ``read(n)`` yields exactly ``n``
+    body bytes; ``strings`` is the running string table, extended in place."""
+    count, new_size, wins_size, width = _CHUNK.unpack(read(_CHUNK.size))
+    strings.extend(json.loads(read(new_size)))
+    kind_bytes = read(count)
+    wins = json.loads(read(wins_size))
+    counts = [kind_bytes.count(code) for code in range(len(_KINDS))]
+    if sum(counts) != count or len(wins) != counts[_WIN]:
+        raise ValueError("kind bytes disagree with the frame")
+    index_type = _INDEX_TYPES[width]
+    lookup = strings.__getitem__
+
+    streams = []
+    for (kind, (string_fields, int_fields)), n in zip(_LAYOUTS.items(), counts):
+        if not n:
+            streams.append(None)
+            continue
+        times = _unpack("d", read(8 * n))
+        text = list(map(lookup, _unpack(index_type, read(width * n * len(string_fields)))))
+        ints = _unpack("i", read(4 * n * len(int_fields)))
+        columns = [text[i * n : (i + 1) * n] for i in range(len(string_fields))]
+        columns += [ints[i * n : (i + 1) * n] for i in range(len(int_fields))]
+        streams.append(map(list, zip(repeat(kind), times, *columns)))
+    streams.append(iter(wins))
+    return list(map(next, map(streams.__getitem__, kind_bytes)))
 
 
 class Tracer:
@@ -218,9 +361,10 @@ def detach_tracer(world) -> None:
 class TraceWriter:
     """Streams trace records to ``<path>.tmp``; finalizes atomically to ``path``.
 
-    Records are buffered raw (no per-record serialization on the simulation
-    hot path); each full buffer is batch-serialized into one chunk line —
-    a single serializer call per ``_WRITE_CHUNK`` records.
+    Records are buffered raw (no per-record encoding on the simulation hot
+    path); each full buffer is encoded column by column into one ``C``
+    frame — a handful of C-level passes per ``_WRITE_CHUNK`` records —
+    and only the strings the trace has not used yet are written out.
 
     ``sink`` is the buffer's bound ``append`` — the cheapest possible
     per-record path (one C call) — which is why :meth:`_flush` clears the
@@ -230,15 +374,10 @@ class TraceWriter:
     length check.  :meth:`write` bundles append + size check for callers
     outside a :class:`Tracer`.
 
-    The default ``compresslevel`` is 0: a stored (uncompressed) gzip
-    container.  Deflate at level 1 costs more wall time than every other
-    part of record mode combined, and recording happens inside the run it
-    must not slow down; traces are opt-in debug artifacts, so they default
-    to fast-and-large.  Pass ``compresslevel=1``..``9`` to trade recording
-    speed for size — readers accept any level.  (A background compression
-    thread was tried and rejected: zlib does release the GIL, but
-    single-core runners gain nothing from the overlap and pay for the
-    context switching.)
+    The container is a stored (level-0) gzip: deflate at level 1 costs
+    more wall time than every other part of record mode combined, and
+    recording happens inside the run it must not slow down.  The packed
+    body leaves little for deflate to win anyway.
     """
 
     def __init__(
@@ -248,15 +387,16 @@ class TraceWriter:
         scenario_dict: Dict[str, object],
         seed: int,
         baseline: bool,
-        compresslevel: int = 0,
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._tmp_path = self.path.with_name(self.path.name + ".tmp")
-        self._stream = gzip.open(self._tmp_path, "wb", compresslevel=compresslevel)
+        self._stream = gzip.open(self._tmp_path, "wb", compresslevel=0)
         self._buffer: List[List[object]] = []
         #: Per-record entry point for the hot taps; see the class docstring.
         self.sink = self._buffer.append
+        #: The running string table: value -> index, in first-use order.
+        self._strings: Dict[object, int] = {}
         self._closed = False
         self.records_written = 0
         header = {
@@ -267,7 +407,7 @@ class TraceWriter:
             "seed": int(seed),
             "baseline": bool(baseline),
         }
-        self._stream.write(_dump(header).encode("utf-8") + b"\n")
+        self._stream.write(_dump(header) + b"\n")
 
     def write(self, record: List[object]) -> None:
         buffer = self._buffer
@@ -281,12 +421,10 @@ class TraceWriter:
             self._flush()
 
     def _flush(self) -> None:
-        # The whole buffer becomes one chunk line: a single serializer
-        # call amortizes per-record serialization down to its floor.
         # Cleared in place — ``self.sink`` must stay bound to this list.
         buffer = self._buffer
         if buffer:
-            self._stream.write(_dump_record(buffer) + b"\n")
+            self._stream.write(_dump_chunk(buffer, self._strings))
             self.records_written += len(buffer)
             buffer.clear()
 
@@ -296,8 +434,8 @@ class TraceWriter:
             raise RuntimeError("trace writer already closed")
         self._closed = True
         self._flush()
-        footer = ["end", time, int(events_processed), metrics_digest]
-        self._stream.write(_dump_record(footer) + b"\n")
+        footer = _dump(["end", time, int(events_processed), metrics_digest])
+        self._stream.write(b"E" + _FOOTER.pack(len(footer)) + footer)
         self._stream.close()
         os.replace(self._tmp_path, self.path)
         return self.path
@@ -322,7 +460,10 @@ class TraceReader:
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._stream = gzip.open(self.path, "rb")
-        header_line = self._stream.readline()
+        try:
+            header_line = self._stream.readline()
+        except (EOFError, OSError, zlib.error) as exc:
+            raise SignatureMismatch("trace %s is not a readable gzip stream: %s" % (self.path, exc))
         if not header_line:
             raise SignatureMismatch("trace %s is empty" % self.path)
         try:
@@ -334,6 +475,11 @@ class TraceReader:
                 "trace %s has format %r, expected %r"
                 % (self.path, self.header.get("format"), TRACE_FORMAT)
             )
+        if self.header.get("version") != TRACE_VERSION:
+            raise SignatureMismatch(
+                "trace %s has version %s, this code reads %d"
+                % (self.path, self.header.get("version"), TRACE_VERSION)
+            )
         self.signature = ReplaySignature.from_dict(self.header.get("signature") or {})
         self.scenario_dict = self.header.get("scenario") or {}
         self.seed = int(self.header["seed"])
@@ -341,29 +487,54 @@ class TraceReader:
         #: The ``["end", time, events_processed, metrics_digest]`` footer;
         #: populated once :meth:`records` reaches it.
         self.footer: Optional[List[object]] = None
+        self._strings: List[object] = []
+
+    def _read_some(self, size: int) -> bytes:
+        try:
+            return self._stream.read(size)
+        except (EOFError, OSError, zlib.error) as exc:
+            raise SignatureMismatch("trace %s is truncated or corrupt: %s" % (self.path, exc))
+
+    def _read(self, size: int) -> bytes:
+        data = self._read_some(size)
+        if len(data) != size:
+            raise SignatureMismatch(
+                "trace %s is torn: a frame ends after %d of %d bytes"
+                % (self.path, len(data), size)
+            )
+        return data
 
     def records(self) -> Iterator[List[object]]:
-        """Yield every body record in order; captures the footer at the end.
-
-        Chunk lines (arrays of records) are flattened transparently.
-        """
-        for line in self._stream:
-            record = _load_line(line)
-            if record and isinstance(record[0], list):
-                yield from record
-                continue
-            if record and record[0] == "end":
-                self.footer = record
+        """Yield every body record in order; captures the footer at the end."""
+        while True:
+            tag = self._read_some(1)
+            if tag == b"C":
+                try:
+                    chunk = _load_line(self._read, self._strings)
+                except (ValueError, IndexError, KeyError, struct.error) as exc:
+                    raise SignatureMismatch("trace %s has a corrupt frame: %s" % (self.path, exc))
+                yield from chunk
+            elif tag == b"E":
+                (size,) = _FOOTER.unpack(self._read(_FOOTER.size))
+                try:
+                    footer = json.loads(self._read(size))
+                except ValueError:
+                    raise SignatureMismatch("trace %s has an unparsable footer" % self.path)
+                # Reading on to the end checks the gzip CRC and length.
+                if self._read_some(1):
+                    raise SignatureMismatch("trace %s has bytes after its footer" % self.path)
+                self.footer = footer
                 return
-            yield record
+            elif not tag:
+                raise SignatureMismatch("trace %s has no footer (truncated?)" % self.path)
+            else:
+                raise SignatureMismatch("trace %s has an unknown frame tag %r" % (self.path, tag))
 
     def read_footer(self) -> List[object]:
         """Exhaust the stream if needed and return the footer record."""
         if self.footer is None:
             for _ in self.records():
                 pass
-        if self.footer is None:
-            raise SignatureMismatch("trace %s has no footer (truncated?)" % self.path)
         return self.footer
 
     def close(self) -> None:

@@ -2,10 +2,10 @@
 trace integrity checks."""
 
 import gzip
-import json
 
 from repro import units
 from repro.api import ResultStore, Scenario, Session
+from repro.replay import ReplaySignature, TraceWriter
 
 
 def smoke_scenario(**overrides):
@@ -19,13 +19,17 @@ def smoke_scenario(**overrides):
     return Scenario(**fields)
 
 
-def write_fake_trace(store, digest, lines, complete=True):
+def write_fake_trace(store, digest, records=(), complete=True):
+    """A trace written by :class:`TraceWriter`; ``complete=False`` cuts the
+    body just before its footer frame (the ``E`` tag and ``<I`` length)."""
     path = store.trace_path(digest)
-    with gzip.open(path, "wb") as stream:
-        for line in lines:
-            stream.write(json.dumps(line).encode() + b"\n")
-        if complete:
-            stream.write(b'["end", 0, 0, "digest"]\n')
+    writer = TraceWriter(path, ReplaySignature("s", digest, 1, False), {}, 1, False)
+    for record in records:
+        writer.write(record)
+    writer.close(0.0, 0, "digest")
+    if not complete:
+        raw = gzip.decompress(path.read_bytes())
+        path.write_bytes(gzip.compress(raw[: raw.rindex(b'["end"') - 5]))
     return path
 
 
@@ -76,13 +80,13 @@ class TestTraceCheck:
 
     def test_complete_trace_passes(self, tmp_path):
         store = ResultStore(tmp_path)
-        write_fake_trace(store, "deadbeef", [{"header": 1}, ["poll", 0, "p", 1]])
+        write_fake_trace(store, "deadbeef", [["dmg", 0.0, "p", "au", 1]])
         assert store.check_trace("deadbeef") is True
 
     def test_footerless_trace_is_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
         path = write_fake_trace(
-            store, "deadbeef", [{"header": 1}, ["poll", 0, "p", 1]], complete=False
+            store, "deadbeef", [["dmg", 0.0, "p", "au", 1]], complete=False
         )
         assert store.check_trace("deadbeef") is False
         assert not path.exists()
@@ -90,7 +94,7 @@ class TestTraceCheck:
 
     def test_truncated_gzip_stream_is_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
-        path = write_fake_trace(store, "deadbeef", [{"header": 1}])
+        path = write_fake_trace(store, "deadbeef")
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         assert store.check_trace("deadbeef") is False

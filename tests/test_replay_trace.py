@@ -12,6 +12,7 @@ from repro.replay import (
     ReplayError,
     ReplaySignature,
     SignatureMismatch,
+    TRACE_FORMAT,
     TraceReader,
     TraceWriter,
     filter_records,
@@ -48,21 +49,34 @@ def recorded(tmp_path_factory):
     return scenario, path, metrics
 
 
-def rewrite_trace(src, dst, mutate_header=None, mutate_records=None):
-    """Rewrite a trace line-by-line (one record per line, chunks expanded),
-    optionally mutating the header dict or the record list."""
+def new_writer(tmp_path, name="trace.jsonl.gz"):
+    scenario = smoke_scenario()
+    signature = ReplaySignature.for_point(scenario, 1, False)
+    path = tmp_path / name
+    return path, TraceWriter(path, signature, scenario.to_dict(), 1, False)
+
+
+def rewrite_trace(src, dst, mutate_header=None, mutate_records=None, digest=None):
+    """Re-emit a trace through :class:`TraceWriter`, optionally mutating the
+    header dict, the record list or the footer's metrics digest."""
     with TraceReader(src) as reader:
         header = json.loads(json.dumps(reader.header))
         records = [list(record) for record in reader.records()]
-        footer = reader.read_footer()
+        _, time, events, recorded_digest = reader.read_footer()
     if mutate_header is not None:
         mutate_header(header)
     if mutate_records is not None:
         mutate_records(records)
-    with gzip.open(dst, "wb", compresslevel=1) as stream:
-        stream.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        for record in records + [footer]:
-            stream.write(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    writer = TraceWriter(
+        dst,
+        ReplaySignature.from_dict(header["signature"]),
+        header["scenario"],
+        header["seed"],
+        header["baseline"],
+    )
+    for record in records:
+        writer.write(record)
+    writer.close(time, events, recorded_digest if digest is None else digest)
     return dst
 
 
@@ -151,35 +165,15 @@ class TestReplay:
 
     def test_replay_rejects_footer_digest_lie(self, recorded, tmp_path):
         _, path, _ = recorded
-        src_footer = TraceReader(path).read_footer()
-
-        def lie(header):
-            pass
-
-        bad = tmp_path / "footer.jsonl.gz"
-        with TraceReader(path) as reader:
-            header = reader.header
-            records = [list(r) for r in reader.records()]
-            footer = reader.read_footer()
-        footer = ["end", footer[1], footer[2], "0" * 64]
-        with gzip.open(bad, "wb") as stream:
-            stream.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-            for record in records + [footer]:
-                stream.write(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+        assert TraceReader(path).read_footer()[3] != "0" * 64
+        bad = rewrite_trace(path, tmp_path / "footer.jsonl.gz", digest="0" * 64)
         with pytest.raises(ReplayError):
             replay_trace(bad)
-        assert src_footer[3] != "0" * 64
 
 
 class TestWriterLifecycle:
-    def _writer(self, tmp_path, name="trace.jsonl.gz"):
-        scenario = smoke_scenario()
-        signature = ReplaySignature.for_point(scenario, 1, False)
-        path = tmp_path / name
-        return path, TraceWriter(path, signature, scenario.to_dict(), 1, False)
-
     def test_finalize_is_atomic(self, tmp_path):
-        path, writer = self._writer(tmp_path)
+        path, writer = new_writer(tmp_path)
         writer.write(["dmg", 1.0, "peer-00", "au-0", 0])
         assert not path.exists()
         assert path.with_name(path.name + ".tmp").exists()
@@ -189,14 +183,14 @@ class TestWriterLifecycle:
         assert writer.records_written == 1
 
     def test_abort_discards_partial_trace(self, tmp_path):
-        path, writer = self._writer(tmp_path)
+        path, writer = new_writer(tmp_path)
         writer.write(["dmg", 1.0, "peer-00", "au-0", 0])
         writer.abort()
         assert not path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
 
     def test_double_close_refused(self, tmp_path):
-        _, writer = self._writer(tmp_path)
+        _, writer = new_writer(tmp_path)
         writer.close(1.0, 0, "d" * 64)
         with pytest.raises(RuntimeError):
             writer.close(1.0, 0, "d" * 64)
@@ -204,7 +198,7 @@ class TestWriterLifecycle:
     def test_sink_survives_flushes(self, tmp_path):
         # ``sink`` is a bound append on a buffer cleared in place; records
         # written through it after a flush must still land in the trace.
-        path, writer = self._writer(tmp_path)
+        path, writer = new_writer(tmp_path)
         writer.sink(["dmg", 1.0, "peer-00", "au-0", 0])
         writer.maybe_flush()  # below the chunk size: no-op
         writer._flush()  # force the in-place clear
@@ -218,6 +212,86 @@ class TestWriterLifecycle:
             stream.write(b'{"format": "something-else"}\n')
         with pytest.raises(SignatureMismatch):
             TraceReader(path)
+
+    def test_reader_rejects_a_version_1_trace_before_its_body(self, tmp_path):
+        path = tmp_path / "v1.jsonl.gz"
+        with gzip.open(path, "wb") as stream:
+            stream.write(b'{"format":"%s","version":1}\n' % TRACE_FORMAT.encode())
+            stream.write(b'[["dmg",1.0,"peer-00","au-0",0]]\n["end",2.0,1,"d"]\n')
+        with pytest.raises(SignatureMismatch, match="version 1, this code reads 2"):
+            TraceReader(path)
+
+
+class TestCodec:
+    """Every record kind survives the packed body exactly."""
+
+    MIXED = [
+        ["send", 0.5, "peer-00", "peer-01", "Vote", 100],
+        ["adm", 1, "peer-01", "peer-00", "admitted"],
+        ["poll", 2.5, "peer-00", "au-0", "scheduled", 1, 0, 5, 5, 0, 0],
+        ["dmg", 3.5, "peer-02", "au-0", 7],
+        ["fault", 4.0, "net", "partition_start"],
+        ["win", 5.25, "adv", 0, [0, 2], ["peer-01", "peer-02"]],
+        ["win", 6.0, "adv", 1, [], []],
+        ["send", 1e-300, "peer-01", "peer-00", "Vote", -(2**31)],
+    ]
+
+    def _roundtrip(self, tmp_path, records):
+        path, writer = new_writer(tmp_path)
+        for record in records:
+            writer.write(record)
+        writer.close(9.0, len(records), "d" * 64)
+        with TraceReader(path) as reader:
+            decoded = list(reader.records())
+            assert reader.footer == ["end", 9.0, len(records), "d" * 64]
+        return decoded
+
+    def test_every_kind_roundtrips_with_its_types(self, tmp_path):
+        decoded = self._roundtrip(tmp_path, self.MIXED)
+        assert decoded == self.MIXED  # the int time 1 decodes as 1.0, which is ==
+        assert [list(map(type, r[2:])) for r in decoded] == [
+            list(map(type, r[2:])) for r in self.MIXED
+        ]
+
+    @pytest.mark.parametrize("count", [4096, 4097])
+    def test_chunk_boundary(self, tmp_path, count):
+        records = [self.MIXED[i % len(self.MIXED)] for i in range(count)]
+        assert self._roundtrip(tmp_path, records) == records
+
+    def test_string_table_past_16_bits(self, tmp_path):
+        records = [["adm", float(i), "voter-%d" % i, "p", "admitted"] for i in range(70000)]
+        assert self._roundtrip(tmp_path, records) == records
+
+    def test_empty_trace(self, tmp_path):
+        assert self._roundtrip(tmp_path, []) == []
+
+    def test_out_of_range_int_names_kind_and_field(self, tmp_path):
+        _, writer = new_writer(tmp_path)
+        writer.write(["poll", 1.0, "p", "au", "r", 1, 0, 2**31, 0, 0, 0])
+        with pytest.raises(ValueError, match="'poll' field 'inner_votes'"):
+            writer._flush()
+        writer.abort()
+
+
+class TestDamagedTraces:
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            # the gzip stream itself is cut short
+            (lambda raw, packed: packed[: len(packed) // 2], "truncated or corrupt"),
+            # a well-formed gzip whose body stops inside the first frame
+            (lambda raw, packed: gzip.compress(raw[: raw.index(b"\n") + 40]), "torn"),
+            # a well-formed gzip whose body stops before the E frame
+            (lambda raw, packed: gzip.compress(raw[: raw.rindex(b'["end"') - 5]), "no footer"),
+        ],
+    )
+    def test_damage_raises_signature_mismatch(self, recorded, tmp_path, damage, message):
+        _, path, _ = recorded
+        packed = path.read_bytes()
+        bad = tmp_path / "damaged.jsonl.gz"
+        bad.write_bytes(damage(gzip.decompress(packed), packed))
+        with pytest.raises(SignatureMismatch, match=message):
+            list(iter_records(bad))
 
 
 class TestFilterRecords:

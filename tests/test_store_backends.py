@@ -10,13 +10,13 @@ migration (:func:`repro.api.store.open_store`,
 """
 
 import gzip
-import json
 
 import pytest
 
 from repro import units
 from repro.api import ResultStore, Scenario, Session
 from repro.api.store import SQLITE_SUFFIXES, migrate_store, open_store
+from repro.replay import ReplaySignature, TraceWriter
 from repro.service.sqlite_store import SQLiteResultStore
 
 
@@ -31,13 +31,17 @@ def smoke_scenario(**overrides):
     return Scenario(**fields)
 
 
-def write_fake_trace(store, digest, lines, complete=True):
+def write_fake_trace(store, digest, records=(), complete=True):
+    """A trace written by :class:`TraceWriter`; ``complete=False`` cuts the
+    body just before its footer frame (the ``E`` tag and ``<I`` length)."""
     path = store.trace_path(digest)
-    with gzip.open(path, "wb") as stream:
-        for line in lines:
-            stream.write(json.dumps(line).encode() + b"\n")
-        if complete:
-            stream.write(b'["end", 0, 0, "digest"]\n')
+    writer = TraceWriter(path, ReplaySignature("s", digest, 1, False), {}, 1, False)
+    for record in records:
+        writer.write(record)
+    writer.close(0.0, 0, "digest")
+    if not complete:
+        raw = gzip.decompress(path.read_bytes())
+        path.write_bytes(gzip.compress(raw[: raw.rindex(b'["end"') - 5]))
     return path
 
 
@@ -129,7 +133,7 @@ class TestStoreContract:
         assert store.has("result", "d2")
 
     def test_prune_trace_kind_removes_trace_files(self, store):
-        write_fake_trace(store, "d1", [{"header": 1}])
+        write_fake_trace(store, "d1")
         store.save_json("result", "d2", {"v": 1})
         store.prune(kind="trace")
         assert not store.has_trace("d1")
@@ -138,7 +142,7 @@ class TestStoreContract:
     def test_clear_removes_everything(self, store):
         store.save_json("runs", "d1", [1])
         store.save_json("result", "d2", {"v": 1})
-        write_fake_trace(store, "d3", [{"header": 1}])
+        write_fake_trace(store, "d3")
         removed = store.clear()
         assert removed >= 3
         assert not store.has("runs", "d1")
@@ -150,7 +154,7 @@ class TestStoreContract:
         store.save_json("runs", "d1", [1, 2])
         store.save_json("runs", "d2", [3])
         store.save_json("result", "d3", {"v": 1})
-        write_fake_trace(store, "d4", [{"header": 1}])
+        write_fake_trace(store, "d4")
         totals = store.stats()
         assert totals["runs"]["count"] == 2
         assert totals["result"]["count"] == 1
@@ -160,9 +164,9 @@ class TestStoreContract:
 
     def test_trace_check_and_quarantine(self, store):
         assert store.check_trace("missing") is False
-        write_fake_trace(store, "good", [{"header": 1}, ["poll", 0, "p", 1]])
+        write_fake_trace(store, "good", [["dmg", 0.0, "p", "au", 1]])
         assert store.check_trace("good") is True
-        path = write_fake_trace(store, "torn", [{"header": 1}], complete=False)
+        path = write_fake_trace(store, "torn", complete=False)
         assert store.check_trace("torn") is False
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").exists()
