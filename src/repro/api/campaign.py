@@ -704,7 +704,7 @@ class CampaignRunner:
 
         return ResultSet(
             [
-                PointResult(point.index, point.scenario, results[point.index])
+                PointResult(point, results[point.index])
                 for point in points
                 if point.index in results
             ]
@@ -749,7 +749,7 @@ class CampaignRunner:
                     "from the store — run or resume it first"
                     % (campaign.name, point.index, point.digest[:12])
                 )
-            yield PointResult(point.index, point.scenario, result)
+            yield PointResult(point, result)
 
     def result_set(self, campaign: Campaign, lazy: bool = False) -> ResultSet:
         """Load the campaign's results from the store without simulating.
@@ -771,7 +771,7 @@ class CampaignRunner:
             if result is None:
                 missing.append(point)
             else:
-                loaded.append(PointResult(point.index, point.scenario, result))
+                loaded.append(PointResult(point, result))
         if missing:
             raise LookupError(
                 "campaign %r is incomplete: %d/%d points missing from the "

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -36,16 +37,21 @@ from typing import (
 )
 
 from .observations import OBSERVATION_KINDS, RunObservations, observe
-from .scenario import Scenario, canonical_json
+from .scenario import canonical_json
 from .session import ExperimentResult
+
+if TYPE_CHECKING:
+    from .campaign import CampaignPoint
 
 
 class PointResult:
     """One expanded campaign point together with its experiment result."""
 
-    def __init__(self, index: int, scenario: Scenario, result: ExperimentResult):
-        self.index = index
-        self.scenario = scenario
+    def __init__(self, point: CampaignPoint, result: ExperimentResult):
+        self.index = point.index
+        self.scenario = point.scenario
+        #: The point's digest, hashed once by ``Campaign.expand()``.
+        self.digest = point.digest
         self.result = result
         self._attacked: Optional[RunObservations] = None
         self._baseline: Optional[RunObservations] = None
@@ -61,10 +67,6 @@ class PointResult:
     @property
     def label(self) -> str:
         return self.scenario.name
-
-    @property
-    def digest(self) -> str:
-        return self.scenario.digest
 
     @property
     def parameters(self) -> Dict[str, object]:

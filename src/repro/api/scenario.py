@@ -22,6 +22,7 @@ import enum
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -59,6 +60,26 @@ def canonical_json(payload: object) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
 
 
+#: Each config class's field names, taken once, and a getter of their values.
+_CONFIG_FIELDS = {
+    cls: (names, operator.attrgetter(*names))
+    for cls in (ProtocolConfig, SimulationConfig)
+    for names in [tuple(f.name for f in dataclasses.fields(cls))]
+}
+
+
+def _field_values(config: object) -> Dict[str, object]:
+    """``dataclasses.asdict(config)`` minus the deep copy: every field is a JSON
+    scalar or a tuple of them, which ``json.dumps`` writes as ``_jsonable`` would."""
+    names, values = _CONFIG_FIELDS[type(config)]
+    return dict(zip(names, values(config)))
+
+
+def _changed_fields(config: object, base: object) -> Dict[str, object]:
+    """``config``'s field values that differ from ``base``'s."""
+    return {k: v for k, v in _field_values(config).items() if v != getattr(base, k)}
+
+
 def config_digest(
     protocol: ProtocolConfig,
     sim: SimulationConfig,
@@ -72,14 +93,18 @@ def config_digest(
     *field values* (canonical JSON, sorted keys), so it is stable across
     Python versions, processes, and cosmetic refactors of the config classes.
     """
-    payload = {
-        "protocol": dataclasses.asdict(protocol),
-        "sim": dataclasses.asdict(sim),
-        "seeds": list(seeds),
-        "adversary": adversary,
-        "extra": extra,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _values_digest(
+        _field_values(protocol), _field_values(sim), seeds, adversary, extra
+    )
+
+
+def _values_digest(protocol: dict, sim: dict, seeds, adversary, extra) -> str:
+    """:func:`config_digest` over the configs' :func:`_field_values`; only the
+    free-form ``adversary`` / ``extra`` parts need ``_jsonable``."""
+    payload = {"protocol": protocol, "sim": sim, "seeds": list(seeds)}
+    payload.update(adversary=_jsonable(adversary), extra=_jsonable(extra))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class JsonSpec:
@@ -350,23 +375,13 @@ class Scenario(JsonSpec):
         independent.
         """
         base_protocol, base_sim = BASE_CONFIGS["paper"]()
-        protocol_overrides = {
-            key: value
-            for key, value in dataclasses.asdict(protocol_config).items()
-            if value != getattr(base_protocol, key)
-        }
-        sim_overrides = {
-            key: value
-            for key, value in dataclasses.asdict(sim_config).items()
-            if value != getattr(base_sim, key)
-        }
         if isinstance(adversary, dict):
             adversary = AdversarySpec.from_dict(adversary)
         return cls(
             name=name,
             base="paper",
-            protocol=protocol_overrides,
-            sim=sim_overrides,
+            protocol=_changed_fields(protocol_config, base_protocol),
+            sim=_changed_fields(sim_config, base_sim),
             adversary=adversary,
             faults=copy.deepcopy(dict(faults or {})),
             seeds=tuple(seeds),
@@ -483,25 +498,27 @@ class Scenario(JsonSpec):
         return canonical_fault_plan(self.faults)
 
     def _hashed_parts(self) -> tuple:
-        """``(protocol, sim, canonical adversary, canonical faults)``, resolved.
+        """``(protocol, sim, canonical adversary, canonical faults)``, resolved
+        (so validated), the configs as their field values.
 
         What every digest below hashes; they differ only in the seeds stamped
         on it, whether the adversary is dropped, and the ``sweep`` extra.
         Never stored: a scenario is mutable, so a kept digest is a stale key.
         """
         protocol, sim = self.resolve()
-        return protocol, sim, self._canonical_adversary(), self._canonical_faults()
+        adversary, faults = self._canonical_adversary(), self._canonical_faults()
+        return _field_values(protocol), _field_values(sim), adversary, faults
 
     @staticmethod
     def _run_digest(parts: tuple, seed: int, baseline: bool) -> str:
         """Digest of one single-seed run over already-resolved ``parts``."""
         protocol, sim, adversary, faults = parts
-        return config_digest(
+        return _values_digest(
             protocol,
-            sim.with_overrides(seed=int(seed)),
-            seeds=(seed,),
-            adversary=None if baseline else adversary,
-            extra={"faults": faults} if faults is not None else None,
+            dict(sim, seed=int(seed)),
+            (seed,),
+            None if baseline else adversary,
+            {"faults": faults} if faults is not None else None,
         )
 
     @property
@@ -520,9 +537,7 @@ class Scenario(JsonSpec):
             extra["sweep"] = _jsonable(dict(self.sweep))
         if faults is not None:
             extra["faults"] = faults
-        return config_digest(
-            protocol, sim, seeds=self.seeds, adversary=adversary, extra=extra or None
-        )
+        return _values_digest(protocol, sim, self.seeds, adversary, extra or None)
 
     def point_digest(self, seed: int, baseline: bool = False) -> str:
         """Digest of a single-seed run of this scenario (attacked or baseline).

@@ -171,7 +171,10 @@ class ExperimentService:
             if method == "GET":
                 return 200, {"campaigns": self.broker.campaigns()}
             if method == "POST":
-                campaign = Campaign.from_dict(body)
+                try:
+                    campaign = Campaign.from_dict(body)
+                except KeyError as error:
+                    raise ApiError(400, "malformed campaign: missing %s" % error)
                 status = self.broker.submit(campaign)
                 self._log(
                     "submitted %s (%s): %d points"

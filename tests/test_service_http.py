@@ -130,6 +130,35 @@ class TestRouting:
         assert status == 409
         assert "incomplete" in payload["error"]
 
+    def test_malformed_submit_is_a_400_not_a_404(self, service):
+        # A missing body key is a bad request, not an unknown resource.
+        assert service.handle("POST", "/api/campaigns", {}) == (
+            400,
+            {"error": "malformed campaign: missing 'scenario'"},
+        )
+        kindless = smoke_campaign(1).to_dict()
+        kindless["scenario"]["adversary"] = {"params": {"coverage": 0.4}}
+        assert service.handle("POST", "/api/campaigns", kindless) == (
+            400,
+            {"error": "malformed campaign: missing 'kind'"},
+        )
+        # Unknown campaign digests keep their 404.
+        status, _ = service.handle("GET", "/api/campaigns/%s/spec" % ("cd" * 32))
+        assert status == 404
+        assert service.handle("GET", "/api/campaigns")[1] == {"campaigns": []}
+
+    def test_invalid_override_is_rejected_at_submit(self, service):
+        # Digesting a point resolves (and so validates) its configs: a bad
+        # override fails the submit, before any point is queued.
+        bad = Campaign.from_grid(
+            "bad", smoke_campaign(1).scenario, {"protocol.quorum": [0]}
+        )
+        assert service.handle("POST", "/api/campaigns", bad.to_dict()) == (
+            400,
+            {"error": "quorum must be at least 1"},
+        )
+        assert service.handle("GET", "/api/health")[1]["campaigns"] == 0
+
 
 @pytest.fixture
 def server(store):
