@@ -14,9 +14,9 @@ experiment *service*:
   and crash-safe re-leasing (the ``failed``-point machinery campaign
   ``resume`` already uses, generalized to a worker fleet).
 * :class:`~repro.service.worker.Worker` — the work-stealing loop: lease a
-  point, run it through a :class:`~repro.api.session.Session` (honoring
-  ``timeout`` / ``retries`` / ``record``), report results by content
-  digest, repeat until the queue drains.
+  batch of points, run each through a :class:`~repro.api.session.Session`
+  (honoring ``timeout`` / ``retries`` / ``record``), report the batch's
+  results by content digest, repeat until the queue drains.
 * :mod:`~repro.service.http_api` — ``repro-experiments serve``: a stdlib
   ``ThreadingHTTPServer`` JSON API to submit campaigns, poll status, fetch
   rows, and drive remote workers (``repro-experiments worker --connect``).

@@ -12,12 +12,16 @@ generalized to a live fleet:
 * ``lease`` atomically claims the first available point — ``pending``, or
   ``leased`` with an **expired** lease (its worker crashed or was
   SIGKILLed) — and stamps it with the worker id and a deadline;
-* ``heartbeat`` extends a live lease; a worker that stops heartbeating
-  loses the point at the deadline and someone else picks it up;
+  ``lease_batch`` claims up to *k* such points in one transaction;
+* ``heartbeat`` extends every live lease of a worker; a worker that stops
+  heartbeating loses its points at the deadline and someone else picks
+  them up;
 * ``complete`` / ``fail`` close a lease.  Only the *current* lease holder
   can close a point: a worker that lost its lease mid-run gets ``False``
   back, which is harmless — everything it wrote to the store is keyed by
   content digest, so its bytes are identical to the re-leased worker's.
+  ``complete_batch`` persists a batch's artifacts and closes its leases
+  in one transaction, still point by point.
 
 That last property is the digest discipline that makes work stealing safe:
 a campaign drained by N workers (any of them killed mid-run) finishes with
@@ -27,10 +31,11 @@ bit-identical row digests to a single-process ``CampaignRunner`` run.
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api.campaign import (
     Campaign,
@@ -89,6 +94,45 @@ class Lease:
             lease_seconds=float(payload.get("lease_seconds", 0.0)),
             prefix=payload.get("prefix") or None,
         )
+
+
+class Leases(list):
+    """The points one lease request granted, in claim order.
+
+    An empty grant is falsy; a non-empty one is named by its first point's
+    ``digest``, so a trace keys the grant like that point's other spans.
+    """
+
+    @property
+    def digest(self) -> Optional[str]:
+        return self[0].digest if self else None
+
+
+@dataclass
+class Finished:
+    """One leased point a worker ran: what ``complete`` persists, then closes."""
+
+    worker: str
+    campaign: str  #: campaign digest
+    index: int
+    digest: str  #: point scenario digest
+    #: the point's ``result`` artifact; without one (here or already in the
+    #: store) completing the point fails it instead
+    result: Optional[Dict[str, object]]
+    #: the per-seed ``runs`` artifacts, keyed by run digest
+    runs: Dict[str, Dict[str, object]]
+
+    @classmethod
+    def of(
+        cls,
+        lease: Lease,
+        result: Optional[Dict[str, object]],
+        runs: Dict[str, Dict[str, object]],
+    ) -> "Finished":
+        return cls(lease.worker, lease.campaign, lease.index, lease.digest, result, runs)
+
+    def to_dict(self) -> Dict[str, object]:
+        return dict(vars(self))  # shallow: the artifacts are not copied
 
 
 class Broker:
@@ -336,6 +380,44 @@ class Broker:
             prefix=prefix,
         )
 
+    def lease_batch(
+        self, worker: str, campaign: Optional[str] = None, limit: int = 1
+    ) -> Leases:
+        """Claim up to ``limit`` points for ``worker`` in one transaction.
+
+        Each point is one :meth:`lease` — the same claim, affinity tiers
+        and deadline — so a batch first drains the prefix group the worker
+        last leased.  The grant is also capped at ⌈claimable / (2 × live
+        workers)⌉ (guided self-scheduling): grants shrink as the queue
+        does, so the last points spread over the fleet instead of waiting
+        in one worker's batch.  A worker is live when it talked to the
+        broker within the last ``lease_seconds``.
+        """
+        leases = Leases()
+        with self.store.transaction() as conn:
+            now = self.clock()
+            self._touch_worker(conn, worker, now)
+            claimable_sql = (
+                "SELECT COUNT(*) FROM broker_points WHERE (state='pending'"
+                " OR (state='leased' AND lease_expires < ?))"
+            )
+            params: List[object] = [now]
+            if campaign is not None:
+                claimable_sql += " AND campaign=?"
+                params.append(campaign)
+            claimable = conn.execute(claimable_sql, tuple(params)).fetchone()[0]
+            live = conn.execute(
+                "SELECT COUNT(*) FROM broker_workers WHERE last_seen >= ?",
+                (now - self.lease_seconds,),
+            ).fetchone()[0]
+            limit = min(limit, math.ceil(claimable / (2 * max(1, live))))
+            while len(leases) < limit:
+                lease = self.lease(worker, campaign=campaign)
+                if lease is None:
+                    break
+                leases.append(lease)
+        return leases
+
     def heartbeat(
         self,
         worker: str,
@@ -343,8 +425,13 @@ class Broker:
         index: int,
         telemetry: Optional[Dict[str, object]] = None,
     ) -> bool:
-        """Extend a live lease; ``False`` means the lease was lost.
+        """Extend every live lease ``worker`` holds; ``False`` means the
+        named point's lease was lost.
 
+        A worker beats for its whole batch while running one point of it,
+        and names that point: its lease is the one the answer is about, and
+        its digest is whose run controls the response carries.  Leases
+        that already expired stay expired (someone may have stolen them).
         ``telemetry`` is an optional sampled-stats dict the worker forwards
         with the beat (points completed, mean point wall time, consecutive
         heartbeat failures, ...); it is persisted as-is on the worker row
@@ -358,13 +445,17 @@ class Broker:
                     "UPDATE broker_workers SET telemetry=? WHERE worker=?",
                     (json.dumps(telemetry, sort_keys=True), worker),
                 )
-            cursor = conn.execute(
+            conn.execute(
                 "UPDATE broker_points SET lease_expires=?"
-                " WHERE campaign=? AND idx=? AND state='leased' AND worker=?"
-                " AND lease_expires >= ?",
-                (now + self.lease_seconds, campaign, index, worker, now),
+                " WHERE state='leased' AND worker=? AND lease_expires >= ?",
+                (now + self.lease_seconds, worker, now),
             )
-            return cursor.rowcount == 1
+            held = conn.execute(
+                "SELECT 1 FROM broker_points WHERE campaign=? AND idx=?"
+                " AND state='leased' AND worker=? AND lease_expires >= ?",
+                (campaign, index, worker, now),
+            ).fetchone()
+            return held is not None
 
     # -- run control ---------------------------------------------------------------------
 
@@ -429,7 +520,7 @@ class Broker:
     ) -> None:
         """Write a finished point's ``runs`` and ``result`` artifacts if missing.
 
-        What every transport does before :meth:`complete`.  Artifacts are
+        What :meth:`complete_batch` does before each :meth:`complete`.  Artifacts are
         digest-keyed, so writes are idempotent and a stale worker's
         duplicates are byte-identical: what the store already holds is kept.
         """
@@ -469,6 +560,20 @@ class Broker:
                     (worker,),
                 )
         return won
+
+    def complete_batch(self, finished: Sequence[Finished]) -> List[bool]:
+        """:meth:`persist` and :meth:`complete` every point, in one transaction.
+
+        Returns one flag per point: each closes (or, without a result
+        artifact, fails) only for its current lease holder, exactly as
+        one-point calls would; the batch shares nothing but the commit.
+        """
+        with self.store.transaction():
+            accepted = []
+            for point in finished:
+                self.persist(point.digest, point.result, point.runs)
+                accepted.append(self.complete(point.worker, point.campaign, point.index))
+        return accepted
 
     def fail(self, worker: str, campaign: str, index: int, error: str) -> bool:
         """Mark a leased point failed (kept for ``resume``/resubmit to re-queue)."""

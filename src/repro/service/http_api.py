@@ -15,9 +15,9 @@ rows, and drive workers (``repro-experiments worker --connect``):
 ``GET  /api/campaigns/<digest>/rows``        exported figure rows + rows digest
 ``POST /api/campaigns/<digest>/requeue``     failed points back to pending
 ``GET  /api/workers``                        worker liveness, leases, and throughput
-``POST /api/lease``                          claim a point  ``{"worker": ...}``
-``POST /api/heartbeat``                      extend a lease (optionally with telemetry)
-``POST /api/complete``                       persist result + runs, close the lease
+``POST /api/lease``                          claim points  ``{"worker": ..., "limit": k}``
+``POST /api/heartbeat``                      extend a worker's leases (optionally with telemetry)
+``POST /api/complete``                       persist each point's result + runs, close its lease
 ``POST /api/fail``                           close the lease as failed
 ``POST /api/runs/<digest>/pause``            pause the run for a point digest
 ``POST /api/runs/<digest>/resume``           resume it
@@ -41,8 +41,9 @@ plain ``(method, path, body) -> (status, payload)`` function — tests drive
 it without sockets, and the request handler stays a thin shell.
 
 The server persists results itself on ``complete`` (the artifacts travel
-in the request), so HTTP workers need no filesystem access to the store;
-see docs/SERVICE.md for the lease/heartbeat contract.
+in the request, a batch of points at a time, written in one transaction),
+so HTTP workers need no filesystem access to the store; see
+docs/SERVICE.md for the lease/heartbeat contract.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..api.campaign import Campaign, CampaignRunner
@@ -60,7 +61,7 @@ from ..api.resultset import digest_rows
 from ..api.session import Session
 from ..telemetry import EventBus, MetricsAggregator, dashboard_html
 from ..telemetry.stream import publish_campaign_progress
-from .broker import Broker
+from .broker import Broker, Finished
 from .sqlite_store import SQLiteResultStore
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{6,64}$")
@@ -206,14 +207,19 @@ class ExperimentService:
 
         if route == ["lease"] and method == "POST":
             worker = self._field(body, "worker")
+            limit = int(body.get("limit", 1))
+            if limit < 1:
+                raise ApiError(400, "limit must be at least 1")
             started = time.perf_counter()
-            lease = self.broker.lease(worker, campaign=body.get("campaign"))
+            leases = self.broker.lease_batch(
+                worker, campaign=body.get("campaign"), limit=limit
+            )
             self._lease_latency.observe(time.perf_counter() - started)
             self._publish_worker(worker, "lease")
-            if lease is not None:
-                self._publish_progress(lease.campaign)
+            for campaign in dict.fromkeys(lease.campaign for lease in leases):
+                self._publish_progress(campaign)
             return 200, {
-                "lease": lease.to_dict() if lease is not None else None,
+                "leases": [lease.to_dict() for lease in leases],
                 "outstanding": self.broker.outstanding(body.get("campaign")),
             }
 
@@ -236,10 +242,13 @@ class ExperimentService:
             return 200, response
 
         if route == ["complete"] and method == "POST":
-            ok = self._complete(body)
-            self._publish_worker(self._field(body, "worker"), "complete")
-            self._publish_progress(self._field(body, "campaign"))
-            return 200, {"ok": ok}
+            finished = self._finished(body)
+            accepted = self.broker.complete_batch(finished)
+            for worker in dict.fromkeys(point.worker for point in finished):
+                self._publish_worker(worker, "complete")
+            for campaign in dict.fromkeys(point.campaign for point in finished):
+                self._publish_progress(campaign)
+            return 200, {"accepted": accepted}
 
         if route == ["fail"] and method == "POST":
             ok = self.broker.fail(
@@ -274,20 +283,33 @@ class ExperimentService:
 
     # -- handlers ------------------------------------------------------------------------
 
-    def _complete(self, body: Dict[str, object]) -> bool:
-        """Persist the shipped artifacts, then close the lease.
+    def _finished(self, body: Dict[str, object]) -> List[Finished]:
+        """The ``points`` of a ``complete`` request, checked field by field.
 
-        The broker only accepts the close from the current lease holder.
+        Each point is closed only for its current lease holder; the broker
+        persists the shipped artifacts first.
         """
-        runs = body.get("runs") or {}
-        if not isinstance(runs, dict):
-            raise ApiError(400, "runs must map run digests to run payloads")
-        self.broker.persist(self._field(body, "digest"), body.get("result"), runs)
-        return self.broker.complete(
-            self._field(body, "worker"),
-            self._field(body, "campaign"),
-            int(self._field(body, "index")),
-        )
+        points = body.get("points")
+        if not isinstance(points, list) or not all(
+            isinstance(point, dict) for point in points
+        ):
+            raise ApiError(400, "points must be a list of finished-point objects")
+        finished = []
+        for point in points:
+            runs = point.get("runs") or {}
+            if not isinstance(runs, dict):
+                raise ApiError(400, "runs must map run digests to run payloads")
+            finished.append(
+                Finished(
+                    worker=self._field(point, "worker"),
+                    campaign=self._field(point, "campaign"),
+                    index=int(self._field(point, "index")),
+                    digest=self._field(point, "digest"),
+                    result=point.get("result"),
+                    runs=runs,
+                )
+            )
+        return finished
 
     def _rows(self, digest: str) -> Dict[str, object]:
         campaign = self.broker.campaign(digest)
@@ -326,6 +348,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-experiments/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; on a keep-alive connection
+    # Nagle's algorithm holds the body until the client's delayed ACK
+    # (~40 ms per request) unless TCP_NODELAY is set.
+    disable_nagle_algorithm = True
 
     def _respond(self, body: Optional[Dict[str, object]]) -> None:
         status, payload = self.server.service.handle(  # type: ignore[attr-defined]

@@ -55,6 +55,8 @@ class SQLiteResultStore(ResultStore):
         self.root = self.path.with_name(self.path.name + ".traces")
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        #: open :meth:`transaction` blocks (only the lock holder changes it)
+        self._depth = 0
         self._conn = sqlite3.connect(
             str(self.path), timeout=busy_timeout, check_same_thread=False
         )
@@ -72,15 +74,18 @@ class SQLiteResultStore(ResultStore):
     # -- low-level access (also used by the service broker) ------------------------------
 
     def execute(self, sql: str, params: Tuple = ()) -> sqlite3.Cursor:
-        """Run one statement under the store lock and commit it.
+        """Run one statement under the store lock; commit a write on its own.
 
-        The broker builds its lease tables in the same database through
-        this helper, so store and manifest updates share one lock, one
+        Inside :meth:`transaction` the statement joins the open transaction
+        and nothing is committed until it ends; a read never commits.  The
+        broker builds its lease tables in the same database through this
+        helper, so store and manifest updates share one lock, one
         connection, and SQLite's cross-process WAL locking.
         """
         with self._lock:
             cursor = self._conn.execute(sql, params)
-            self._conn.commit()
+            if not self._depth and self._conn.in_transaction:
+                self._conn.commit()
             return cursor
 
     def transaction(self):
@@ -88,7 +93,11 @@ class SQLiteResultStore(ResultStore):
 
         ``BEGIN IMMEDIATE`` takes the database write lock up front, which
         makes read-then-update sequences (the broker's lease acquisition)
-        atomic across processes sharing the file.
+        atomic across processes sharing the file.  Transactions nest: an
+        inner one (and every :meth:`execute`, ``save_json`` or ``has`` made
+        inside) joins the outermost, which alone commits or rolls back — so
+        the broker closes a batch of leases and writes all their artifacts
+        in one commit.
         """
         return _Transaction(self)
 
@@ -165,16 +174,15 @@ class SQLiteResultStore(ResultStore):
     def _quarantine_row(
         self, kind: str, digest: str, payload: Optional[str], reason: str
     ) -> None:
-        with self._lock:
-            self._conn.execute(
+        with self.transaction() as conn:
+            conn.execute(
                 "INSERT OR REPLACE INTO quarantine"
                 " (kind, digest, payload, reason, quarantined) VALUES (?, ?, ?, ?, ?)",
                 (kind, digest, payload, reason, time.time()),
             )
-            self._conn.execute(
+            conn.execute(
                 'DELETE FROM "%s" WHERE digest = ?' % self._table(kind), (digest,)
             )
-            self._conn.commit()
 
     def has(self, kind: str, digest: str) -> bool:
         table = self._table(kind)
@@ -298,25 +306,37 @@ class SQLiteResultStore(ResultStore):
 
 
 class _Transaction:
-    """``BEGIN IMMEDIATE`` ... ``COMMIT``/``ROLLBACK`` under the store lock."""
+    """``BEGIN IMMEDIATE`` ... ``COMMIT``/``ROLLBACK`` under the store lock.
+
+    Re-entrant: only the outermost block begins and ends the transaction.
+    """
 
     def __init__(self, store: SQLiteResultStore) -> None:
         self.store = store
 
     def __enter__(self) -> sqlite3.Connection:
-        self.store._lock.acquire()
-        try:
-            self.store._conn.execute("BEGIN IMMEDIATE")
-        except BaseException:
-            self.store._lock.release()
-            raise
-        return self.store._conn
+        store = self.store
+        store._lock.acquire()
+        if not store._depth:
+            try:
+                store._conn.execute("BEGIN IMMEDIATE")
+            except BaseException:
+                store._lock.release()
+                raise
+        store._depth += 1
+        return store._conn
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        store = self.store
+        store._depth -= 1
         try:
+            if store._depth:
+                return
             if exc_type is None:
-                self.store._conn.commit()
+                store._conn.commit()
             else:
-                self.store._conn.rollback()
+                store._conn.rollback()
+                # A table created inside the rolled-back transaction is gone.
+                store._known_tables.clear()
         finally:
-            self.store._lock.release()
+            store._lock.release()

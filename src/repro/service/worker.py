@@ -1,11 +1,12 @@
 """Work-stealing campaign workers.
 
-A :class:`Worker` drains a broker's queue: lease a point, run it through a
-:class:`~repro.api.session.Session` (which honors ``timeout`` / ``retries``
-/ ``record`` exactly as a single-process campaign would), report the result
-by content digest, repeat.  A background thread heartbeats the lease while
-the simulation runs, so a healthy worker can hold a point for much longer
-than ``lease_seconds`` — only a *dead* one forfeits it.
+A :class:`Worker` drains a broker's queue: lease a batch of points, run
+each through a :class:`~repro.api.session.Session` (which honors
+``timeout`` / ``retries`` / ``record`` exactly as a single-process campaign
+would), report the batch's results by content digest in one request,
+repeat.  A background thread heartbeats the batch's leases while the
+simulations run, so a healthy worker can hold points for much longer than
+``lease_seconds`` — only a *dead* one forfeits them.
 
 Workers reach the broker through one of two transports:
 
@@ -24,6 +25,7 @@ digests match a single-process run bit for bit.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
@@ -31,8 +33,7 @@ import socket
 import sqlite3
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Callable, Dict, List, Optional, Tuple
 
 LOGGER = logging.getLogger(__name__)
@@ -40,7 +41,14 @@ LOGGER = logging.getLogger(__name__)
 from ..api.campaign import Campaign, plan_fork_groups, slice_fork_groups
 from ..api.scenario import Scenario
 from ..api.session import ExperimentResult, ForkGroup, Session
-from .broker import Broker, Lease
+from .broker import Broker, Finished, Lease, Leases
+
+#: What a heartbeat may raise when the broker is unreachable or refuses:
+#: socket and HTTP failures, an error status (``RuntimeError`` from
+#: :meth:`HttpBrokerClient.request`), or a locked or broken SQLite file.
+#: The beat thread counts these and retries; anything else is a bug and
+#: stops the worker.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException, RuntimeError, sqlite3.Error)
 
 
 def run_payloads(
@@ -67,9 +75,11 @@ class LocalBrokerClient:
     def __init__(self, broker: Broker) -> None:
         self.broker = broker
 
-    def lease(self, worker: str, campaign: Optional[str] = None) -> Tuple[Optional[Lease], int]:
-        lease = self.broker.lease(worker, campaign=campaign)
-        return lease, self.broker.outstanding(campaign)
+    def lease(
+        self, worker: str, campaign: Optional[str] = None, limit: int = 1
+    ) -> Tuple[Leases, int]:
+        leases = self.broker.lease_batch(worker, campaign=campaign, limit=limit)
+        return leases, self.broker.outstanding(campaign)
 
     def get_campaign(self, digest: str) -> Optional[Campaign]:
         return self.broker.campaign(digest)
@@ -82,29 +92,44 @@ class LocalBrokerClient:
         )
         return {"ok": ok, "control": self.broker.control_for(lease.digest)}
 
-    def complete(
-        self,
-        lease: Lease,
-        result: Dict[str, object],
-        runs: Dict[str, Dict[str, object]],
-    ) -> bool:
-        # A store-attached session has usually persisted these already;
-        # writing what is missing keeps storeless sessions correct too.
-        self.broker.persist(lease.digest, result, runs)
-        return self.broker.complete(lease.worker, lease.campaign, lease.index)
+    def complete(self, *finished: Finished) -> List[bool]:
+        # A store-attached session has usually persisted the artifacts
+        # already; writing what is missing keeps storeless sessions correct.
+        return self.broker.complete_batch(finished)
 
     def fail(self, lease: Lease, error: str) -> bool:
         return self.broker.fail(lease.worker, lease.campaign, lease.index, error)
 
 
 class HttpBrokerClient:
-    """Broker access over the ``repro-experiments serve`` JSON API."""
+    """Broker access over the ``repro-experiments serve`` JSON API.
+
+    Every thread that uses the client (a worker's loop, its heartbeat
+    thread) keeps one keep-alive connection, so a request costs one round
+    trip instead of a TCP handshake and teardown.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
 
     # -- transport -----------------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._host, timeout=self.timeout)
+            self._local.connection = connection
+        return connection
 
     def request(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
@@ -114,34 +139,48 @@ class HttpBrokerClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=body, headers=headers, method=method
-        )
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
             try:
-                detail = json.loads(error.read().decode("utf-8")).get("error", "")
+                connection.request(method, self._prefix + path, body, headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                # A kept-alive connection the server has since closed (it
+                # restarted) fails on first use: retry once, on a new one.
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, self._prefix + path, body, headers)
+                response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()  # never reuse a connection mid-exchange
+            raise
+        if response.status >= 400:
+            try:
+                detail = json.loads(data.decode("utf-8")).get("error", "")
             except (ValueError, AttributeError):
                 detail = ""  # the error body is not a JSON object
             raise RuntimeError(
-                "%s %s failed: HTTP %d %s" % (method, path, error.code, detail)
-            ) from error
+                "%s %s failed: HTTP %d %s" % (method, path, response.status, detail)
+            )
+        return json.loads(data.decode("utf-8"))
 
     # -- broker protocol -----------------------------------------------------------------
 
     def submit(self, campaign_payload: Dict[str, object]) -> Dict[str, object]:
         return self.request("POST", "/api/campaigns", campaign_payload)
 
-    def lease(self, worker: str, campaign: Optional[str] = None) -> Tuple[Optional[Lease], int]:
-        payload: Dict[str, object] = {"worker": worker}
+    def lease(
+        self, worker: str, campaign: Optional[str] = None, limit: int = 1
+    ) -> Tuple[Leases, int]:
+        payload: Dict[str, object] = {"worker": worker, "limit": limit}
         if campaign is not None:
             payload["campaign"] = campaign
         response = self.request("POST", "/api/lease", payload)
-        lease = response.get("lease")
         return (
-            Lease.from_dict(lease) if lease else None,
+            Leases(Lease.from_dict(lease) for lease in response.get("leases") or ()),
             int(response.get("outstanding", 0)),
         )
 
@@ -163,25 +202,11 @@ class HttpBrokerClient:
             payload["telemetry"] = telemetry
         return self.request("POST", "/api/heartbeat", payload)
 
-    def complete(
-        self,
-        lease: Lease,
-        result: Dict[str, object],
-        runs: Dict[str, Dict[str, object]],
-    ) -> bool:
+    def complete(self, *finished: Finished) -> List[bool]:
         response = self.request(
-            "POST",
-            "/api/complete",
-            {
-                "worker": lease.worker,
-                "campaign": lease.campaign,
-                "index": lease.index,
-                "digest": lease.digest,
-                "result": result,
-                "runs": runs,
-            },
+            "POST", "/api/complete", {"points": [point.to_dict() for point in finished]}
         )
-        return bool(response.get("ok"))
+        return [bool(accepted) for accepted in response.get("accepted", ())]
 
     def fail(self, lease: Lease, error: str) -> bool:
         response = self.request(
@@ -211,9 +236,17 @@ class Worker:
     still holds a lease the loop keeps polling — if that worker dies, its
     lease expires and this one steals the point.
 
+    Points travel in batches: one request leases them, one request
+    completes the ones that ran.  The batch size is not a setting.  A
+    worker asks for one point until it has timed one, then for as many as
+    its mean point wall time fits into one heartbeat interval
+    (``lease_seconds / 3``): a campaign of heavy points keeps one point
+    per request, and a crashed worker loses about one interval of work.
+    The broker may grant fewer (see :meth:`Broker.lease_batch`).
+
     ``max_points`` bounds how many points this worker executes (the
-    deterministic stand-in for killing it); ``campaign`` restricts leasing
-    to one campaign digest.
+    deterministic stand-in for killing it), and so how many it leases;
+    ``campaign`` restricts leasing to one campaign digest.
 
     With ``fork_prefixes`` the worker executes forkable points through the
     prefix-checkpoint machinery (see docs/CAMPAIGNS.md): the first point of
@@ -250,8 +283,11 @@ class Worker:
         #: the telemetry PR: the beat thread used to swallow these silently)
         self.heartbeat_failures = 0
         self.consecutive_heartbeat_failures = 0
-        #: wall-clock seconds of completed point runs, for throughput stats
+        #: wall-clock seconds of successful point runs, for throughput stats
+        #: and the batch size
         self._point_walls: List[float] = []
+        #: the point the worker is running; heartbeats name it
+        self._running: Optional[Lease] = None
         #: cumulative ``steps`` grants from the broker already honoured
         self._control_steps_applied = 0
         # Workers always run under a RunControl so a pause/step request
@@ -361,21 +397,33 @@ class Worker:
 
     # -- execution -----------------------------------------------------------------------
 
-    def run_point(self, lease: Lease) -> bool:
-        """Execute one leased point under a heartbeat; returns success."""
-        stop = threading.Event()
-        interval = max(0.1, lease.lease_seconds / 3.0)
+    def _batch_size(self, lease_seconds: float) -> int:
+        """Points to ask for next: one until a point is timed, then as many
+        as fit into one heartbeat interval."""
+        if not self._point_walls:
+            return 1
+        mean = sum(self._point_walls) / len(self._point_walls)
+        return max(1, int(_beat_interval(lease_seconds) / max(mean, 1e-9)))
 
-        def beat() -> None:
+    def _beat(
+        self, stop: threading.Event, interval: float, crashed: List[BaseException]
+    ) -> None:
+        """The heartbeat thread: every ``interval`` until ``stop``, extend this
+        worker's leases, naming the point it is running.
+
+        A transport failure is counted, logged and retried at the next beat;
+        anything else is a bug, kept in ``crashed`` for the worker to raise.
+        """
+        try:
             while not stop.wait(interval):
+                lease = self._running
                 try:
                     response = self.client.heartbeat(
                         lease, telemetry=self.telemetry_sample()
                     )
-                except Exception as error:
-                    # Transient broker trouble; the next beat retries.  But
-                    # never silently: a worker that cannot reach its broker
-                    # is about to lose the lease, and the operator should
+                except TRANSPORT_ERRORS as error:
+                    # Never silently: a worker that cannot reach its broker
+                    # is about to lose its leases, and the operator should
                     # see that coming.
                     self.heartbeat_failures += 1
                     self.consecutive_heartbeat_failures += 1
@@ -401,9 +449,16 @@ class Worker:
                         "lease on point #%d lost; finishing anyway" % lease.index
                     )
                 self._apply_control(response.get("control"))
+        except BaseException as error:
+            crashed.append(error)
 
-        beater = threading.Thread(target=beat, daemon=True)
-        beater.start()
+    def run_point(self, lease: Lease) -> Optional[Finished]:
+        """Execute one leased point; what to complete, or ``None`` if it failed.
+
+        A failed point is reported with ``fail`` right away; a finished
+        one waits for its batch's ``complete``.
+        """
+        self._running = lease
         started = time.perf_counter()
         try:
             if self.fork_prefixes and lease.prefix:
@@ -412,40 +467,66 @@ class Worker:
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as error:
-            stop.set()
-            beater.join()
             self.client.fail(lease, str(error))
             self.failed += 1
             self._log("point #%d failed: %s" % (lease.index, error))
-            return False
-        stop.set()
-        beater.join()
-        wall = time.perf_counter() - started
-        accepted = self.client.complete(
+            return None
+        self._point_walls.append(time.perf_counter() - started)
+        return Finished.of(
             lease, result.to_dict(), run_payloads(lease.scenario, result)
         )
-        if accepted:
-            self._point_walls.append(wall)
-            self.completed += 1
-            self._log("point #%d complete (%s)" % (lease.index, lease.digest[:12]))
-        else:
-            # Someone else re-leased and closed it first; the store holds
-            # one copy of the (identical) artifacts either way.
-            self.stolen += 1
-            self._log("point #%d was re-leased elsewhere" % lease.index)
-        return accepted
+
+    def run_batch(self, leases: Leases) -> None:
+        """Run a batch's points under one heartbeat thread, then complete
+        the finished ones in one request."""
+        stop = threading.Event()
+        crashed: List[BaseException] = []
+        self._running = leases[0]
+        beater = threading.Thread(
+            target=self._beat,
+            args=(stop, _beat_interval(leases[0].lease_seconds), crashed),
+            daemon=True,
+        )
+        beater.start()
+        finished: List[Finished] = []
+        try:
+            for lease in leases:
+                done = self.run_point(lease)
+                if done is not None:
+                    finished.append(done)
+        finally:
+            stop.set()
+            beater.join()
+        if crashed:
+            raise crashed[0]
+        if not finished:
+            return
+        for done, accepted in zip(finished, self.client.complete(*finished)):
+            if accepted:
+                self.completed += 1
+                self._log("point #%d complete (%s)" % (done.index, done.digest[:12]))
+            else:
+                # Someone else re-leased and closed it first; the store
+                # holds one copy of the (identical) artifacts either way.
+                self.stolen += 1
+                self._log("point #%d was re-leased elsewhere" % done.index)
 
     def run(self) -> Dict[str, int]:
         """Lease and run points until the queue is drained (or ``max_points``)."""
+        lease_seconds = 0.0
         while True:
-            if (
-                self.max_points is not None
-                and self.completed + self.failed + self.stolen >= self.max_points
-            ):
-                self._log("max points reached; exiting")
-                break
-            lease, outstanding = self.client.lease(self.worker_id, self.campaign)
-            if lease is None:
+            limit = self._batch_size(lease_seconds)
+            if self.max_points is not None:
+                limit = min(
+                    limit, self.max_points - self.completed - self.failed - self.stolen
+                )
+                if limit <= 0:
+                    self._log("max points reached; exiting")
+                    break
+            leases, outstanding = self.client.lease(
+                self.worker_id, self.campaign, limit
+            )
+            if not leases:
                 if outstanding == 0:
                     self._log("queue drained; exiting")
                     break
@@ -453,14 +534,21 @@ class Worker:
                 # case one of those leases expires.
                 time.sleep(self.poll_interval)
                 continue
+            first = leases[0]
+            lease_seconds = first.lease_seconds
             self._log(
-                "leased point #%d of %s (%s)"
-                % (lease.index, lease.campaign[:12], lease.label)
+                "leased %d point(s) of %s from #%d (%s)"
+                % (len(leases), first.campaign[:12], first.index, first.label)
             )
-            self.run_point(lease)
+            self.run_batch(leases)
         return {
             "worker": self.worker_id,
             "completed": self.completed,
             "failed": self.failed,
             "stolen": self.stolen,
         }
+
+
+def _beat_interval(lease_seconds: float) -> float:
+    """Seconds between heartbeats: three beats fit into one lease."""
+    return max(0.1, lease_seconds / 3.0)

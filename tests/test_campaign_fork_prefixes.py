@@ -410,6 +410,15 @@ class TestBrokerPrefixAffinity:
         assert payload["prefix"] == first.prefix
         assert Lease.from_dict(payload).prefix == first.prefix
 
+        # A batch drains the worker's last prefix group first, then moves on:
+        # w1 last leased point 0, so its batch is [1, 2], not [2, 1].
+        batched = Broker(SQLiteResultStore(tmp_path / "batch.db"), lease_seconds=30.0)
+        batched.submit(self._two_prefix_campaign())
+        opener = batched.lease("w1")
+        batch = batched.lease_batch("w1", limit=4)
+        assert [lease.index for lease in batch] == [1, 2]
+        assert batch[0].prefix == opener.prefix != batch[1].prefix
+
     def test_spec_route_round_trips_the_campaign(self, tmp_path):
         store = SQLiteResultStore(tmp_path / "svc.db")
         service = ExperimentService(store, lease_seconds=10.0)

@@ -8,6 +8,7 @@ from repro.api import Campaign, CampaignRunner, ResultStore, Scenario, Session
 from repro.api.campaign import status_dict
 from repro.api.resultset import digest_rows, export_rows
 from repro.service import Broker, LocalBrokerClient, Worker
+from repro.service.broker import Finished
 from repro.service.sqlite_store import SQLiteResultStore
 
 
@@ -323,6 +324,187 @@ class TestDigestParity:
 
         fleet_rows = CampaignRunner(Session(store=store)).rows(campaign)
         assert digest_rows(fleet_rows) == reference_digest
+
+
+def finished(lease, result=None, runs=None):
+    return Finished.of(lease, {"v": lease.index} if result is None else result, runs or {})
+
+
+def store_snapshot(store):
+    """Every artifact row and every point row, as stored."""
+    tables = ["artifact_%s" % kind for kind in store.kinds()] + ["broker_points"]
+    return {
+        table: store.execute('SELECT * FROM "%s" ORDER BY 1, 2' % table).fetchall()
+        for table in tables
+    }
+
+
+class TestBatches:
+    """Exactly-once is per point: a batch shares one request and one commit."""
+
+    def test_grants_shrink_with_the_queue_and_the_fleet(self, broker, clock):
+        broker.submit(smoke_campaign(8))
+        # ceil(claimable / (2 x live workers)): 8 / 2, then 4 / 4 with two live.
+        assert [l.index for l in broker.lease_batch("w1", limit=8)] == [0, 1, 2, 3]
+        assert [l.index for l in broker.lease_batch("w2", limit=8)] == [4]
+        assert [l.index for l in broker.lease_batch("w2", limit=1)] == [5]
+        clock.advance(11.0)  # every lease expired, and nobody is live
+        stolen = broker.lease_batch("w3", limit=8)
+        assert [l.index for l in stolen] == [0, 1, 2, 3]
+        assert {l.worker for l in stolen} == {"w3"}
+        assert broker.lease_batch("w3", limit=0) == []
+
+    def test_dead_batch_holder_is_re_leased_and_completed_once(
+        self, store, broker, clock
+    ):
+        campaign = smoke_campaign(4)
+        broker.submit(campaign)
+        doomed = broker.lease_batch("doomed", limit=4)
+        assert [l.index for l in doomed] == [0, 1]
+        # "doomed" dies holding its batch: no beat, no complete.
+        clock.advance(11.0)
+        survivor = broker.lease_batch("survivor", limit=4)
+        assert [l.index for l in survivor] == [0, 1]
+        assert broker.complete_batch([finished(l) for l in survivor]) == [True, True]
+        before = store_snapshot(store)
+        # The late batch is refused point by point and writes nothing.
+        late = [finished(l) for l in doomed]
+        assert broker.complete_batch(late) == [False, False]
+        assert store_snapshot(store) == before
+
+        rest = broker.lease_batch("survivor", limit=4)
+        assert broker.complete_batch([finished(l) for l in rest]) == [True] * len(rest)
+        rest = broker.lease_batch("survivor", limit=4)
+        broker.complete_batch([finished(l) for l in rest])
+        status = broker.status(campaign.digest)
+        assert status["counts"]["complete"] == 4
+        assert [p["attempts"] for p in status["points"]] == [2, 2, 1, 1]
+        completed = dict(
+            store.execute("SELECT worker, completed FROM broker_workers").fetchall()
+        )
+        assert completed == {"doomed": 0, "survivor": 4}
+
+    def test_a_point_without_a_result_fails_alone(self, broker):
+        campaign = smoke_campaign(4)
+        broker.submit(campaign)
+        first, second = broker.lease_batch("w1", limit=2)
+        missing = Finished.of(second, None, {})
+        assert broker.complete_batch([finished(first), missing]) == [True, False]
+        points = broker.status(campaign.digest)["points"]
+        assert [p["state"] for p in points] == ["complete", "failed", "pending", "pending"]
+        assert "without a result" in points[1]["error"]
+
+    def test_heartbeat_extends_all_of_its_workers_leases_only(
+        self, store, broker, clock
+    ):
+        broker.submit(smoke_campaign(4))
+        mine = broker.lease_batch("w1", limit=2)
+        (theirs,) = broker.lease_batch("w2", limit=2)
+        clock.advance(8.0)
+        # Beating while running point 1 keeps point 0 of the batch too.
+        assert broker.heartbeat("w1", mine[1].campaign, mine[1].index)
+        # Naming a point w1 does not hold answers False; its leases still extend.
+        clock.advance(1.0)
+        assert not broker.heartbeat("w1", theirs.campaign, theirs.index)
+        expires = dict(
+            store.execute(
+                "SELECT idx, lease_expires FROM broker_points WHERE state='leased'"
+            ).fetchall()
+        )
+        assert expires == {0: 19.0, 1: 19.0, 2: 10.0}
+        clock.advance(2.0)  # w2's lease has expired; w1's have not
+        assert [l.index for l in broker.lease_batch("w3", limit=4)] == [2]
+        assert not broker.heartbeat("w2", theirs.campaign, theirs.index)
+
+    def test_max_points_bounds_the_leases_a_worker_holds(self, store, broker):
+        broker.submit(smoke_campaign(8))
+        held = []
+
+        class Watching(LocalBrokerClient):
+            def lease(self, worker, campaign=None, limit=1):
+                granted = super().lease(worker, campaign, limit)
+                held.append(
+                    store.execute(
+                        "SELECT COUNT(*) FROM broker_points"
+                        " WHERE worker=? AND state='leased'",
+                        (worker,),
+                    ).fetchone()[0]
+                )
+                return granted
+
+        worker = Worker(Watching(broker), session=Session(), worker_id="w1", max_points=3)
+        done = []
+        real_run_batch = worker.run_batch
+
+        def run_batch(leases):
+            done.append(worker.completed + worker.failed + worker.stolen)
+            real_run_batch(leases)
+
+        worker.run_batch = run_batch
+        assert worker.run()["completed"] == 3
+        assert all(count <= 3 - finished for count, finished in zip(held, done))
+        assert held[1] == 2  # the second request asked for exactly what was left
+        counts = broker.status(smoke_campaign(8).digest)["counts"]
+        assert (counts["complete"], counts["leased"], counts["pending"]) == (3, 0, 5)
+
+
+class TestCommitsPerPoint:
+    def test_a_drain_commits_about_twice_per_batch(self, tmp_path):
+        base = Scenario(
+            name="commits", base="smoke", sim={"duration": units.months(1)}, seeds=(1,)
+        )
+        campaign = Campaign.from_grid(
+            "commits", base, {"sim.duration": [units.days(20 + d) for d in range(32)]}
+        )
+        store = SQLiteResultStore(tmp_path / "svc.db")
+        broker = Broker(store, lease_seconds=30.0)
+        broker.submit(campaign)
+        counting = _CountingConnection(store._conn)
+        store._conn = counting
+        # Storeless, so every artifact is written by ``complete_batch`` (a
+        # store-attached session commits its own two saves per point).
+        stats = Worker(LocalBrokerClient(broker), session=Session()).run()
+        assert stats["completed"] == 32
+        # One commit per lease request and per complete request: 13 here.
+        # A commit after every statement made it 196, about six per point.
+        assert counting.commits <= 2.5 * 32, counting.commits
+
+    def test_writes_inside_a_transaction_commit_or_roll_back_with_it(self, store):
+        counting = _CountingConnection(store._conn)
+        store._conn = counting
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                store.save_json("result", "a" * 64, {"v": 1})
+                with store.transaction() as conn:
+                    conn.execute("CREATE TABLE scratch (x INTEGER)")
+                assert store.has("result", "a" * 64)
+                raise RuntimeError("abort the batch")
+        assert counting.commits == 0
+        assert not store.has("result", "a" * 64)
+        assert "scratch" not in {
+            name for (name,) in store.execute(
+                "SELECT name FROM sqlite_master WHERE type='table'"
+            ).fetchall()
+        }
+        # The rolled-back table is created again on the next write.
+        store.save_json("result", "b" * 64, {"v": 2})
+        assert store.load_json("result", "b" * 64) == {"v": 2}
+        assert counting.commits == 1
+
+
+class _CountingConnection:
+    """A ``sqlite3.Connection`` stand-in that counts ``commit()`` calls."""
+
+    def __init__(self, connection):
+        self._connection = connection
+        self.commits = 0
+
+    def commit(self):
+        self.commits += 1
+        return self._connection.commit()
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
 
 
 class TestWorkerTimeout:

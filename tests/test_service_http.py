@@ -6,11 +6,14 @@ ephemeral port with :class:`HttpBrokerClient` workers — including an
 abandoned-lease steal over HTTP.
 """
 
+import socket
+import time
+
 import pytest
 
 from repro import units
 from repro.api import Campaign, CampaignRunner, Scenario, Session
-from repro.service import HttpBrokerClient, Worker, make_server
+from repro.service import HttpBrokerClient, Worker, make_server, start_server
 from repro.service.http_api import ExperimentService
 from repro.service.sqlite_store import SQLiteResultStore
 
@@ -69,7 +72,7 @@ class TestRouting:
         )
         status, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
         assert status == 200
-        lease = leased["lease"]
+        lease = leased["leases"][0]
         assert lease["index"] == 0
         assert leased["outstanding"] == 1
 
@@ -97,22 +100,67 @@ class TestRouting:
             "POST", "/api/campaigns", smoke_campaign(1).to_dict()
         )
         _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
-        lease = leased["lease"]
+        lease = leased["leases"][0]
         status, done = service.handle(
             "POST",
             "/api/complete",
+            {
+                "points": [
+                    {
+                        "worker": "w1",
+                        "campaign": lease["campaign"],
+                        "index": lease["index"],
+                        "digest": lease["digest"],
+                        "result": {"fake": True},
+                        "runs": {"run-d1": {"fake_run": True}},
+                    }
+                ]
+            },
+        )
+        assert done["accepted"] == [True]
+        assert store.load_json("result", lease["digest"]) == {"fake": True}
+        assert store.load_json("runs", "run-d1") == [{"fake_run": True}]
+
+    def test_lease_and_complete_take_batches(self, service, store):
+        _, submitted = service.handle(
+            "POST", "/api/campaigns", smoke_campaign(3).to_dict()
+        )
+        # One worker, three claimable points: at most ceil(3 / 2) = 2.
+        status, leased = service.handle(
+            "POST", "/api/lease", {"worker": "w1", "limit": 5}
+        )
+        assert status == 200
+        assert [lease["index"] for lease in leased["leases"]] == [0, 1]
+        assert leased["outstanding"] == 3
+        points = [
             {
                 "worker": "w1",
                 "campaign": lease["campaign"],
                 "index": lease["index"],
                 "digest": lease["digest"],
-                "result": {"fake": True},
-                "runs": {"run-d1": {"fake_run": True}},
-            },
-        )
-        assert done["ok"] is True
-        assert store.load_json("result", lease["digest"]) == {"fake": True}
-        assert store.load_json("runs", "run-d1") == [{"fake_run": True}]
+                "result": {"fake": lease["index"]},
+                "runs": {},
+            }
+            for lease in leased["leases"]
+        ]
+        points[1]["result"] = None  # nothing to persist: that point fails
+        _, done = service.handle("POST", "/api/complete", {"points": points})
+        assert done["accepted"] == [True, False]
+        counts = service.broker.status(submitted["digest"])["counts"]
+        assert (counts["complete"], counts["failed"], counts["pending"]) == (1, 1, 1)
+
+    def test_malformed_batches_are_400(self, service):
+        for body in ({"worker": "w1", "limit": 0}, {"worker": "w1", "limit": "x"}):
+            assert service.handle("POST", "/api/lease", body)[0] == 400
+        for body in (
+            {},
+            {"points": {"worker": "w1"}},
+            {"points": ["w1"]},
+            {"points": [{"worker": "w1", "campaign": "c", "index": 0}]},
+            {"points": [{"worker": "w1", "campaign": "c", "index": 0,
+                         "digest": "d", "runs": [1]}]},
+        ):
+            assert service.handle("POST", "/api/complete", body)[0] == 400, body
 
     def test_error_paths(self, service):
         assert service.handle("GET", "/nope")[0] == 404
@@ -206,8 +254,9 @@ class TestEndToEnd:
         client.submit(campaign.to_dict())
 
         # A "crashed" worker: leases the only point and never comes back.
-        abandoned, outstanding = client.lease("ghost")
-        assert abandoned is not None
+        abandoned, outstanding = client.lease("ghost", limit=4)
+        assert [lease.index for lease in abandoned] == [0]
+        assert abandoned.digest == abandoned[0].digest
         assert outstanding == 1
 
         # A live worker polls until the 2s lease expires, then finishes it.
@@ -215,6 +264,47 @@ class TestEndToEnd:
             client, session=Session(), worker_id="live", poll_interval=0.1
         ).run()
         assert stats["completed"] == 1
+
+
+class TestKeepAlive:
+    def test_sequential_requests_share_one_fast_connection(self, store):
+        # http.server writes a response's headers and body separately: on a
+        # kept-alive connection without TCP_NODELAY the body waits for the
+        # client's delayed ACK, ~40 ms a request (>= 2 s for these 50).
+        server = make_server(store, port=0)
+        start_server(server)
+        try:
+            client = HttpBrokerClient("http://127.0.0.1:%d" % server.server_address[1])
+            client.request("GET", "/api/health")
+            connection = client._connection()
+            started = time.perf_counter()
+            for _ in range(50):
+                assert client.request("GET", "/api/health")["ok"] is True
+            elapsed = time.perf_counter() - started
+            assert client._connection() is connection
+            assert connection.sock is not None  # still open: kept alive
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert elapsed < 1.0, "50 keep-alive requests took %.2f s" % elapsed
+
+    def test_a_closed_keep_alive_connection_is_replaced(self, store):
+        server = make_server(store, port=0)
+        start_server(server)
+        try:
+            client = HttpBrokerClient("http://127.0.0.1:%d" % server.server_address[1])
+            client.request("GET", "/api/health")
+            # The server side of the idle connection goes away (a restart).
+            client._connection().sock.shutdown(socket.SHUT_RD)
+            assert client.request("GET", "/api/health")["ok"] is True
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_error_status_keeps_its_message(self, client):
+        with pytest.raises(RuntimeError, match="HTTP 404 unknown route"):
+            client.request("GET", "/api/nope")
+        assert client.request("GET", "/api/health")["ok"] is True
 
 
 class TestLayering:

@@ -4,6 +4,7 @@ counter."""
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro import units
 from repro.api import Campaign, Scenario, Session
 from repro.service import HttpBrokerClient, Worker, make_server
-from repro.service.broker import Broker, Lease
+from repro.service.broker import Broker, Lease, Leases
 from repro.service.http_api import ExperimentService
 from repro.service.sqlite_store import SQLiteResultStore
 from repro.service.worker import LocalBrokerClient
@@ -46,7 +47,7 @@ class TestServiceBus:
             "POST", "/api/campaigns", smoke_campaign(1).to_dict()
         )
         _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
-        assert leased["lease"] is not None
+        assert len(leased["leases"]) == 1
         events = subscriber.drain()
         topics = [event["topic"] for event in events]
         assert "campaign_progress" in topics
@@ -59,7 +60,7 @@ class TestServiceBus:
     def test_requeue_publishes_progress(self, service):
         service.handle("POST", "/api/campaigns", smoke_campaign(1).to_dict())
         _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
-        lease = leased["lease"]
+        lease = leased["leases"][0]
         service.handle(
             "POST",
             "/api/fail",
@@ -78,7 +79,7 @@ class TestServiceBus:
     def test_heartbeat_accepts_telemetry_and_returns_control(self, service):
         service.handle("POST", "/api/campaigns", smoke_campaign(1).to_dict())
         _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
-        lease = leased["lease"]
+        lease = leased["leases"][0]
         _, beat = service.handle(
             "POST",
             "/api/heartbeat",
@@ -176,14 +177,16 @@ class TestWorkerHeartbeatFailures:
         client = _FlakyClient(broker, failures=2)
         worker = Worker(client, session=Session(), worker_id="w1")
         stop = threading.Event()
+        crashed = []
 
-        # Drive the beat loop directly (run_point would finish too fast to
+        # Drive the beat thread directly (a batch would finish too fast to
         # observe failures deterministically).
         with caplog.at_level(logging.WARNING, logger="repro.service.worker"):
             import time as time_module
 
+            worker._running = lease
             thread = threading.Thread(
-                target=lambda: _beat_loop(worker, client, lease, stop), daemon=True
+                target=worker._beat, args=(stop, 0.05, crashed), daemon=True
             )
             thread.start()
             deadline = time_module.time() + 10.0
@@ -197,6 +200,7 @@ class TestWorkerHeartbeatFailures:
             stop.set()
             thread.join(timeout=5.0)
 
+        assert crashed == []
         assert worker.heartbeat_failures == 2
         assert worker.consecutive_heartbeat_failures == 0  # reset on success
         warnings = [r for r in caplog.records if "heartbeat" in r.getMessage()]
@@ -233,32 +237,34 @@ class TestWorkerHeartbeatFailures:
         worker._apply_control(None)  # no control row: harmless
 
 
-def _beat_loop(worker, client, lease, stop):
-    """The body of Worker.run_point's beat thread, extracted for testing."""
-    while not stop.wait(0.05):
-        try:
-            response = client.heartbeat(lease, telemetry=worker.telemetry_sample())
-        except Exception as error:
-            worker.heartbeat_failures += 1
-            worker.consecutive_heartbeat_failures += 1
-            import logging
+    def test_a_bug_in_the_beat_stops_the_worker(self, store):
+        # Only transport failures are retried; a programming error in the
+        # beat must not be counted and retried forever while leases lapse.
+        broker = Broker(store, lease_seconds=0.3)
+        broker.submit(smoke_campaign(1))
 
-            logging.getLogger("repro.service.worker").warning(
-                "worker %s: heartbeat for point #%d failed"
-                " (%s; consecutive failures: %d)",
-                worker.worker_id,
-                lease.index,
-                error,
-                worker.consecutive_heartbeat_failures,
-            )
-            continue
-        worker.consecutive_heartbeat_failures = 0
-        worker._apply_control(response.get("control"))
+        class BrokenBeat(LocalBrokerClient):
+            def heartbeat(self, lease, telemetry=None):
+                raise TypeError("heartbeat() got an unexpected keyword argument")
+
+        worker = Worker(BrokenBeat(broker), session=Session(), worker_id="w1")
+        real_run = worker.session.run
+
+        def slow_run(scenario):
+            time.sleep(0.3)  # three beat intervals
+            return real_run(scenario)
+
+        worker.session.run = slow_run
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            worker.run()
+        assert worker.heartbeat_failures == 0
+        # The point was not closed: its lease lapses and another worker steals it.
+        assert broker.status(smoke_campaign(1).digest)["counts"]["leased"] == 1
 
 
 class _DummyClient:
-    def lease(self, worker, campaign=None):
-        return None, 0
+    def lease(self, worker, campaign=None, limit=1):
+        return Leases(), 0
 
 
 class TestWatchRenderer:
