@@ -16,9 +16,9 @@ usual **content digest**, so points are persistable, deduplicatable, and
 resumable by identity rather than by position.
 
 :class:`CampaignRunner` executes campaigns through a
-:class:`~repro.api.session.Session`: every expanded point whose result
-artifact already exists in the attached
-:class:`~repro.api.store.ResultStore` is loaded instead of re-simulated, the
+:class:`~repro.api.session.Session`: every expanded point whose runs all
+exist in the attached :class:`~repro.api.store.ResultStore` is complete —
+its result is derived from those runs instead of re-simulated — the
 remaining points stream through the session's (optionally parallel) task
 batch, and per-seed runs are checkpointed as they complete — so a killed
 campaign resumes exactly where it stopped and finishes with bit-identical
@@ -41,10 +41,12 @@ from .resultset import PointResult, ResultSet, export_rows
 from .scenario import (
     AXIS_SCOPES,
     JsonSpec,
+    RunKey,
     Scenario,
     canonical_json,
     clone_point_scenario,
     expand_axes,
+    point_identities,
     split_axis_target,
 )
 from .session import (
@@ -52,8 +54,10 @@ from .session import (
     ForkGroup,
     PointExecutionError,
     Session,
+    assemble_result,
     default_session,
 )
+from ..metrics.report import RunMetrics
 from .store import ResultStore
 
 logger = logging.getLogger(__name__)
@@ -169,9 +173,8 @@ def plan_fork_groups(
         if onset is None:
             continue
         spec = scenario.adversary.to_dict()
-        keys = scenario.run_keys()
-        prefixes = {seed: digest for seed, baseline, digest in keys if baseline}
-        for seed, baseline, attacked in keys:
+        prefixes = {seed: digest for seed, baseline, digest in point.run_keys if baseline}
+        for seed, baseline, attacked in point.run_keys:
             if baseline:
                 continue
             bucket = buckets.setdefault(
@@ -238,13 +241,14 @@ def slice_fork_groups(
 
 @dataclass(frozen=True)
 class CampaignPoint:
-    """One expanded grid point: its position and concrete scenario."""
+    """One expanded grid point: its position, concrete scenario, and the
+    scenario's digest and run keys, worked out once by ``expand()`` — a
+    point's scenario is not mutated afterwards."""
 
     index: int
     scenario: Scenario
-    #: The scenario's content digest, hashed once when ``expand()`` built
-    #: the point — a point's scenario is not mutated afterwards.
     digest: str
+    run_keys: List[RunKey]
 
     @property
     def label(self) -> str:
@@ -356,9 +360,12 @@ class Campaign(JsonSpec):
         """Expand all axes into concrete point scenarios, first axis outermost."""
         for axis in self.axes:
             self._validate_axis(axis)
+        scenarios = expand_axes(self.scenario, self.axes)
         return [
-            CampaignPoint(index=index, scenario=scenario, digest=scenario.digest)
-            for index, scenario in enumerate(expand_axes(self.scenario, self.axes))
+            CampaignPoint(index, scenario, digest, run_keys)
+            for index, (scenario, (digest, run_keys)) in enumerate(
+                zip(scenarios, point_identities(scenarios))
+            )
         ]
 
     def __len__(self) -> int:
@@ -474,7 +481,7 @@ def manifest_payload(
     One schema for :class:`CampaignRunner` and the service broker, and the
     one owner of what is persisted: every point's identity, and ``failed``
     with its error for a point whose last attempt failed.  The rest is
-    derived on read — ``complete`` iff the store holds the ``result``.
+    derived on read — ``complete`` iff the store holds the point's runs.
     """
     points = []
     for entry in entries:
@@ -543,11 +550,11 @@ class CampaignStatus:
 class CampaignRunner:
     """Executes campaigns through a session, checkpointing into its store.
 
-    With a store attached, every per-seed run and every completed point
-    result is persisted by content digest as it finishes; ``run`` first
-    loads whatever the store already holds, so re-running (or resuming after
-    a kill) only simulates the missing work and reproduces the exact digests
-    an uninterrupted run would have produced.
+    With a store attached, every per-seed run is persisted by content digest
+    as it finishes; ``run`` first derives whatever results the stored runs
+    make, so re-running (or resuming after a kill) only simulates the
+    missing work and reproduces the exact digests an uninterrupted run would
+    have produced.
     """
 
     def __init__(
@@ -579,16 +586,26 @@ class CampaignRunner:
 
     # -- state inspection ---------------------------------------------------------------
 
-    def _load_point(self, point: CampaignPoint) -> Optional[ExperimentResult]:
+    def _load_point(
+        self, point: CampaignPoint, baselines: Dict[str, RunMetrics]
+    ) -> Optional[ExperimentResult]:
+        """The point's result, derived from its stored runs; ``None`` while one
+        is missing or corrupt.  ``baselines`` keeps the baseline runs the
+        caller has read, so a baseline a grid shares is read once per call."""
         if self.store is None:
             return None
-        payload = self.store.load_json("result", point.digest)
-        if not isinstance(payload, dict):
-            return None
-        try:
-            return ExperimentResult.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
+        runs: Dict[str, RunMetrics] = {}
+        for _, baseline, digest in point.run_keys:
+            run = baselines.get(digest)
+            if run is None:
+                stored = self.store.load_runs(digest)
+                if not stored:
+                    return None
+                run = stored[0]
+                if baseline:
+                    baselines[digest] = run
+            runs[digest] = run
+        return assemble_result(point.scenario, point.digest, point.run_keys, runs)
 
     def _stored_failures(self, digest: str, done) -> Optional[Dict[int, str]]:
         """Errors of the points the stored manifest of campaign ``digest``
@@ -617,7 +634,8 @@ class CampaignRunner:
         """
         points = campaign.expand()
         digest = Campaign.digest_of(points)
-        completed = [point for point in points if self._load_point(point) is not None]
+        baselines: Dict[str, RunMetrics] = {}
+        completed = [p for p in points if self._load_point(p, baselines) is not None]
         done = {point.index for point in completed}
         return CampaignStatus(
             name=campaign.name,
@@ -643,20 +661,21 @@ class CampaignRunner:
         holds the completed points in expansion order; check
         :meth:`status` for completeness.
 
-        Points are dispatched in worker-sized chunks and every result is in
-        the store once its point completes, so an interactive Ctrl-C and a
+        Points are dispatched in worker-sized chunks and every run is in
+        the store once it finishes, so an interactive Ctrl-C and a
         hard kill leave a store that :meth:`resume` continues exactly like
         ``--max-points``.  A point whose runs fail or time out past the
         session's retry budget is marked ``failed`` in the manifest — with
-        its error, without a result artifact — so it does not poison the
+        its error — so it does not poison the
         pool and ``resume`` re-leases it automatically; the manifest is
         written when the store has none and when that marking changes.
         """
         points = campaign.expand()
         results: Dict[int, ExperimentResult] = {}
         pending: List[CampaignPoint] = []
+        baselines: Dict[str, RunMetrics] = {}
         for point in points:
-            loaded = self._load_point(point)
+            loaded = self._load_point(point, baselines)
             if loaded is not None:
                 results[point.index] = loaded
             else:
@@ -741,8 +760,9 @@ class CampaignRunner:
         one :class:`~repro.api.session.ExperimentResult` in memory.  Raises
         ``LookupError`` at the first missing point.
         """
+        baselines: Dict[str, RunMetrics] = {}
         for point in campaign.expand():
-            result = self._load_point(point)
+            result = self._load_point(point, baselines)
             if result is None:
                 raise LookupError(
                     "campaign %r is incomplete: point #%d (%s) is missing "
@@ -766,8 +786,9 @@ class CampaignRunner:
         points = campaign.expand()
         loaded: List[PointResult] = []
         missing: List[CampaignPoint] = []
+        baselines: Dict[str, RunMetrics] = {}
         for point in points:
-            result = self._load_point(point)
+            result = self._load_point(point, baselines)
             if result is None:
                 missing.append(point)
             else:

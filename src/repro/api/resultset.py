@@ -58,11 +58,8 @@ class PointResult:
 
     # -- identity ----------------------------------------------------------------------
 
-    # Label and parameters come from the expanded point scenario, not the
-    # stored result: a scenario digest deliberately ignores pure row labels
-    # (``params.*`` axes), so two points distinguished only by labels share
-    # one result artifact — reading the artifact's copy would give every
-    # such point the labels of whichever one was persisted last.
+    # Label and parameters are the expanded point scenario's: a scenario
+    # digest ignores pure row labels (``params.*`` axes).
 
     @property
     def label(self) -> str:

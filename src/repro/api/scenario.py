@@ -80,6 +80,11 @@ def _changed_fields(config: object, base: object) -> Dict[str, object]:
     return {k: v for k, v in _field_values(config).items() if v != getattr(base, k)}
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call: the canonical JSON text of plain values.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def config_digest(
     protocol: ProtocolConfig,
     sim: SimulationConfig,
@@ -94,16 +99,20 @@ def config_digest(
     Python versions, processes, and cosmetic refactors of the config classes.
     """
     return _values_digest(
-        _field_values(protocol), _field_values(sim), seeds, adversary, extra
+        _encode(_field_values(protocol)),
+        _encode(_field_values(sim)),
+        _encode(list(seeds)),
+        _encode(_jsonable(adversary)),
+        _encode(_jsonable(extra)),
     )
 
 
-def _values_digest(protocol: dict, sim: dict, seeds, adversary, extra) -> str:
-    """:func:`config_digest` over the configs' :func:`_field_values`; only the
-    free-form ``adversary`` / ``extra`` parts need ``_jsonable``."""
-    payload = {"protocol": protocol, "sim": sim, "seeds": list(seeds)}
-    payload.update(adversary=_jsonable(adversary), extra=_jsonable(extra))
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _values_digest(protocol: str, sim: str, seeds: str, adversary: str, extra: str) -> str:
+    """The one digest formula: SHA-256 of the canonical JSON object
+    ``{"adversary", "extra", "protocol", "seeds", "sim"}``, built from each
+    part's canonical JSON text (see :func:`config_digest`)."""
+    text = '{"adversary":%s,"extra":%s,"protocol":%s,"seeds":%s,"sim":%s}'
+    text %= (adversary, extra, protocol, seeds, sim)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -293,20 +302,22 @@ def expand_axes(
     return points
 
 
-def _coerce_overrides(base: object, overrides: Dict[str, object]) -> Dict[str, object]:
-    """Coerce JSON-decoded override values back to the field types of ``base``.
+def _overridden(
+    base: object, overrides: Dict[str, object]
+) -> Tuple[object, Dict[str, object]]:
+    """``base`` with ``overrides`` applied: the new config, which its
+    constructor validates, and its field values.
 
     JSON turns tuples into lists; tuple-typed config fields (link bandwidths,
     latency ranges) are converted back so resolved configs compare equal to
     natively constructed ones.
     """
-    coerced: Dict[str, object] = {}
+    values = _field_values(base)
     for name, value in overrides.items():
-        current = getattr(base, name, None)
-        if isinstance(current, tuple) and isinstance(value, list):
+        if isinstance(values.get(name), tuple) and isinstance(value, list):
             value = tuple(value)
-        coerced[name] = value
-    return coerced
+        values[name] = value
+    return type(base)(**values), values
 
 
 @dataclass
@@ -395,10 +406,8 @@ class Scenario(JsonSpec):
     ) -> Tuple[ProtocolConfig, SimulationConfig]:
         """Materialize the (protocol, sim) configs this scenario describes."""
         base_protocol, base_sim = BASE_CONFIGS[self.base]()
-        protocol = base_protocol.with_overrides(
-            **_coerce_overrides(base_protocol, self.protocol)
-        )
-        sim = base_sim.with_overrides(**_coerce_overrides(base_sim, self.sim))
+        protocol = _overridden(base_protocol, self.protocol)[0]
+        sim = _overridden(base_sim, self.sim)[0]
         if seed is not None:
             sim = sim.with_overrides(seed=int(seed))
         return protocol, sim
@@ -497,30 +506,6 @@ class Scenario(JsonSpec):
 
         return canonical_fault_plan(self.faults)
 
-    def _hashed_parts(self) -> tuple:
-        """``(protocol, sim, canonical adversary, canonical faults)``, resolved
-        (so validated), the configs as their field values.
-
-        What every digest below hashes; they differ only in the seeds stamped
-        on it, whether the adversary is dropped, and the ``sweep`` extra.
-        Never stored: a scenario is mutable, so a kept digest is a stale key.
-        """
-        protocol, sim = self.resolve()
-        adversary, faults = self._canonical_adversary(), self._canonical_faults()
-        return _field_values(protocol), _field_values(sim), adversary, faults
-
-    @staticmethod
-    def _run_digest(parts: tuple, seed: int, baseline: bool) -> str:
-        """Digest of one single-seed run over already-resolved ``parts``."""
-        protocol, sim, adversary, faults = parts
-        return _values_digest(
-            protocol,
-            dict(sim, seed=int(seed)),
-            (seed,),
-            None if baseline else adversary,
-            {"faults": faults} if faults is not None else None,
-        )
-
     @property
     def digest(self) -> str:
         """Content digest over the *resolved* experiment description.
@@ -531,13 +516,7 @@ class Scenario(JsonSpec):
         differently-spelled scenarios describing the same experiment
         therefore share result-store artifacts.
         """
-        protocol, sim, adversary, faults = self._hashed_parts()
-        extra: Dict[str, object] = {}
-        if self.sweep:
-            extra["sweep"] = _jsonable(dict(self.sweep))
-        if faults is not None:
-            extra["faults"] = faults
-        return _values_digest(protocol, sim, self.seeds, adversary, extra or None)
+        return _Identity(self).digest(_encode(self._canonical_adversary()), self.sweep)
 
     def point_digest(self, seed: int, baseline: bool = False) -> str:
         """Digest of a single-seed run of this scenario (attacked or baseline).
@@ -545,19 +524,80 @@ class Scenario(JsonSpec):
         Faults are environment, not attack: an active fault plan is part of
         the baseline run's digest too.
         """
-        return self._run_digest(self._hashed_parts(), seed, baseline)
+        adversary = None if baseline else self._canonical_adversary()
+        return _Identity(self).run_digest(seed, _encode(adversary))
 
-    def run_keys(self) -> List[Tuple[int, bool, str]]:
+    def run_keys(self) -> List[RunKey]:
         """``(seed, baseline, run digest)`` of every run this point needs.
 
         In execution order: the attacked run of every seed, then — only with
         an adversary — the baseline run of every seed (without one the
         baseline *is* the attacked run).  One resolution serves all of them.
         """
-        parts = self._hashed_parts()
-        sides = (False, True) if self.adversary is not None else (False,)
-        return [
-            (seed, baseline, self._run_digest(parts, seed, baseline))
-            for baseline in sides
-            for seed in self.seeds
-        ]
+        return _Identity(self).point(self)[1]
+
+
+#: ``(seed, baseline, run digest)``: one run a point needs.
+RunKey = Tuple[int, bool, str]
+
+
+class _Identity:
+    """One override set — base, protocol, sim, faults, seeds — resolved (so
+    validated) and JSON-encoded once; its points' digests then encode only
+    their adversary.  Never kept on a scenario: a scenario is mutable."""
+
+    def __init__(self, scenario: Scenario) -> None:
+        base_protocol, base_sim = BASE_CONFIGS[scenario.base]()
+        self.protocol = _encode(_overridden(base_protocol, scenario.protocol)[1])
+        sim = _overridden(base_sim, scenario.sim)[1]
+        # A run digest changes only the sim's seed: encode the rest once and
+        # splice each seed's JSON in where the placeholder 0 was.
+        head, _, self.sim_tail = _encode(dict(sim, seed=0)).partition('"seed":0')
+        self.sim_head = head + '"seed":'
+        self.sim = self.sim_head + _encode(sim["seed"]) + self.sim_tail
+        self.seeds = _encode(list(scenario.seeds))
+        self.faults = faults = scenario._canonical_faults()
+        self.extra = _encode(_jsonable({"faults": faults} if faults is not None else None))
+
+    def digest(self, adversary: str, sweep: Dict[str, List[object]]) -> str:
+        """The point digest, given the canonical adversary's JSON text."""
+        extra = self.extra
+        if sweep:
+            parts: Dict[str, object] = {"sweep": dict(sweep)}
+            if self.faults is not None:
+                parts["faults"] = self.faults
+            extra = _encode(_jsonable(parts))
+        return _values_digest(self.protocol, self.sim, self.seeds, adversary, extra)
+
+    def run_digest(self, seed: int, adversary: str) -> str:
+        """One single-seed run's digest (``adversary`` is ``"null"`` for a baseline)."""
+        sim = "%s%d%s" % (self.sim_head, int(seed), self.sim_tail)
+        return _values_digest(self.protocol, sim, _encode([seed]), adversary, self.extra)
+
+    def point(self, scenario: Scenario) -> Tuple[str, List[RunKey]]:
+        """``(digest, run_keys())`` of ``scenario``, one of this override set's points."""
+        adversary = _encode(scenario._canonical_adversary())
+        seeds = scenario.seeds
+        keys = [(seed, False, self.run_digest(seed, adversary)) for seed in seeds]
+        if scenario.adversary is not None:
+            keys += [(seed, True, self.run_digest(seed, "null")) for seed in seeds]
+        return self.digest(adversary, scenario.sweep), keys
+
+
+def point_identities(scenarios: Sequence[Scenario]) -> List[Tuple[str, List[RunKey]]]:
+    """``(digest, run_keys())`` of every scenario, resolving each distinct
+    override set once: the points of a grid that differ only in
+    ``adversary.*`` or ``params.*`` axes share one.  The table lives for
+    this call only."""
+    table: Dict[str, _Identity] = {}
+    identities = []
+    for scenario in scenarios:
+        # repr is exact for the JSON values overrides hold; spellings that
+        # differ only in key order just resolve twice.
+        overrides = (scenario.protocol, scenario.sim, scenario.faults)
+        key = repr((scenario.base, scenario.seeds, overrides))
+        identity = table.get(key)
+        if identity is None:
+            identity = table[key] = _Identity(scenario)
+        identities.append(identity.point(scenario))
+    return identities

@@ -22,7 +22,7 @@ import time
 import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.report import (
     AttackAssessment,
@@ -31,7 +31,7 @@ from ..metrics.report import (
     compare_runs,
 )
 from .registry import DEFAULT_REGISTRY, AdversaryRegistry
-from .scenario import Scenario
+from .scenario import RunKey, Scenario
 from .store import ResultStore
 
 logger = logging.getLogger(__name__)
@@ -47,33 +47,32 @@ class ExperimentResult:
     baseline_runs: List[RunMetrics] = field(default_factory=list)
     parameters: Dict[str, object] = field(default_factory=dict)
     #: Content digest of the scenario that produced this result (when run
-    #: through a :class:`Session`); keys the persistent result artifact.
+    #: through a :class:`Session` or loaded by a campaign runner).
     scenario_digest: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "assessment": self.assessment.to_dict(),
-            "attacked_runs": [run.to_dict() for run in self.attacked_runs],
-            "baseline_runs": [run.to_dict() for run in self.baseline_runs],
-            "parameters": dict(self.parameters),
-            "scenario_digest": self.scenario_digest,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ExperimentResult":
-        return cls(
-            label=str(payload.get("label", "")),
-            assessment=AttackAssessment.from_dict(payload["assessment"]),
-            attacked_runs=[
-                RunMetrics.from_dict(item) for item in payload.get("attacked_runs", [])
-            ],
-            baseline_runs=[
-                RunMetrics.from_dict(item) for item in payload.get("baseline_runs", [])
-            ],
-            parameters=dict(payload.get("parameters") or {}),
-            scenario_digest=payload.get("scenario_digest"),
-        )
+def assemble_result(
+    scenario: Scenario,
+    digest: str,
+    run_keys: Sequence[RunKey],
+    runs: Mapping[str, RunMetrics],
+) -> ExperimentResult:
+    """A point's result: its attacked runs compared with its baseline runs.
+
+    ``runs`` maps the digests of ``run_keys`` (``Scenario.run_keys()``) to
+    metrics.  Sessions and campaign reports both assemble here, so a result
+    is derived from the runs and never stored."""
+    attacked = [runs[key] for _, baseline, key in run_keys if not baseline]
+    # No baseline key means no adversary: the baseline *is* the attacked run.
+    baseline = [runs[key] for _, side, key in run_keys if side] or attacked
+    return ExperimentResult(
+        label=scenario.name,
+        assessment=compare_runs(average_metrics(attacked), average_metrics(baseline)),
+        attacked_runs=attacked,
+        baseline_runs=baseline,
+        parameters=dict(scenario.parameters),
+        scenario_digest=digest,
+    )
 
 
 def build_point_world(
@@ -303,8 +302,9 @@ class _Unit:
 class Session:
     """Executes scenarios, in parallel when ``workers > 1``.
 
-    ``store`` (optional) persists every per-seed run and every scenario
-    result as digest-keyed JSON, shared across processes and invocations.
+    ``store`` (optional) persists every per-seed run as digest-keyed JSON,
+    shared across processes and invocations; a point's result is derived
+    from its runs, never stored.
     ``registry`` resolves adversary kinds; a non-default registry forces
     serial execution because worker processes only see the default one.
     ``record=True`` captures every *computed* run (cache misses only) as a
@@ -406,7 +406,8 @@ class Session:
             if failed:
                 output.append(failed[0])
             else:
-                output.append(self._assemble(scenario, tasks, computed))
+                keys = [(task.seed, task.baseline, task.digest) for task in tasks]
+                output.append(assemble_result(scenario, scenario.digest, keys, computed))
         return output
 
     def sweep(self, scenario: Scenario) -> List[ExperimentResult]:
@@ -698,30 +699,6 @@ class Session:
         self._run_cache[digest] = run
         if self.store is not None:
             self.store.save_runs(digest, [run])
-
-    def _assemble(
-        self,
-        scenario: Scenario,
-        tasks: Sequence[_Task],
-        computed: Dict[str, RunMetrics],
-    ) -> ExperimentResult:
-        """Compare the point's computed runs; ``tasks`` is its ``_tasks_for``."""
-        attacked = [computed[task.digest] for task in tasks if not task.baseline]
-        # No baseline task means no adversary: the baseline *is* the attacked run.
-        baseline = [computed[task.digest] for task in tasks if task.baseline] or attacked
-        assessment = compare_runs(average_metrics(attacked), average_metrics(baseline))
-        digest = scenario.digest
-        result = ExperimentResult(
-            label=scenario.name,
-            assessment=assessment,
-            attacked_runs=attacked,
-            baseline_runs=baseline,
-            parameters=dict(scenario.parameters),
-            scenario_digest=digest,
-        )
-        if self.store is not None:
-            self.store.save_json("result", digest, result.to_dict())
-        return result
 
     def _executor(self) -> concurrent.futures.ProcessPoolExecutor:
         """The session's process pool, spawned once and reused across batches.

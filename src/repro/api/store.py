@@ -7,12 +7,16 @@ processes (a parallel session's workers and later invocations all hit the
 same store) and across interpreter versions (the digest depends only on
 field values, never on ``repr`` formatting).
 
-Two artifact kinds are used by the session layer:
+Two JSON artifact kinds are written:
 
 * ``runs-<digest>.json`` — a list of per-seed :class:`RunMetrics` for one
-  resolved configuration (attacked or baseline).
-* ``result-<digest>.json`` — a full :class:`~repro.api.session.ExperimentResult`
-  (assessment + runs + parameters) for one scenario point.
+  resolved configuration (attacked or baseline).  A point's result is
+  derived from its runs, so it is complete when all of them are here.
+* ``campaign-<digest>.json`` — a campaign's manifest (see
+  :func:`~repro.api.campaign.manifest_payload`).
+
+Older stores may hold ``result-<digest>.json`` files too; nothing reads
+them, and ``store prune --kind result`` removes them.
 
 Record-mode sessions (see :mod:`repro.replay`) additionally persist one
 ``trace-<digest>.jsonl.gz`` per run — a gzipped replay trace keyed by the
@@ -63,7 +67,7 @@ class ResultStore:
     # -- generic JSON artifacts ---------------------------------------------------------
 
     def path_for(self, kind: str, digest: str) -> Path:
-        if not kind or any(ch in kind for ch in "/\\"):
+        if not kind or "/" in kind or "\\" in kind:
             raise ValueError("invalid artifact kind %r" % kind)
         return self.root / ("%s-%s.json" % (kind, digest))
 
@@ -111,8 +115,8 @@ class ResultStore:
         """
         path = self.path_for(kind, digest)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+            with open(path, "rb") as handle:
+                return json.loads(handle.read())
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
@@ -294,8 +298,8 @@ class ResultStore:
         (never under a final artifact name — writes are atomic, and trace
         writers stream to ``<name>.tmp`` until finalized); pruning removes
         them, along with any ``*.corrupt`` quarantine files.  With ``kind``
-        (e.g. ``"runs"``, ``"result"``, ``"campaign"``, ``"trace"``,
-        ``"checkpoint"``), every
+        (e.g. ``"runs"``, ``"campaign"``, ``"trace"``, ``"checkpoint"``, or
+        a stale ``"result"``), every
         artifact of that kind is removed too, which invalidates exactly that
         cache layer without touching the others.  Returns the number of
         files removed.

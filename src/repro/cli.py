@@ -126,7 +126,7 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         "--store",
         default=None,
         metavar="PATH",
-        help="persist per-run metrics and results as digest-keyed artifacts: "
+        help="persist per-run metrics as digest-keyed artifacts: "
         "a directory of JSON files, or a SQLite database when PATH ends in "
         ".db/.sqlite (see docs/SERVICE.md)",
     )
@@ -1220,7 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         default=None,
         help="also remove every artifact of this kind "
-        "(runs, result, campaign, trace, checkpoint)",
+        "(runs, campaign, trace, checkpoint, or a stale result)",
     )
     store_prune.set_defaults(func=_cmd_store_prune)
 

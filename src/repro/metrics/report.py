@@ -58,7 +58,7 @@ class RunMetrics:
         return RunObservations.from_metrics(self)
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (used by the persistent result store)."""
+        """Plain-JSON representation: the store's ``runs`` artifact."""
         return {
             "access_failure_probability": self.access_failure_probability,
             "mean_time_between_successful_polls": self.mean_time_between_successful_polls,
@@ -107,37 +107,6 @@ class AttackAssessment:
     #: The underlying runs, for drill-down in reports and tests.
     attacked: RunMetrics = None  # type: ignore[assignment]
     baseline: RunMetrics = None  # type: ignore[assignment]
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (used by the persistent result store)."""
-        return {
-            "access_failure_probability": self.access_failure_probability,
-            "delay_ratio": self.delay_ratio,
-            "coefficient_of_friction": self.coefficient_of_friction,
-            "cost_ratio": self.cost_ratio,
-            "attacked": self.attacked.to_dict() if self.attacked else None,
-            "baseline": self.baseline.to_dict() if self.baseline else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "AttackAssessment":
-        cost_ratio = payload.get("cost_ratio")
-        return cls(
-            access_failure_probability=float(payload["access_failure_probability"]),
-            delay_ratio=float(payload["delay_ratio"]),
-            coefficient_of_friction=float(payload["coefficient_of_friction"]),
-            cost_ratio=float(cost_ratio) if cost_ratio is not None else None,
-            attacked=(
-                RunMetrics.from_dict(payload["attacked"])
-                if payload.get("attacked")
-                else None
-            ),
-            baseline=(
-                RunMetrics.from_dict(payload["baseline"])
-                if payload.get("baseline")
-                else None
-            ),
-        )
 
 
 def compare_runs(attacked: RunMetrics, baseline: RunMetrics) -> AttackAssessment:

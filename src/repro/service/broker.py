@@ -6,8 +6,8 @@ store and hands out **leases** on pending points to any number of workers
 is the per-point ``failed``-state machinery campaign ``resume`` introduced,
 generalized to a live fleet:
 
-* ``submit`` expands a campaign, marks points the store already holds
-  ``complete``, and queues the rest ``pending`` (a resubmission also
+* ``submit`` expands a campaign, marks points whose runs the store already
+  holds ``complete``, and queues the rest ``pending`` (a resubmission also
   re-queues ``failed`` points, exactly like ``campaign resume``);
 * ``lease`` atomically claims the first available point — ``pending``, or
   ``leased`` with an **expired** lease (its worker crashed or was
@@ -20,8 +20,9 @@ generalized to a live fleet:
   can close a point: a worker that lost its lease mid-run gets ``False``
   back, which is harmless — everything it wrote to the store is keyed by
   content digest, so its bytes are identical to the re-leased worker's.
-  ``complete_batch`` persists a batch's artifacts and closes its leases
-  in one transaction, still point by point.
+  ``complete_batch`` persists a batch's runs and closes its leases in one
+  transaction, still point by point.  A point is its runs: it is complete
+  when all of them are stored.
 
 That last property is the digest discipline that makes work stealing safe:
 a campaign drained by N workers (any of them killed mid-run) finishes with
@@ -45,7 +46,7 @@ from ..api.campaign import (
     prefix_key,
     status_dict,
 )
-from ..api.scenario import Scenario
+from ..api.scenario import RunKey, Scenario
 from .sqlite_store import SQLiteResultStore
 
 #: Point states in the broker tables.
@@ -116,20 +117,13 @@ class Finished:
     campaign: str  #: campaign digest
     index: int
     digest: str  #: point scenario digest
-    #: the point's ``result`` artifact; without one (here or already in the
-    #: store) completing the point fails it instead
-    result: Optional[Dict[str, object]]
-    #: the per-seed ``runs`` artifacts, keyed by run digest
+    #: the per-seed ``runs`` artifacts, keyed by run digest; a run missing
+    #: here and from the store fails the point instead of completing it
     runs: Dict[str, Dict[str, object]]
 
     @classmethod
-    def of(
-        cls,
-        lease: Lease,
-        result: Optional[Dict[str, object]],
-        runs: Dict[str, Dict[str, object]],
-    ) -> "Finished":
-        return cls(lease.worker, lease.campaign, lease.index, lease.digest, result, runs)
+    def of(cls, lease: Lease, runs: Dict[str, Dict[str, object]]) -> "Finished":
+        return cls(lease.worker, lease.campaign, lease.index, lease.digest, runs)
 
     def to_dict(self) -> Dict[str, object]:
         return dict(vars(self))  # shallow: the artifacts are not copied
@@ -203,15 +197,15 @@ class Broker:
     def submit(self, campaign: Campaign) -> Dict[str, object]:
         """Queue a campaign; idempotent, and re-queues ``failed`` points.
 
-        Points whose result artifact the store already holds are marked
-        ``complete`` immediately (the broker never re-runs cached work).
+        Points whose runs the store already holds are marked ``complete``
+        immediately (the broker never re-runs cached work).
         Returns the campaign's status payload.
         """
         points = campaign.expand()
         digest = Campaign.digest_of(points)
         now = self.clock()
         # Resubmitting is the fleet's ``resume``: failed points go back in
-        # the queue (those the store holds a result for are closed below).
+        # the queue (those whose runs the store holds are closed below).
         self.requeue_failed(digest)
         with self.store.transaction() as conn:
             conn.execute(
@@ -228,7 +222,7 @@ class Broker:
                 ),
             )
             for point in points:
-                done = self.store.has("result", point.digest)
+                done = self._missing_run(point.run_keys) is None
                 # NULL keeps a point that cannot fork out of affinity ordering.
                 forkable = fork_onset(point.scenario) is not None
                 prefix = prefix_key(point.scenario) if forkable else None
@@ -512,38 +506,23 @@ class Broker:
             "updated": updated,
         }
 
-    def persist(
-        self,
-        digest: str,
-        result: Optional[Dict[str, object]],
-        runs: Dict[str, Dict[str, object]],
-    ) -> None:
-        """Write a finished point's ``runs`` and ``result`` artifacts if missing.
-
-        What :meth:`complete_batch` does before each :meth:`complete`.  Artifacts are
-        digest-keyed, so writes are idempotent and a stale worker's
-        duplicates are byte-identical: what the store already holds is kept.
-        """
-        for run_digest, run in runs.items():
-            if not self.store.has("runs", run_digest):
-                self.store.save_json("runs", run_digest, [run])
-        if result is not None and not self.store.has("result", digest):
-            self.store.save_json("result", digest, result)
-
     def complete(self, worker: str, campaign: str, index: int) -> bool:
         """Mark a leased point complete (current lease holder only).
 
-        The worker must have persisted the point's ``result`` artifact to
-        the shared store first; a completion without one is converted into
-        a failure so the point is re-leased instead of silently lost.
+        Every run the point's stored scenario names must be in the store by
+        now; a completion without them is converted into a failure so the
+        point is re-leased instead of silently lost.
         """
         row = self.store.execute(
-            "SELECT digest FROM broker_points WHERE campaign=? AND idx=?",
+            "SELECT scenario FROM broker_points WHERE campaign=? AND idx=?",
             (campaign, index),
         ).fetchone()
-        if row is not None and not self.store.has("result", row[0]):
-            self.fail(worker, campaign, index, "completed without a result artifact")
-            return False
+        if row is not None:
+            missing = self._missing_run(Scenario.from_json(row[0]).run_keys())
+            if missing is not None:
+                error = "completed without a result: run %s is missing" % missing[:12]
+                self.fail(worker, campaign, index, error)
+                return False
         now = self.clock()
         with self.store.transaction() as conn:
             self._touch_worker(conn, worker, now)
@@ -562,16 +541,21 @@ class Broker:
         return won
 
     def complete_batch(self, finished: Sequence[Finished]) -> List[bool]:
-        """:meth:`persist` and :meth:`complete` every point, in one transaction.
+        """Write every point's missing ``runs`` and :meth:`complete` it, in one
+        transaction.
 
-        Returns one flag per point: each closes (or, without a result
-        artifact, fails) only for its current lease holder, exactly as
-        one-point calls would; the batch shares nothing but the commit.
+        Runs are digest-keyed, so a stale worker's duplicates are
+        byte-identical and what the store already holds is kept.  Returns
+        one flag per point: each closes (or, without its runs, fails) only
+        for its current lease holder, exactly as one-point calls would; the
+        batch shares nothing but the commit.
         """
         with self.store.transaction():
             accepted = []
             for point in finished:
-                self.persist(point.digest, point.result, point.runs)
+                for digest, run in point.runs.items():
+                    if not self.store.has("runs", digest):
+                        self.store.save_json("runs", digest, [run])
                 accepted.append(self.complete(point.worker, point.campaign, point.index))
         return accepted
 
@@ -732,6 +716,10 @@ class Broker:
 
     # -- internals -----------------------------------------------------------------------
 
+    def _missing_run(self, run_keys: Sequence[RunKey]) -> Optional[str]:
+        """The first run digest of ``run_keys`` the store lacks, or None."""
+        return next((d for _, _, d in run_keys if not self.store.has("runs", d)), None)
+
     @staticmethod
     def _touch_worker(conn, worker: str, now: float) -> None:
         conn.execute(
@@ -745,7 +733,7 @@ class Broker:
         """Write the store's ``campaign`` artifact from the broker tables.
 
         Keeps ``repro-experiments campaign status`` truthful for service-run
-        campaigns: it reads failures there and completion from the results.
+        campaigns: it reads failures there and completion from the runs.
         Returns the status payload the artifact was built from.
         """
         status = self.status(campaign)

@@ -17,7 +17,7 @@ rows, and drive workers (``repro-experiments worker --connect``):
 ``GET  /api/workers``                        worker liveness, leases, and throughput
 ``POST /api/lease``                          claim points  ``{"worker": ..., "limit": k}``
 ``POST /api/heartbeat``                      extend a worker's leases (optionally with telemetry)
-``POST /api/complete``                       persist each point's result + runs, close its lease
+``POST /api/complete``                       persist each point's runs, close its lease
 ``POST /api/fail``                           close the lease as failed
 ``POST /api/runs/<digest>/pause``            pause the run for a point digest
 ``POST /api/runs/<digest>/resume``           resume it
@@ -40,9 +40,10 @@ or 500.  All routing lives in :meth:`ExperimentService.handle`, which is a
 plain ``(method, path, body) -> (status, payload)`` function — tests drive
 it without sockets, and the request handler stays a thin shell.
 
-The server persists results itself on ``complete`` (the artifacts travel
-in the request, a batch of points at a time, written in one transaction),
-so HTTP workers need no filesystem access to the store; see
+The server persists runs itself on ``complete`` (they travel in the
+request, a batch of points at a time, written in one transaction), so HTTP
+workers need no filesystem access to the store; a point is complete when
+its runs are stored, and its result is derived from them.  See
 docs/SERVICE.md for the lease/heartbeat contract.
 """
 
@@ -305,7 +306,6 @@ class ExperimentService:
                     campaign=self._field(point, "campaign"),
                     index=int(self._field(point, "index")),
                     digest=self._field(point, "digest"),
-                    result=point.get("result"),
                     runs=runs,
                 )
             )

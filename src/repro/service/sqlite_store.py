@@ -4,9 +4,9 @@ A :class:`SQLiteResultStore` implements the
 :class:`~repro.api.store.ResultStore` contract on a single WAL-mode SQLite
 database file instead of a directory of JSON files:
 
-* one table per artifact kind (``artifact_runs``, ``artifact_result``,
-  ``artifact_campaign``, ...), each row ``(digest, payload, bytes,
-  updated)`` with the payload stored as canonical-ish JSON text;
+* one table per artifact kind (``artifact_runs``, ``artifact_campaign``,
+  ...), each row ``(digest, payload, bytes, updated)`` with the payload
+  stored as canonical-ish JSON text;
 * replay traces stay as gzip **files on disk** in a sibling
   ``<name>.traces/`` directory — they are written incrementally by the
   replay tracer and can reach many megabytes, which SQLite rows handle
@@ -37,8 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from ..api.store import ResultStore
 
 #: Artifact kinds become table names, so they are restricted to identifier
-#: characters (the directory backend's kinds — runs/result/campaign — all
-#: qualify).
+#: characters (the directory backend's kinds — runs/campaign — qualify).
 _KIND_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 

@@ -3,7 +3,7 @@
 A :class:`Worker` drains a broker's queue: lease a batch of points, run
 each through a :class:`~repro.api.session.Session` (which honors
 ``timeout`` / ``retries`` / ``record`` exactly as a single-process campaign
-would), report the batch's results by content digest in one request,
+would), report the batch's runs by content digest in one request,
 repeat.  A background thread heartbeats the batch's leases while the
 simulations run, so a healthy worker can hold points for much longer than
 ``lease_seconds`` — only a *dead* one forfeits them.
@@ -11,11 +11,11 @@ simulations run, so a healthy worker can hold points for much longer than
 Workers reach the broker through one of two transports:
 
 * :class:`LocalBrokerClient` — in-process :class:`~repro.service.broker.Broker`
-  over a shared SQLite store file; results are written to the store
+  over a shared SQLite store file; runs are written to the store
   directly (several worker processes on one machine, or machines mounting
   one filesystem, drain one queue this way);
 * :class:`HttpBrokerClient` — the JSON API served by
-  ``repro-experiments serve``; results travel in the ``complete`` request
+  ``repro-experiments serve``; runs travel in the ``complete`` request
   and the server persists them, so remote workers need no store at all.
 
 Either way the store artifacts are keyed by content digest, so two workers
@@ -472,9 +472,7 @@ class Worker:
             self._log("point #%d failed: %s" % (lease.index, error))
             return None
         self._point_walls.append(time.perf_counter() - started)
-        return Finished.of(
-            lease, result.to_dict(), run_payloads(lease.scenario, result)
-        )
+        return Finished.of(lease, run_payloads(lease.scenario, result))
 
     def run_batch(self, leases: Leases) -> None:
         """Run a batch's points under one heartbeat thread, then complete

@@ -240,6 +240,4 @@ class TestFaultAxes:
             pooled = CampaignRunner(pooled_session).run(campaign)
         for left, right in zip(serial, pooled):
             assert left.digest == right.digest
-            assert (
-                left.result.assessment.to_dict() == right.result.assessment.to_dict()
-            )
+            assert left.result.assessment == right.result.assessment

@@ -668,6 +668,30 @@ scenarios = st.builds(
 )
 
 
+#: Campaign bases: point scenarios with several seeds and an adversary (or
+#: none) that ``adversary.attack_duration_days`` axes can address.
+campaign_bases = st.builds(
+    Scenario,
+    name=st.just("property"),
+    base=st.sampled_from(sorted(BASE_CONFIGS)),
+    protocol=protocol_overrides,
+    sim=sim_overrides,
+    adversary=st.one_of(
+        st.none(),
+        st.floats(0.01, 1.0).map(
+            lambda coverage: AdversarySpec("pipe_stoppage", {"coverage": coverage})
+        ),
+    ),
+    faults=fault_plans,
+    seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=3, unique=True),
+)
+
+
+def few(values):
+    """Short value lists, repeats allowed: several points share override sets."""
+    return st.lists(values, min_size=1, max_size=3)
+
+
 class TestDigestFormula:
     """The digest hashes the configs' field values directly; these pin it to
     the original deep-``asdict`` formula, byte for byte."""
@@ -676,6 +700,28 @@ class TestDigestFormula:
     @given(scenario=scenarios)
     def test_scenario_digest_and_run_keys_match_the_reference(self, scenario):
         assert (scenario.digest, scenario.run_keys()) == reference_identity(scenario)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=campaign_bases,
+        quorums=few(st.integers(1, 9)),
+        aus=few(st.integers(1, 4)),
+        churn=few(st.sampled_from([0.0, 2.0, 8.0])),
+        days=few(st.sampled_from([10.0, 30.0])),
+    )
+    def test_campaign_points_match_the_reference(self, base, quorums, aus, churn, days):
+        # Axes on every prefix scope plus the adversary: ``expand()`` builds
+        # each point's identity from a table of override sets, and several
+        # override sets (and several points per set) make one campaign.
+        grid = {
+            "protocol.quorum": quorums,
+            "sim.n_aus": aus,
+            "faults.churn.rate_per_peer_per_year": churn,
+        }
+        if base.adversary is not None:
+            grid["adversary.attack_duration_days"] = days
+        for point in Campaign.from_grid("property", base, grid).expand():
+            assert (point.digest, point.run_keys) == reference_identity(point.scenario)
 
     @settings(max_examples=100, deadline=None)
     @given(scenario=scenarios, adversary=nested_params, extra=nested_params)
@@ -708,6 +754,17 @@ class TestBadOverrides:
     def test_campaign_expand_rejects_a_bad_protocol_axis(self):
         campaign = Campaign.from_grid("bad", make_scenario(), {"protocol.quorum": [0]})
         with pytest.raises(ValueError, match="quorum must be at least 1"):
+            campaign.expand()
+
+    def test_a_bad_point_after_good_ones_still_fails(self):
+        # Points that share an override set resolve once; a new set is
+        # resolved, and so validated, however many points came before it.
+        campaign = Campaign.from_grid(
+            "bad",
+            make_scenario(),
+            {"sim.n_peers": [12, 1], "adversary.coverage": [0.5, 1.0]},
+        )
+        with pytest.raises(ValueError, match="at least two peers"):
             campaign.expand()
 
     def test_scenario_digest_and_run_keys_reject_a_bad_sim_override(self):
@@ -744,9 +801,12 @@ class TestIdentityCost:
     point shape: a deterministic count, unlike a time.
 
     The deep ``asdict`` formula cost 384 / 737 / 407 calls here on Python
-    3.11; hashing the field values directly costs 52 / 61 / 75.  The bounds
+    3.11; hashing the field values directly costs 52 / 61 / 75.  Encoding
+    each override set once, with run seeds spliced into the sim text, makes
+    that 46 / 56 / 53, and ``expand()`` now includes every point's run keys,
+    which took 136 calls a point before.  The bounds
     leave room for 3.10-3.12 differences (3.12 inlines comprehensions) and
-    fail on any return of a per-field walk.
+    fail on any return of a per-field walk or a per-point resolution.
     """
 
     @pytest.fixture(scope="class")
@@ -786,3 +846,9 @@ class TestIdentityCost:
 
     def test_campaign_expand_per_point(self, campaign, point):
         assert python_calls(campaign.expand) / len(campaign) <= 102
+
+    def test_campaign_expand_with_every_run_key_per_point(self, campaign, point):
+        def identities():
+            return [point.run_keys for point in campaign.expand()]
+
+        assert python_calls(identities) / len(campaign) <= 80

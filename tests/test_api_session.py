@@ -177,15 +177,20 @@ class TestResultStore:
         assert second.assessment == first.assessment
         assert second.attacked_runs == first.attacked_runs
 
-    def test_result_artifact_is_persisted(self, tmp_path):
+    def test_only_runs_are_persisted_and_the_result_is_derived_from_them(
+        self, tmp_path
+    ):
         scenario = smoke_scenario(seeds=(1,))
         store = ResultStore(tmp_path)
         result = Session(store=store).run(scenario)
-        payload = store.load_json("result", scenario.digest)
-        assert payload is not None
-        restored = session_module.ExperimentResult.from_dict(payload)
-        assert restored.assessment == result.assessment
-        assert restored.scenario_digest == scenario.digest
+        keys = scenario.run_keys()
+        assert sorted(path.name for path in store.artifacts()) == sorted(
+            "runs-%s.json" % digest for _, _, digest in keys
+        )
+        runs = {digest: store.load_runs(digest)[0] for _, _, digest in keys}
+        derived = session_module.assemble_result(scenario, scenario.digest, keys, runs)
+        assert derived == result
+        assert derived.scenario_digest == scenario.digest
 
     def test_clear_removes_artifacts(self, tmp_path):
         store = ResultStore(tmp_path)

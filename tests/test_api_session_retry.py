@@ -5,6 +5,7 @@ import logging
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -239,8 +240,8 @@ class TestPoolTimeout:
             resumed = runner.run(campaign)
             assert runner.status(campaign).complete
         reference = CampaignRunner(Session()).run(campaign)
-        assert [canonical_json(point.result.to_dict()) for point in resumed] == [
-            canonical_json(point.result.to_dict()) for point in reference
+        assert [canonical_json(asdict(point.result)) for point in resumed] == [
+            canonical_json(asdict(point.result)) for point in reference
         ]
 
 

@@ -10,6 +10,7 @@ refusal pin, kill/resume checkpoint reuse through the CLI, and the service
 broker's prefix-affinity leasing.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -75,7 +76,7 @@ def delayed_campaign(coverages=(0.4, 1.0), name="delayed-fork", **kwargs):
 def result_blobs(results):
     """Canonical JSON of every point result — covers per-run metrics digests,
     event counts, and everything the row exporters derive from."""
-    return [canonical_json(point.result.to_dict()) for point in results]
+    return [canonical_json(dataclasses.asdict(point.result)) for point in results]
 
 
 def assert_fork_parity(campaign, store_path, workers=1):
@@ -341,10 +342,11 @@ class TestKillResume:
         full_store = ResultStore(store_full)
         killed_store = ResultStore(store_killed)
         for point in campaign.expand():
-            left = full_store.load_json("result", point.digest)
-            right = killed_store.load_json("result", point.digest)
-            assert left is not None
-            assert canonical_json(left) == canonical_json(right)
+            for _, _, digest in point.run_keys:
+                left = full_store.load_json("runs", digest)
+                right = killed_store.load_json("runs", digest)
+                assert left is not None
+                assert canonical_json(left) == canonical_json(right)
 
 
 class TestBrokerPrefixAffinity:

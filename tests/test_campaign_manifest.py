@@ -7,6 +7,7 @@ import pytest
 from repro import units
 from repro.api import Campaign, CampaignRunner, ResultStore, Scenario, Session
 from repro.service import Broker
+from repro.service.broker import Finished
 from repro.service.sqlite_store import SQLiteResultStore
 
 
@@ -68,8 +69,8 @@ class TestWriteCounts:
         assert store.campaign_saves == 1
         for _ in range(3):
             lease = broker.lease("w1")
-            broker.persist(lease.digest, {"v": 1}, {})
-            assert broker.complete("w1", lease.campaign, lease.index)
+            runs = {digest: {"v": 1} for _, _, digest in lease.scenario.run_keys()}
+            assert broker.complete_batch([Finished.of(lease, runs)]) == [True]
         assert store.campaign_saves == 1
         lease = broker.lease("w1")
         assert broker.fail("w1", lease.campaign, lease.index, "boom")
@@ -99,7 +100,7 @@ class TestParentFormatManifest:
             )
 
         # As the previous format mirrored every state — and as stale as a
-        # mirror gets: #0 has a result, #2 has none.
+        # mirror gets: #0 has its runs, #2 has none.
         store.save_json(
             "campaign",
             campaign.digest,

@@ -181,7 +181,7 @@ class TestScenarioCommands:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "attack_duration_days" in output
-        assert store_dir.is_dir() and list(store_dir.glob("result-*.json"))
+        assert store_dir.is_dir() and list(store_dir.glob("runs-*.json"))
 
     def test_run_seeds_override(self, tmp_path, capsys):
         from repro import units

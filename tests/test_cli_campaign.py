@@ -1,12 +1,22 @@
 """CLI coverage for the campaign/store subcommands and the bench harness."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro import units
-from repro.api import AdversarySpec, Campaign, ResultStore, Scenario
+from repro.api import (
+    AdversarySpec,
+    Campaign,
+    CampaignRunner,
+    ResultStore,
+    Scenario,
+    Session,
+)
+from repro.api import session as session_module
 from repro.api.session import default_session
 from repro.cli import build_parser, main
 from repro.experiments import bench
@@ -167,6 +177,76 @@ class TestCampaignExecution:
             == 1
         )
         assert "no baseline digest" in capsys.readouterr().out
+
+
+def report_digest(path, store, capsys):
+    """The rows digest ``campaign report`` prints for a complete campaign."""
+    assert main(["campaign", "report", str(path), "--store", str(store)]) == 0
+    return re.search(r"result digest: ([0-9a-f]{64})", capsys.readouterr().out).group(1)
+
+
+class TestStaleAndCorruptArtifacts:
+    """A point is its runs: stale ``result`` files are never read, and a
+    corrupt ``runs`` file costs the recompute of exactly its points."""
+
+    def test_stale_result_artifacts_change_nothing_and_prune_away(
+        self, tmp_path, capsys
+    ):
+        campaign, path = campaign_file(tmp_path)
+        store_dir = tmp_path / "store"
+        assert main(["campaign", "run", str(path), "--store", str(store_dir)]) == 0
+        capsys.readouterr()
+        clean = report_digest(path, store_dir, capsys)
+        # Stores of the previous format hold each point's result beside its
+        # runs, in the shape of ``dataclasses.asdict``; one is wrong here.
+        store = ResultStore(store_dir)
+        for point in CampaignRunner(Session(store=store)).result_set(campaign):
+            payload = dataclasses.asdict(point.result)
+            if point.index == 0:
+                payload["assessment"]["delay_ratio"] = 1e9
+                payload["label"] = "stale"
+            store.save_json("result", point.digest, payload)
+        assert report_digest(path, store_dir, capsys) == clean
+
+        assert main(
+            ["store", "prune", "--store", str(store_dir), "--kind", "result"]
+        ) == 0
+        assert "pruned 2 item(s)" in capsys.readouterr().out
+        assert not list(store_dir.glob("result-*.json"))
+        assert report_digest(path, store_dir, capsys) == clean
+
+    def test_a_corrupt_runs_file_is_quarantined_and_only_its_point_rerun(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        campaign, path = campaign_file(tmp_path)
+        store_dir = tmp_path / "store"
+        assert main(["campaign", "run", str(path), "--store", str(store_dir)]) == 0
+        capsys.readouterr()
+        clean = report_digest(path, store_dir, capsys)
+        point = campaign.expand()[1]
+        (attacked,) = [digest for _, side, digest in point.run_keys if not side]
+        torn = store_dir / ("runs-%s.json" % attacked)
+        torn.write_text('[{"access_failure_probability": 0.', encoding="utf-8")
+
+        status = ["campaign", "status", str(path), "--store", str(store_dir), "--json"]
+        assert main(status) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [p["state"] for p in payload["points"]] == ["complete", "pending"]
+        assert not torn.exists()
+        assert torn.with_name(torn.name + ".corrupt").exists()
+
+        executed = []
+        real_execute_point = session_module.execute_point
+
+        def counting_execute_point(scenario, seed, **kwargs):
+            executed.append((scenario.name, seed, kwargs.get("baseline")))
+            return real_execute_point(scenario, seed, **kwargs)
+
+        monkeypatch.setattr(session_module, "execute_point", counting_execute_point)
+        assert main(["campaign", "resume", str(path), "--store", str(store_dir)]) == 0
+        assert "2 points complete" in capsys.readouterr().out
+        assert executed == [(point.label, 1, False)]
+        assert report_digest(path, store_dir, capsys) == clean
 
 
 class TestStorePrune:

@@ -54,8 +54,9 @@ class TestSQLiteStoreFlag:
         db = str(tmp_path / "results.db")
         assert main(["campaign", "run", str(path), "--store", db]) == 0
         assert "2 points complete" in capsys.readouterr().out
-        store = SQLiteResultStore(db)
-        assert store.stats()["result"]["count"] == 2
+        stats = SQLiteResultStore(db).stats()
+        assert stats["runs"]["count"] == 2
+        assert "result" not in stats
 
     def test_report_streams_from_sqlite(self, tmp_path, capsys):
         campaign, path = campaign_file(tmp_path)

@@ -5,12 +5,7 @@ import pytest
 from repro import units
 from repro.metrics.access import AccessFailureSampler
 from repro.metrics.polls import PollRecord, PollStatistics
-from repro.metrics.report import (
-    AttackAssessment,
-    RunMetrics,
-    average_metrics,
-    compare_runs,
-)
+from repro.metrics.report import RunMetrics, average_metrics, compare_runs
 from repro.sim.engine import Simulator
 from repro.storage.au import ArchivalUnit
 from repro.storage.replica import ReplicaSet
@@ -261,15 +256,3 @@ class TestMetricsSerialization:
         run = make_metrics(adversary=42.0)
         run.extras["alarms"] = 2.0
         assert RunMetrics.from_dict(run.to_dict()) == run
-
-    def test_assessment_round_trip(self):
-        attacked = make_metrics(access=2e-3, adversary=10.0)
-        baseline = make_metrics()
-        assessment = compare_runs(attacked, baseline)
-        restored = AttackAssessment.from_dict(assessment.to_dict())
-        assert restored == assessment
-
-    def test_assessment_round_trip_preserves_none_cost_ratio(self):
-        assessment = compare_runs(make_metrics(adversary=0.0), make_metrics())
-        restored = AttackAssessment.from_dict(assessment.to_dict())
-        assert restored.cost_ratio is None

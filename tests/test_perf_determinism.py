@@ -81,9 +81,10 @@ class TestSerialParallelBitIdentity:
         scenario = _smoke_scenario()
         store = ResultStore(tmp_path / "store")
         result = Session(workers=1, store=store).run(scenario)
-        persisted = store.load_json("result", scenario.digest)
-        assert persisted is not None
-        assert persisted == json.loads(json.dumps(result.to_dict()))
+        runs = result.attacked_runs + result.baseline_runs
+        for (_, _, digest), run in zip(scenario.run_keys(), runs):
+            persisted = store.load_json("runs", digest)
+            assert persisted == json.loads(json.dumps([run.to_dict()]))
 
 
 class TestNonceStream:

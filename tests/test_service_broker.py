@@ -4,12 +4,20 @@ and digest parity between a worker fleet and the single-process runner."""
 import pytest
 
 from repro import units
-from repro.api import Campaign, CampaignRunner, ResultStore, Scenario, Session
+from repro.api import (
+    AdversarySpec,
+    Campaign,
+    CampaignRunner,
+    ResultStore,
+    Scenario,
+    Session,
+)
 from repro.api.campaign import status_dict
 from repro.api.resultset import digest_rows, export_rows
 from repro.service import Broker, LocalBrokerClient, Worker
 from repro.service.broker import Finished
 from repro.service.sqlite_store import SQLiteResultStore
+from repro.service.worker import run_payloads
 
 
 def smoke_campaign(points=2):
@@ -24,9 +32,35 @@ def smoke_campaign(points=2):
     )
 
 
-def point_result(campaign, index):
-    """A real result payload for one point: the store-side reader parses it."""
-    return Session().run(campaign.expand()[index].scenario).to_dict()
+def attacked_campaign(points=3):
+    """Points with an adversary, each with its own baseline run."""
+    base = Scenario(
+        name="broker attack",
+        base="smoke",
+        sim={"duration": units.months(2)},
+        adversary=AdversarySpec("pipe_stoppage", {"coverage": 1.0}),
+        seeds=(1,),
+    )
+    return Campaign.from_grid(
+        "broker-attack", base, {"sim.n_aus": list(range(1, points + 1))}
+    )
+
+
+def point_runs(campaign, index):
+    """Real run payloads for one point: the store-side reader parses them."""
+    scenario = campaign.expand()[index].scenario
+    return run_payloads(scenario, Session().run(scenario))
+
+
+def fake_runs(scenario):
+    """A payload for every run the point needs: enough for the broker, which
+    checks that the runs are stored, not what they say."""
+    return {digest: {"v": 1} for _, _, digest in scenario.run_keys()}
+
+
+def save_runs(store, scenario):
+    for digest, run in fake_runs(scenario).items():
+        store.save_json("runs", digest, [run])
 
 
 def manifest_bytes(store, campaign):
@@ -89,7 +123,7 @@ class TestSubmit:
     def test_submit_marks_cached_points_complete(self, store, broker):
         campaign = smoke_campaign(2)
         points = campaign.expand()
-        store.save_json("result", points[0].digest, {"cached": True})
+        save_runs(store, points[0].scenario)
         status = broker.submit(campaign)
         assert status["counts"]["complete"] == 1
         assert status["counts"]["pending"] == 1
@@ -156,7 +190,7 @@ class TestLeaseProtocol:
         lease = broker.lease("w1")
         clock.advance(11.0)
         stolen = broker.lease("w2")
-        store.save_json("result", stolen.digest, {"v": 1})
+        save_runs(store, stolen.scenario)
         # The original worker finishes late: identical digest-keyed bytes,
         # but the close is refused — w2 owns the point now.
         assert broker.complete("w1", lease.campaign, lease.index) is False
@@ -180,12 +214,11 @@ class TestLeaseProtocol:
 
     def test_manifest_mirrors_broker_state(self, store, broker):
         # The store-side reader sees what the broker sees (a live lease is
-        # ``pending`` to it: the result artifact is not there yet).
+        # ``pending`` to it: its runs are not there yet).
         campaign = smoke_campaign(2)
         broker.submit(campaign)
         lease = broker.lease("w1")
-        broker.persist(lease.digest, point_result(campaign, lease.index), {})
-        broker.complete("w1", lease.campaign, lease.index)
+        broker.complete_batch([Finished.of(lease, point_runs(campaign, lease.index))])
         broker.lease("w2")
         local = CampaignRunner(Session(store=store)).status(campaign).to_dict()
         assert [entry["state"] for entry in local["points"]] == ["complete", "pending"]
@@ -195,7 +228,7 @@ class TestLeaseProtocol:
     def test_workers_listing_tracks_leases_and_counts(self, store, broker):
         broker.submit(smoke_campaign(2))
         lease = broker.lease("w1")
-        store.save_json("result", lease.digest, {"v": 1})
+        save_runs(store, lease.scenario)
         broker.complete("w1", lease.campaign, lease.index)
         broker.lease("w1")
         (record,) = broker.workers()
@@ -229,7 +262,7 @@ class TestProducerParity:
         broker.submit(campaign)
         Worker(LocalBrokerClient(broker), session=Session(store=store)).run()
         fleet_manifest = store.load_json("campaign", campaign.digest)
-        # Identities only: completion is the result artifacts.
+        # Identities only: completion is the stored runs.
         assert [set(p) for p in fleet_manifest["points"]] == [
             {"index", "digest", "label"}
         ] * 3
@@ -276,7 +309,7 @@ class TestProducerParity:
         # is a recorded state, everything else is the point's identity.
         assert set(entries[1]) == {"index", "digest", "label"}
         # The runner reads that manifest: same state, same error; the
-        # leased point has no result yet, so it is pending to the store.
+        # leased point has no runs yet, so it is pending to the store.
         local = CampaignRunner(Session(store=broker.store)).status(campaign).to_dict()
         assert local["points"][0]["state"] == "failed"
         assert local["points"][0]["error"] == "boom"
@@ -326,8 +359,8 @@ class TestDigestParity:
         assert digest_rows(fleet_rows) == reference_digest
 
 
-def finished(lease, result=None, runs=None):
-    return Finished.of(lease, {"v": lease.index} if result is None else result, runs or {})
+def finished(lease, runs=None):
+    return Finished.of(lease, fake_runs(lease.scenario) if runs is None else runs)
 
 
 def store_snapshot(store):
@@ -388,11 +421,56 @@ class TestBatches:
         campaign = smoke_campaign(4)
         broker.submit(campaign)
         first, second = broker.lease_batch("w1", limit=2)
-        missing = Finished.of(second, None, {})
+        missing = Finished.of(second, {})
         assert broker.complete_batch([finished(first), missing]) == [True, False]
         points = broker.status(campaign.digest)["points"]
         assert [p["state"] for p in points] == ["complete", "failed", "pending", "pending"]
         assert "without a result" in points[1]["error"]
+
+    def test_a_point_missing_its_baseline_run_fails_alone(self, store, broker):
+        campaign = attacked_campaign(3)
+        broker.submit(campaign)
+        first, second = broker.lease_batch("w1", limit=2)
+        keys = second.scenario.run_keys()
+        (baseline,) = [digest for _, side, digest in keys if side]
+        runs = fake_runs(second.scenario)
+        del runs[baseline]
+        batch = [finished(first), finished(second, runs)]
+        assert broker.complete_batch(batch) == [True, False]
+        points = broker.status(campaign.digest)["points"]
+        assert [p["state"] for p in points] == ["complete", "failed", "pending"]
+        assert baseline[:12] in points[1]["error"]
+        # What the point did ship is kept; the missing run is still missing.
+        assert store.has("runs", keys[0][2]) and not store.has("runs", baseline)
+
+    def test_a_point_another_campaign_stored_is_complete_and_never_leased(
+        self, broker
+    ):
+        one = smoke_campaign(1)
+        broker.submit(one)
+        (lease,) = broker.lease_batch("w1", limit=1)
+        assert broker.complete_batch([finished(lease)]) == [True]
+        # A wider campaign shares point #0's runs, not its campaign digest.
+        two = smoke_campaign(2)
+        assert Campaign.digest_of(two.expand()) != Campaign.digest_of(one.expand())
+        status = broker.submit(two)
+        assert [p["state"] for p in status["points"]] == ["complete", "pending"]
+        leases = [broker.lease("w2", campaign=two.digest) for _ in range(2)]
+        assert [l.index for l in leases if l is not None] == [1]
+
+    def test_a_late_duplicate_complete_leaves_the_store_byte_identical(
+        self, store, broker
+    ):
+        broker.submit(smoke_campaign(2))
+        (lease,) = broker.lease_batch("w1", limit=1)
+        batch = [finished(lease)]
+        assert broker.complete_batch(batch) == [True]
+        before = store_snapshot(store)
+        # The same request again (a retry after a lost response).
+        assert broker.complete_batch(batch) == [False]
+        assert store_snapshot(store) == before
+        (record,) = broker.workers()
+        assert record["completed"] == 1
 
     def test_heartbeat_extends_all_of_its_workers_leases_only(
         self, store, broker, clock
@@ -462,7 +540,7 @@ class TestCommitsPerPoint:
         counting = _CountingConnection(store._conn)
         store._conn = counting
         # Storeless, so every artifact is written by ``complete_batch`` (a
-        # store-attached session commits its own two saves per point).
+        # store-attached session commits its own run saves).
         stats = Worker(LocalBrokerClient(broker), session=Session()).run()
         assert stats["completed"] == 32
         # One commit per lease request and per complete request: 13 here.
@@ -474,21 +552,21 @@ class TestCommitsPerPoint:
         store._conn = counting
         with pytest.raises(RuntimeError):
             with store.transaction():
-                store.save_json("result", "a" * 64, {"v": 1})
+                store.save_json("runs", "a" * 64, {"v": 1})
                 with store.transaction() as conn:
                     conn.execute("CREATE TABLE scratch (x INTEGER)")
-                assert store.has("result", "a" * 64)
+                assert store.has("runs", "a" * 64)
                 raise RuntimeError("abort the batch")
         assert counting.commits == 0
-        assert not store.has("result", "a" * 64)
+        assert not store.has("runs", "a" * 64)
         assert "scratch" not in {
             name for (name,) in store.execute(
                 "SELECT name FROM sqlite_master WHERE type='table'"
             ).fetchall()
         }
         # The rolled-back table is created again on the next write.
-        store.save_json("result", "b" * 64, {"v": 2})
-        assert store.load_json("result", "b" * 64) == {"v": 2}
+        store.save_json("runs", "b" * 64, {"v": 2})
+        assert store.load_json("runs", "b" * 64) == {"v": 2}
         assert counting.commits == 1
 
 

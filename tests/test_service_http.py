@@ -28,6 +28,11 @@ def smoke_campaign(points=2, name="http-smoke"):
     return Campaign.from_grid(name, base, {"sim.n_aus": list(range(1, points + 1))})
 
 
+def run_keys(lease):
+    """The run keys of a leased point, from the scenario the lease carries."""
+    return Scenario.from_dict(lease["scenario"]).run_keys()
+
+
 @pytest.fixture
 def store(tmp_path):
     return SQLiteResultStore(tmp_path / "svc.db")
@@ -101,6 +106,7 @@ class TestRouting:
         )
         _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
         lease = leased["leases"][0]
+        ((_, _, run),) = run_keys(lease)
         status, done = service.handle(
             "POST",
             "/api/complete",
@@ -111,15 +117,15 @@ class TestRouting:
                         "campaign": lease["campaign"],
                         "index": lease["index"],
                         "digest": lease["digest"],
-                        "result": {"fake": True},
-                        "runs": {"run-d1": {"fake_run": True}},
+                        "runs": {run: {"fake_run": True}},
                     }
                 ]
             },
         )
         assert done["accepted"] == [True]
-        assert store.load_json("result", lease["digest"]) == {"fake": True}
-        assert store.load_json("runs", "run-d1") == [{"fake_run": True}]
+        assert store.load_json("runs", run) == [{"fake_run": True}]
+        # The runs are the point: no result artifact is written.
+        assert store.kinds() == ["campaign", "runs"]
 
     def test_lease_and_complete_take_batches(self, service, store):
         _, submitted = service.handle(
@@ -138,12 +144,11 @@ class TestRouting:
                 "campaign": lease["campaign"],
                 "index": lease["index"],
                 "digest": lease["digest"],
-                "result": {"fake": lease["index"]},
-                "runs": {},
+                "runs": {run: {"fake": lease["index"]} for _, _, run in run_keys(lease)},
             }
             for lease in leased["leases"]
         ]
-        points[1]["result"] = None  # nothing to persist: that point fails
+        points[1]["runs"] = {}  # nothing to persist: that point fails
         _, done = service.handle("POST", "/api/complete", {"points": points})
         assert done["accepted"] == [True, False]
         counts = service.broker.status(submitted["digest"])["counts"]

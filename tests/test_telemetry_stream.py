@@ -5,6 +5,7 @@ subscriber) to a session, or running under a :class:`RunControl`, must
 leave every result bit-identical to an unobserved, uncontrolled run.
 """
 
+import dataclasses
 import json
 import threading
 import time
@@ -42,7 +43,7 @@ def smoke_scenario(**overrides):
 
 
 def result_payload(result):
-    return json.dumps(result.to_dict(), sort_keys=True)
+    return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
 class TestDigestIdentity:
