@@ -54,13 +54,10 @@ from .config import (
 )
 from .experiments.world import World, build_world
 from .metrics.report import AttackAssessment, RunMetrics, compare_runs
-from .adversary import (
-    AdmissionControlAdversary,
-    AttackSchedule,
-    BruteForceAdversary,
-    DefectionPoint,
-    PipeStoppageAdversary,
-)
+from .adversary.admission_flood import AdmissionControlAdversary
+from .adversary.base import AttackSchedule
+from .adversary.brute_force import BruteForceAdversary, DefectionPoint
+from .adversary.pipe_stoppage import PipeStoppageAdversary
 from .core.peer import Peer
 from . import units
 

@@ -38,83 +38,3 @@ The monolithic classes are kept as executable *reference implementations*:
 The equivalence test suite replays each against its composed reformulation
 and asserts identical per-run metric digests across seeds.
 """
-
-from .adaptive import AdaptivePolicy
-from .admission_flood import AdmissionControlAdversary
-from .base import Adversary, AttackSchedule
-from .brute_force import BruteForceAdversary, DefectionPoint
-from .components import (
-    ADAPTIVE_REGISTRY,
-    COMPONENT_REGISTRIES,
-    ComponentRegistry,
-    SCHEDULE_REGISTRY,
-    TARGETING_REGISTRY,
-    VECTOR_REGISTRY,
-)
-from .composed import (
-    ComposedAdversary,
-    build_composition,
-    canonical_composed_params,
-    composition_spec,
-)
-from .pipe_stoppage import PipeStoppageAdversary
-from .schedule import (
-    ConstantSchedule,
-    OnOffSchedule,
-    PiecewiseSchedule,
-    RampSchedule,
-    Schedule,
-    Window,
-)
-from .targeting import (
-    RandomSubsetTargeting,
-    RoundRobinTargeting,
-    StickyTargeting,
-    TargetingPolicy,
-    WeightedDamageTargeting,
-    victim_count,
-)
-from .vectors import (
-    AdmissionFloodVector,
-    AttackVector,
-    BruteForcePollVector,
-    EffortAttritionVector,
-    PipeStoppageVector,
-)
-
-__all__ = [
-    "ADAPTIVE_REGISTRY",
-    "AdaptivePolicy",
-    "AdmissionControlAdversary",
-    "AdmissionFloodVector",
-    "Adversary",
-    "AttackSchedule",
-    "AttackVector",
-    "BruteForceAdversary",
-    "BruteForcePollVector",
-    "COMPONENT_REGISTRIES",
-    "ComponentRegistry",
-    "ComposedAdversary",
-    "ConstantSchedule",
-    "DefectionPoint",
-    "EffortAttritionVector",
-    "OnOffSchedule",
-    "PiecewiseSchedule",
-    "PipeStoppageAdversary",
-    "PipeStoppageVector",
-    "RampSchedule",
-    "RandomSubsetTargeting",
-    "RoundRobinTargeting",
-    "SCHEDULE_REGISTRY",
-    "Schedule",
-    "StickyTargeting",
-    "TARGETING_REGISTRY",
-    "TargetingPolicy",
-    "VECTOR_REGISTRY",
-    "Window",
-    "WeightedDamageTargeting",
-    "build_composition",
-    "canonical_composed_params",
-    "composition_spec",
-    "victim_count",
-]

@@ -69,10 +69,6 @@ class AdmissionControlAdversary(Adversary):
         self.active = True
         self.simulator.schedule(0.0, self._begin_cycle)
 
-    def stop(self) -> None:
-        super().stop()
-        self._stop_flood()
-
     # -- attack cycles --------------------------------------------------------------------
 
     def _begin_cycle(self) -> None:

@@ -134,8 +134,5 @@ class Adversary(Node):
     def start(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def stop(self) -> None:
-        self.active = False
-
     def receive_message(self, message: Message) -> None:
         """Default: ignore all traffic (effortless attackers never listen)."""

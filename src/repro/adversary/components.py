@@ -92,9 +92,6 @@ class ComponentRegistry:
     def names(self) -> List[str]:
         return sorted(self._entries)
 
-    def __contains__(self, kind: str) -> bool:
-        return kind in self._entries
-
     def __iter__(self) -> Iterator[Type[StrategyComponent]]:
         for kind in self.names():
             yield self._entries[kind]

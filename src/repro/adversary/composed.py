@@ -26,7 +26,6 @@ reordering those does reassign their lanes.)
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import Dict, List, Optional, Sequence
 
@@ -203,10 +202,6 @@ class ComposedAdversary(Adversary):
                 return skipped
             time = window_end + window.gap
 
-    def stop(self) -> None:
-        super().stop()
-        self._disengage_all()
-
     # -- window machinery -------------------------------------------------------------------
 
     def _observed_deltas(self) -> List[Dict[str, float]]:
@@ -299,14 +294,6 @@ class ComposedAdversary(Adversary):
     @property
     def oracle_skips(self) -> int:
         return int(self._vector_sum("oracle_skips"))
-
-    @property
-    def total_blackout_peer_seconds(self) -> float:
-        return float(self._vector_sum("total_blackout_peer_seconds"))
-
-    def observed(self) -> List[Dict[str, float]]:
-        """Every vector's outcome counters, in stack order."""
-        return [dict(vector.observed()) for vector in self.vectors]
 
 
 # -- structured composition specs -------------------------------------------------------
@@ -413,26 +400,3 @@ def canonical_composed_params(params: Dict[str, object]) -> Dict[str, object]:
         "rng_lanes": params.get("rng_lanes", "per_component"),
         "node_id": str(params.get("node_id", "composed-adversary")),
     }
-
-
-def composition_spec(
-    targeting: Optional[Dict[str, object]] = None,
-    schedule: Optional[Dict[str, object]] = None,
-    vectors: Optional[Sequence[Dict[str, object]]] = None,
-    adaptive: Optional[Dict[str, object]] = None,
-    rng_lanes: str = "per_component",
-    node_id: str = "composed-adversary",
-) -> Dict[str, object]:
-    """Convenience constructor for a structured composition parameter set."""
-    params = copy.deepcopy(DEFAULT_COMPOSED_PARAMS)
-    if targeting is not None:
-        params["targeting"] = dict(targeting)
-    if schedule is not None:
-        params["schedule"] = dict(schedule)
-    if vectors is not None:
-        params["vectors"] = [dict(spec) for spec in vectors]
-    if adaptive is not None:
-        params["adaptive"] = dict(adaptive)
-    params["rng_lanes"] = rng_lanes
-    params["node_id"] = node_id
-    return _component_specs(params)

@@ -51,10 +51,6 @@ class PipeStoppageAdversary(Adversary):
         self.active = True
         self.simulator.schedule(0.0, self._begin_cycle)
 
-    def stop(self) -> None:
-        super().stop()
-        self._release_victims()
-
     # -- attack cycles --------------------------------------------------------------------
 
     def _begin_cycle(self) -> None:

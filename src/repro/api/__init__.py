@@ -42,92 +42,31 @@ Quickstart::
     print(results.rows("coverage", "attack_duration_days", "assessment.delay_ratio"))
 """
 
-from .campaign import (
-    Campaign,
-    CampaignPoint,
-    CampaignRunner,
-    CampaignStatus,
-    campaign_rows,
-    run_campaign,
-)
-from .observations import (
-    OBSERVATION_KINDS,
-    AdmissionObservation,
-    DamageObservation,
-    EffortObservation,
-    FaultObservation,
-    PollObservation,
-    RunObservations,
-    observe,
-)
-from .registry import (
-    DEFAULT_REGISTRY,
-    AdversaryEntry,
-    AdversaryRegistry,
-    CliOption,
-    adversary,
-)
-from .resultset import (
-    ROW_EXPORTERS,
-    ObservationRecord,
-    PointResult,
-    ResultSet,
-    export_rows,
-    row_exporter,
-)
-from .scenario import (
-    BASE_CONFIGS,
-    AdversarySpec,
-    Scenario,
-    canonical_json,
-    config_digest,
-)
-from .session import (
-    ExperimentResult,
-    PointExecutionError,
-    Session,
-    default_session,
-    execute_point,
-    set_default_session,
-)
+from .campaign import Campaign, CampaignRunner, campaign_rows
+from .observations import observe
+from .registry import DEFAULT_REGISTRY, AdversaryEntry, AdversaryRegistry, adversary
+from .resultset import ResultSet, export_rows, row_exporter
+from .scenario import AdversarySpec, Scenario, canonical_json, config_digest
+from .session import PointExecutionError, Session
 from .store import ResultStore
 
 __all__ = [
-    "AdmissionObservation",
     "AdversaryEntry",
     "AdversaryRegistry",
     "AdversarySpec",
-    "BASE_CONFIGS",
     "Campaign",
-    "CampaignPoint",
     "CampaignRunner",
-    "CampaignStatus",
-    "CliOption",
     "DEFAULT_REGISTRY",
-    "DamageObservation",
-    "EffortObservation",
-    "ExperimentResult",
-    "FaultObservation",
-    "OBSERVATION_KINDS",
-    "ObservationRecord",
     "PointExecutionError",
-    "PointResult",
-    "PollObservation",
-    "ROW_EXPORTERS",
     "ResultSet",
     "ResultStore",
-    "RunObservations",
     "Scenario",
     "Session",
     "adversary",
     "campaign_rows",
     "canonical_json",
     "config_digest",
-    "default_session",
-    "execute_point",
     "export_rows",
     "observe",
     "row_exporter",
-    "run_campaign",
-    "set_default_session",
 ]

@@ -750,18 +750,10 @@ def default_session() -> Session:
 
     Sharing one session means every figure sweep in a process reuses the
     same cached baseline runs, mirroring the old module-global baseline
-    cache.  CLI invocations replace it via :func:`set_default_session` to
-    attach workers and a persistent store.
+    cache.  The CLI builds its own sessions (with workers and a store) and
+    passes them explicitly; this one serves callers that pass none.
     """
     global _default_session
     if _default_session is None:
         _default_session = Session()
     return _default_session
-
-
-def set_default_session(session: Optional[Session]) -> Optional[Session]:
-    """Install ``session`` as the process default; returns the previous one."""
-    global _default_session
-    previous = _default_session
-    _default_session = session
-    return previous

@@ -196,9 +196,6 @@ class ResultStore:
         """
         return self.root / ("checkpoint-%s.ckpt.gz" % digest)
 
-    def has_checkpoint(self, digest: str) -> bool:
-        return self.checkpoint_path(digest).exists()
-
     def checkpoint_paths(self) -> List[Path]:
         """All persisted prefix checkpoints in the store (sorted by name)."""
         return sorted(self.root.glob("checkpoint-*.ckpt.gz"))

@@ -24,48 +24,3 @@ Module map:
 * :mod:`repro.core.poller` — the poller-side poll state machine.
 * :mod:`repro.core.peer` — a complete LOCKSS peer tying the pieces together.
 """
-
-from .admission import AdmissionControl, AdmissionDecision
-from .effort_policy import EffortPolicy
-from .messages import (
-    EvaluationReceipt,
-    Poll,
-    PollAck,
-    PollProof,
-    Repair,
-    RepairRequest,
-    Vote,
-    message_size,
-)
-from .peer import AUState, Peer
-from .poller import PollOutcome, PollerPoll
-from .reference_list import ReferenceList
-from .reputation import Grade, IntroductionTable, KnownPeers, RefractoryState
-from .scheduler import Reservation, TaskSchedule
-from .voter import VoterSession
-
-__all__ = [
-    "AdmissionControl",
-    "AdmissionDecision",
-    "EffortPolicy",
-    "Poll",
-    "PollAck",
-    "PollProof",
-    "Vote",
-    "RepairRequest",
-    "Repair",
-    "EvaluationReceipt",
-    "message_size",
-    "Peer",
-    "AUState",
-    "PollerPoll",
-    "PollOutcome",
-    "ReferenceList",
-    "Grade",
-    "KnownPeers",
-    "RefractoryState",
-    "IntroductionTable",
-    "Reservation",
-    "TaskSchedule",
-    "VoterSession",
-]

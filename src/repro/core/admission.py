@@ -79,19 +79,6 @@ class AdmissionStats:
     dropped_random: int = 0
     dropped_rate_limited: int = 0
 
-    def record(self, decision: AdmissionDecision) -> None:
-        self.considered += 1
-        if decision is AdmissionDecision.ADMITTED:
-            self.admitted += 1
-        elif decision is AdmissionDecision.ADMITTED_INTRODUCED:
-            self.admitted_introduced += 1
-        elif decision is AdmissionDecision.DROPPED_REFRACTORY:
-            self.dropped_refractory += 1
-        elif decision is AdmissionDecision.DROPPED_RANDOM:
-            self.dropped_random += 1
-        elif decision is AdmissionDecision.DROPPED_RATE_LIMITED:
-            self.dropped_rate_limited += 1
-
 
 class AdmissionControl:
     """Per-AU admission control state for one peer."""
@@ -158,9 +145,8 @@ class AdmissionControl:
 
         This is the single hottest protocol decision under flood attacks, so
         the stats counters are bumped inline at each branch (each branch
-        knows its own outcome) rather than re-dispatched through
-        :meth:`AdmissionStats.record`, and equivalent outcomes return a
-        shared result instance via :meth:`_result`.
+        knows its own outcome), and equivalent outcomes return a shared
+        result instance via :meth:`_result`.
         """
         cfg = self.config
         stats = self.stats

@@ -160,12 +160,6 @@ class Peer(Node):
     def au_ids(self) -> List[str]:
         return list(self._au_states)
 
-    def set_admission_enabled(self, enabled: bool) -> None:
-        """Enable/disable the admission-control defense (ablation support)."""
-        self.admission_enabled = enabled
-        for state in self._au_states.values():
-            state.admission.enabled = enabled
-
     # -- poll scheduling ----------------------------------------------------------------
 
     def start(self) -> None:

@@ -11,23 +11,3 @@ an exchange than the supplier.  This package provides
   effort with declared generation cost, cheap verification, and the 160-bit
   unforgeable byproduct the protocol reuses as an evaluation receipt.
 """
-
-from .effort import (
-    EffortAccount,
-    EffortProof,
-    EffortScheme,
-    MemoryBoundFunction,
-    verification_cost,
-)
-from .hashing import ContentHasher, HashCostModel, make_nonce
-
-__all__ = [
-    "ContentHasher",
-    "HashCostModel",
-    "make_nonce",
-    "EffortAccount",
-    "EffortProof",
-    "EffortScheme",
-    "MemoryBoundFunction",
-    "verification_cost",
-]

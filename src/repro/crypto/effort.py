@@ -197,8 +197,8 @@ class MemoryBoundFunction:
         ).digest()
         return {"iterations": iterations, "endpoints": endpoints, "binding": binding}
 
-    def verify(self, challenge: bytes, proof: dict, spot_checks: int = 4) -> bool:
-        """Spot-check ``proof`` by replaying a few walks and the binding digest."""
+    def verify(self, challenge: bytes, proof: dict) -> bool:
+        """Spot-check ``proof`` by replaying four walks and the binding digest."""
         endpoints = proof.get("endpoints")
         iterations = proof.get("iterations")
         binding = proof.get("binding")
@@ -213,7 +213,7 @@ class MemoryBoundFunction:
             return False
         table = self._table(challenge)
         rng = random.Random(int.from_bytes(expected_binding[:8], "big"))
-        checks = min(spot_checks, iterations)
+        checks = min(4, iterations)
         for start in rng.sample(range(iterations), checks):
             if self._walk(table, start) != endpoints[start]:
                 return False

@@ -31,24 +31,16 @@ sweeps as one campaign shape; :mod:`repro.experiments.reporting` renders rows
 as text tables.  Runs execute through :class:`repro.api.Session`.
 """
 
-from .attacks import attack_sweep_campaign
-
 # Importing the artifact modules registers their named row exporters
-# ("figure2", "table1", "ablation_*"), so `repro.api.resultset.export_rows`
-# can resolve any campaign loaded from JSON after `import repro.experiments`.
+# ("figure2", "table1", "attack_sweep", "ablation_*", ...), so
+# `repro.api.resultset.export_rows` can resolve any campaign loaded from JSON
+# after `import repro.experiments`.
 from . import ablation as _ablation  # noqa: F401
+from . import attacks as _attacks  # noqa: F401
 from . import baseline as _baseline  # noqa: F401
 from . import composed as _composed  # noqa: F401
 from . import effortful as _effortful  # noqa: F401
 from . import faults as _faults  # noqa: F401
 from ..api.session import ExperimentResult
-from .world import World, build_world
-from .reporting import format_table
 
-__all__ = [
-    "World",
-    "build_world",
-    "attack_sweep_campaign",
-    "ExperimentResult",
-    "format_table",
-]
+__all__ = ["ExperimentResult"]

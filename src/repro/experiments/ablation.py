@@ -144,25 +144,24 @@ def desync_ablation_campaign(
     seeds: Sequence[int] = (1,),
     protocol_config: Optional[ProtocolConfig] = None,
     sim_config: Optional[SimulationConfig] = None,
-    vote_cost_as_fraction_of_interval: float = 0.025,
     name: str = "ablation-desync",
 ) -> Campaign:
     """Spread-out vs. compressed solicitation as one zip-axis campaign.
 
     A laptop-scale population cannot reproduce the paper's 600-AU load
     directly, so the heavy-load regime is emulated by scaling the per-vote
-    compute cost: each vote costs ``vote_cost_as_fraction_of_interval`` of
-    the inter-poll interval (the aggregate busyness a peer holding hundreds
-    of AUs would experience).  Under that load, the desynchronized protocol
-    (votes due only at evaluation time, most of an interval away) lets
-    voters queue the work, while the compressed variant (all solicitation
-    and voting squeezed into a few days) runs into scheduling refusals and
-    inquorate polls — the effect Section 5.2 describes.
+    compute cost: each vote costs 2.5% of the inter-poll interval (the
+    aggregate busyness a peer holding hundreds of AUs would experience).
+    Under that load, the desynchronized protocol (votes due only at
+    evaluation time, most of an interval away) lets voters queue the work,
+    while the compressed variant (all solicitation and voting squeezed into
+    a few days) runs into scheduling refusals and inquorate polls — the
+    effect Section 5.2 describes.
     """
     base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
     # Emulate a heavily loaded peer: one vote costs a noticeable fraction of
     # the poll interval.
-    vote_cost = base_protocol.poll_interval * vote_cost_as_fraction_of_interval
+    vote_cost = base_protocol.poll_interval * 0.025
     loaded_sim = base_sim.with_overrides(hash_rate=base_sim.au_size / vote_cost)
     base = Scenario.from_configs(name, base_protocol, loaded_sim, seeds=tuple(seeds))
     campaign = Campaign(name=name, scenario=base, exporter="ablation_desync")

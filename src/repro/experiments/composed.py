@@ -222,8 +222,6 @@ def delayed_attack_campaign(
 
 
 def adversary_matrix_campaign(
-    targeting_kinds: Sequence[str] = ("random_subset", "sticky"),
-    vector_kinds: Sequence[str] = ("pipe_stoppage", "admission_flood"),
     attack_duration_days: float = 30.0,
     recuperation_days: float = 30.0,
     seeds: Sequence[int] = (1,),
@@ -231,12 +229,14 @@ def adversary_matrix_campaign(
     sim_config: Optional[SimulationConfig] = None,
     name: str = "adversary_matrix",
 ) -> Campaign:
-    """The targeting x vector mini-grid (CI smoke: 2x2 by default).
+    """The targeting x vector mini-grid (CI smoke: 2x2).
 
     Sweeping ``adversary.targeting.kind`` and ``adversary.vectors.0.kind``
     exercises per-component campaign axes end to end: every point is a
     different composition, each with its own stable content digest.
     """
+    targeting_kinds = ["random_subset", "sticky"]
+    vector_kinds = ["pipe_stoppage", "admission_flood"]
     scenario = composed_scenario(
         name,
         targeting={"kind": targeting_kinds[0], "coverage": 0.5},
@@ -252,8 +252,8 @@ def adversary_matrix_campaign(
         node_id="matrix-adversary",
     )
     campaign = Campaign(name=name, scenario=scenario, exporter="composed_attack")
-    campaign.add_axis(**{"adversary.targeting.kind": list(targeting_kinds)})
-    campaign.add_axis(**{"adversary.vectors.0.kind": list(vector_kinds)})
+    campaign.add_axis(**{"adversary.targeting.kind": targeting_kinds})
+    campaign.add_axis(**{"adversary.vectors.0.kind": vector_kinds})
     return campaign
 
 

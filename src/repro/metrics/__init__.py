@@ -17,16 +17,3 @@ samples replica damage over time, and :mod:`repro.metrics.report` combines
 them (together with the effort accounts) into the four paper metrics —
 the ratio metrics are computed against a matching baseline (no-attack) run.
 """
-
-from .access import AccessFailureSampler
-from .polls import PollRecord, PollStatistics
-from .report import AttackAssessment, RunMetrics, compare_runs
-
-__all__ = [
-    "AccessFailureSampler",
-    "PollRecord",
-    "PollStatistics",
-    "RunMetrics",
-    "AttackAssessment",
-    "compare_runs",
-]

@@ -19,50 +19,37 @@ scenario, seed, and engine versions that produced them, and can be:
 See ``docs/REPLAY.md`` for the trace schema and workflows.
 """
 
-from .signature import ReplaySignature, SignatureMismatch, TRACE_FORMAT, TRACE_VERSION
+from .signature import ReplaySignature, SignatureMismatch, TRACE_FORMAT
 from .trace import (
     TraceReader,
     TraceWriter,
     Tracer,
     attach_tracer,
-    detach_tracer,
     filter_records,
     iter_records,
 )
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    fault_fork_conflicts,
-    fault_onset,
-)
+from .checkpoint import Checkpoint, CheckpointError
 from .replay import (
     ReplayDivergence,
     ReplayError,
-    ReplayReport,
     metrics_digest,
     record_run,
     replay_trace,
 )
-from .bisect import Divergence, first_divergence
+from .bisect import first_divergence
 
 __all__ = [
     "Checkpoint",
     "CheckpointError",
-    "Divergence",
     "ReplayDivergence",
     "ReplayError",
-    "ReplayReport",
     "ReplaySignature",
     "SignatureMismatch",
     "TRACE_FORMAT",
-    "TRACE_VERSION",
     "TraceReader",
     "TraceWriter",
     "Tracer",
     "attach_tracer",
-    "detach_tracer",
-    "fault_fork_conflicts",
-    "fault_onset",
     "filter_records",
     "first_divergence",
     "iter_records",

@@ -40,29 +40,6 @@ class CheckpointError(Exception):
     """A checkpoint could not be captured, restored, or loaded."""
 
 
-def fault_onset(plan) -> float:
-    """Earliest simulation time (seconds) at which a fault plan acts.
-
-    The minimum ``start_day`` over every *active* section — crash and churn
-    processes, partition windows, degraded-link windows.  ``inf`` when the
-    plan is None or has no active section.  Crash/churn arrivals are
-    sampled as ``max(now, start) + Exp(rate)``, so a fork taken at or
-    before this time reproduces a from-scratch run's fault timeline bit
-    for bit (the fault RNG lanes are untouched until the first arrival).
-    """
-    if plan is None:
-        return float("inf")
-    onset = float("inf")
-    for spec in (plan.crash, plan.churn):
-        if spec.active:
-            onset = min(onset, spec.start_day * units.DAY)
-    for window in plan.partitions:
-        onset = min(onset, window.start_day * units.DAY)
-    for window in plan.degraded_links:
-        onset = min(onset, window.start_day * units.DAY)
-    return onset
-
-
 def fault_fork_conflicts(plan, time: float) -> list:
     """Fault-plan sections whose windows open strictly before ``time``.
 

@@ -56,15 +56,6 @@ class ReplayReport:
     metrics_digest: str
     time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "trace_path": self.trace_path,
-            "records_checked": self.records_checked,
-            "events_processed": self.events_processed,
-            "metrics_digest": self.metrics_digest,
-            "time": self.time,
-        }
-
 
 def record_run(
     scenario: Scenario,

@@ -29,18 +29,14 @@ bit-identical row digests to a single-process
 See docs/SERVICE.md.
 """
 
-from .broker import Broker, Lease
-from .http_api import ExperimentService, make_server, start_server
-from .sqlite_store import SQLiteResultStore
+from .broker import Broker
+from .http_api import make_server, start_server
 from .worker import HttpBrokerClient, LocalBrokerClient, Worker
 
 __all__ = [
     "Broker",
-    "ExperimentService",
     "HttpBrokerClient",
-    "Lease",
     "LocalBrokerClient",
-    "SQLiteResultStore",
     "Worker",
     "make_server",
     "start_server",

@@ -13,18 +13,3 @@ pure Python:
   the paper (bandwidth + latency, no congestion) plus the pipe-stoppage
   mechanism used by the network-level adversary.
 """
-
-from .engine import EventHandle, Simulator, SimulationError
-from .network import Message, Network, NetworkStats, Node
-from .randomness import RandomStreams
-
-__all__ = [
-    "EventHandle",
-    "Simulator",
-    "SimulationError",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "Node",
-    "RandomStreams",
-]

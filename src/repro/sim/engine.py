@@ -54,12 +54,8 @@ class SimulationError(RuntimeError):
     """
 
 
-def _noop(*_args: Any) -> None:
-    """Placeholder callback reported for cancelled/consumed events."""
-
-
 class EventHandle:
-    """Handle to a scheduled event, allowing cancellation and inspection."""
+    """Handle to a scheduled event, allowing cancellation."""
 
     __slots__ = ("time", "priority", "seq", "cancelled", "_entry", "_simulator")
 
@@ -70,20 +66,6 @@ class EventHandle:
         self.cancelled = False
         self._entry = entry
         self._simulator = simulator
-
-    @property
-    def callback(self) -> Callable[..., None]:
-        entry = self._entry
-        if entry is None or entry[_CALLBACK] is None:
-            return _noop
-        return entry[_CALLBACK]
-
-    @property
-    def args(self) -> tuple:
-        entry = self._entry
-        if entry is None:
-            return ()
-        return entry[_ARGS]
 
     def cancel(self) -> None:
         """Cancel the event; it will be skipped when its time comes."""

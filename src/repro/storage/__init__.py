@@ -7,16 +7,3 @@ repairs transfer individual blocks.  The storage-failure injector implements
 the paper's damage model: a Poisson process damaging one random block of one
 random AU at a rate of one block per 1–5 disk-years (50 AUs per disk).
 """
-
-from .au import ArchivalUnit, ContentStore, synthetic_content
-from .failure import StorageFailureModel
-from .replica import Replica, ReplicaSet
-
-__all__ = [
-    "ArchivalUnit",
-    "ContentStore",
-    "synthetic_content",
-    "Replica",
-    "ReplicaSet",
-    "StorageFailureModel",
-]

@@ -97,10 +97,10 @@ class ContentStore:
     def blocks(self) -> List[bytes]:
         return list(self._blocks)
 
-    def corrupt_block(self, index: int, salt: bytes = b"bitrot") -> None:
+    def corrupt_block(self, index: int) -> None:
         """Overwrite block ``index`` with corrupt (but same-length) bytes."""
         original = self._blocks[index]
-        garbage = hashlib.sha256(salt + original).digest()
+        garbage = hashlib.sha256(b"bitrot" + original).digest()
         repeated = (garbage * (len(original) // len(garbage) + 1))[: len(original)]
         self._blocks[index] = repeated
 

@@ -7,37 +7,20 @@ executes exactly as before (the tap sites stay ``None``-guarded attribute
 loads, per the PR 6 discipline).
 """
 
-from .bus import DEFAULT_CAPACITY, TOPICS, EventBus, Subscription
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsAggregator,
-    MetricsRegistry,
-)
-from .stream import (
-    RECORD_TOPICS,
-    RunControl,
-    attach_world_bus,
-    publish_campaign_progress,
-    publish_run_event,
-)
+from .bus import DEFAULT_CAPACITY, TOPICS, EventBus
+from .metrics import Counter, Histogram, MetricsAggregator, MetricsRegistry
+from .stream import RunControl, attach_world_bus
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "TOPICS",
     "EventBus",
-    "Subscription",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsAggregator",
     "MetricsRegistry",
-    "RECORD_TOPICS",
     "RunControl",
     "attach_world_bus",
-    "publish_campaign_progress",
-    "publish_run_event",
     "dashboard_html",
 ]
 

@@ -113,13 +113,6 @@ class RunControl:
                     return grant
             self._resume.wait(0.05)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "paused": self.paused,
-            "slice_events": self.slice_events,
-            "stepped": self.stepped,
-        }
-
 
 def publish_run_event(
     bus: Optional[EventBus],

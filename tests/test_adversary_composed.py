@@ -317,15 +317,32 @@ class TestStructuredSpecs:
         assert pipe.digest != flood.digest
 
     def test_structured_scenario_runs_through_a_session(self):
-        scenario = self.scenario(
-            {
-                "vectors": [{"kind": "pipe_stoppage"}],
-                "schedule": {"kind": "on_off", "attack_duration_days": 45.0},
-            }
-        )
-        result = Session().run(scenario)
-        assert result.attacked_runs[0].failed_polls >= 0
-        assert result.scenario_digest == scenario.digest
+        stacks = [
+            (
+                {
+                    "vectors": [{"kind": "pipe_stoppage"}],
+                    "schedule": {"kind": "on_off", "attack_duration_days": 45.0},
+                },
+                False,
+            ),
+            # Damage-weighted targeting asks the composed adversary for each
+            # victim's weight; the effort_attrition vector pays intro effort.
+            (
+                {
+                    "targeting": {"kind": "weighted_damage", "coverage": 0.5},
+                    "vectors": [{"kind": "effort_attrition"}],
+                },
+                True,
+            ),
+        ]
+        for params, effortful in stacks:
+            scenario = self.scenario(params)
+            result = Session().run(scenario)
+            assert result.attacked_runs[0].failed_polls >= 0
+            assert result.scenario_digest == scenario.digest
+            again = Session().run(scenario)
+            assert run_digest(again.attacked_runs[0]) == run_digest(result.attacked_runs[0])
+            assert (result.attacked_runs[0].adversary_effort > 0) is effortful
 
     def test_unknown_component_kind_fails_at_build_time(self):
         scenario = self.scenario({"vectors": [{"kind": "zero_day"}]})

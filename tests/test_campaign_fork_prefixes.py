@@ -29,9 +29,9 @@ from repro.experiments.composed import (
 )
 from repro.replay.checkpoint import Checkpoint, CheckpointError
 from repro.service.broker import Broker, Lease
-from repro.service.http_api import ExperimentService
+from repro.service.http_api import ExperimentService, make_server
 from repro.service.sqlite_store import SQLiteResultStore
-from repro.service.worker import LocalBrokerClient, Worker
+from repro.service.worker import HttpBrokerClient, LocalBrokerClient, Worker
 
 
 def delayed_scenario(
@@ -463,6 +463,41 @@ class TestBrokerPrefixAffinity:
         rows_full = CampaignRunner(Session(store=full_store)).rows(campaign)
         rows_svc = CampaignRunner(Session(store=store)).rows(campaign)
         assert canonical_json(rows_full) == canonical_json(rows_svc)
+
+    def test_remote_fork_prefix_worker_plans_from_the_spec_route(self, tmp_path):
+        import threading
+
+        campaign = delayed_campaign(name="remote-fork", duration=units.months(3))
+        full_store = str(tmp_path / "full")
+        CampaignRunner(Session(store=full_store)).run(campaign)
+
+        store = SQLiteResultStore(tmp_path / "svc.db")
+        server = make_server(store, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        events = []
+        try:
+            client = HttpBrokerClient("http://127.0.0.1:%d" % server.server_address[1])
+            client.submit(campaign.to_dict())
+            worker = Worker(
+                client, Session(), worker_id="remote", fork_prefixes=True,
+                on_event=events.append,
+            )
+            assert worker.run()["completed"] == 2
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert sum("forking" in event for event in events) == 2
+        rows_full = CampaignRunner(Session(store=full_store)).rows(campaign)
+        rows_svc = CampaignRunner(Session(store=store)).rows(campaign)
+        assert canonical_json(rows_full) == canonical_json(rows_svc)
+
+    def test_cli_worker_forks_prefixes(self, tmp_path, capsys):
+        campaign = delayed_campaign(name="cli-fork", duration=units.months(3))
+        db = str(tmp_path / "svc.db")
+        Broker(SQLiteResultStore(db)).submit(campaign)
+        assert main(["worker", "--store", db, "--fork-prefixes"]) == 0
+        assert capsys.readouterr().out.count("forking") == 2
+        assert len(SQLiteResultStore(db).checkpoint_digests()) == 1
 
     def test_unfetchable_campaign_falls_back_to_full_runs_with_a_warning(
         self, tmp_path, caplog

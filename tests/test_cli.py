@@ -46,6 +46,7 @@ class TestParser:
     def test_table1_defection_choices(self):
         args = build_parser().parse_args(["table1", "--defections", "intro", "none"])
         assert args.defections == ["intro", "none"]
+        assert build_parser().parse_args(["table1", "--rate", "2.5"]).rate == 2.5
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--defections", "bogus"])
 
@@ -207,6 +208,15 @@ class TestScenarioCommands:
         assert args.coverages == [0.4]
         args = parser.parse_args(["admission-flood", "--rate", "12"])
         assert args.rate == 12.0
+        args = parser.parse_args(
+            ["admission-flood", "--durations", "10,20", "--coverages", "0.5"]
+            + ["--recuperation", "15"]
+        )
+        assert args.durations == [10.0, 20.0]
+        assert args.coverages == [0.5]
+        assert args.recuperation == 15.0
+        args = parser.parse_args(["pipe-stoppage", "--recuperation", "45"])
+        assert args.recuperation == 45.0
 
     def test_workers_and_store_flags_parse(self):
         args = build_parser().parse_args(

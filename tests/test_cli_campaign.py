@@ -177,6 +177,11 @@ class TestCampaignExecution:
             == 1
         )
         assert "no baseline digest" in capsys.readouterr().out
+        # --artifact names the baseline key: fig2's digest is not this one's.
+        argv = ["campaign", "report", str(path), "--store", store]
+        argv += ["--check-digest", str(BASELINE), "--artifact", "fig2_baseline"]
+        assert main(argv) == 1
+        assert "fig2_baseline: digest" in capsys.readouterr().out
 
 
 def report_digest(path, store, capsys):

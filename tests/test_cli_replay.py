@@ -7,6 +7,8 @@ import pytest
 from repro import units
 from repro.api import AdversarySpec, ResultStore, Scenario
 from repro.cli import main
+from repro.replay.signature import ReplaySignature
+from repro.replay.trace import TraceReader, TraceWriter
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,18 @@ class TestReplayCommand:
         trace = store.trace_paths()[0]
         assert main(["replay", str(trace), "--expect-digest", "f" * 64]) == 1
 
+    def test_replay_list_windows_by_peer_and_day(self, recorded_store, capsys):
+        _, _, store = recorded_store
+        argv = ["replay", str(store.trace_paths()[0]), "--list", "--kinds", "poll"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()[3].split("|")
+        day, peer = float(first[2]), first[3].split("'")[1]
+        window = ["--from", str(day - 1), "--until", str(day + 30)]
+        assert main(argv + ["--peer", peer] + window) == 0
+        rows = [line.split("|") for line in capsys.readouterr().out.splitlines()[3:]]
+        assert rows
+        assert all(day - 1 <= float(row[2]) < day + 30 and peer in row[3] for row in rows)
+
     def test_replay_list_filters_records(self, recorded_store, capsys):
         _, _, store = recorded_store
         trace = store.trace_paths()[0]
@@ -72,6 +86,32 @@ class TestBisectCommand:
         _, _, store = recorded_store
         traces = store.trace_paths()
         assert main(["bisect", str(traces[0]), str(traces[1])]) == 1
+
+    def test_context_bounds_the_shared_records_shown(
+        self, recorded_store, tmp_path, capsys
+    ):
+        _, _, store = recorded_store
+        trace = store.trace_paths()[0]
+        with TraceReader(trace) as reader:
+            header = reader.header
+            records = [list(record) for record in reader.records()]
+            _, time, events, digest = reader.read_footer()
+        records[7][1] += 0.125
+        tampered = tmp_path / "tampered.jsonl.gz"
+        writer = TraceWriter(
+            tampered,
+            ReplaySignature.from_dict(header["signature"]),
+            header["scenario"],
+            header["seed"],
+            header["baseline"],
+        )
+        for record in records:
+            writer.write(record)
+        writer.close(time, events, digest)
+        assert main(["bisect", str(trace), str(tampered), "--context", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "first divergence at record 7" in out
+        assert out.count("\n  = ") == 2
 
 
 class TestCheckpointForkCommands:
@@ -98,6 +138,9 @@ class TestCheckpointForkCommands:
         plain_out = tmp_path / "plain.json"
         assert main(["fork", str(ckpt), "--out", str(plain_out)]) == 0
         capsys.readouterr()
+
+        assert main(["fork", str(ckpt), "--until-days", "90"]) == 0
+        assert "forked from 60.0 days, ran to 90.0 days" in capsys.readouterr().out
 
         forked_out = tmp_path / "forked.json"
         assert (
@@ -144,6 +187,13 @@ class TestCheckpointForkCommands:
                     "not json",
                 ]
             )
+
+    def test_checkpoint_of_another_seed(self, recorded_store, tmp_path, capsys):
+        _, scenario_path, _ = recorded_store
+        ckpt = str(tmp_path / "seed2.ckpt.gz")
+        argv = ["checkpoint", str(scenario_path), "--seed", "2", "--at-days", "30"]
+        assert main(argv + ["--out", ckpt]) == 0
+        assert "(seed 2) at 30.0 days" in capsys.readouterr().out
 
     def test_checkpoint_rejects_past_duration_instants(self, recorded_store, tmp_path):
         _, scenario_path, _ = recorded_store

@@ -142,6 +142,61 @@ class TestWorkerCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["complete"] is True
 
+    def test_recording_worker_takes_the_session_flags(self, tmp_path, capsys):
+        campaign, _ = campaign_file(tmp_path)
+        db = str(tmp_path / "svc.db")
+
+        from repro.service import Broker
+
+        Broker(SQLiteResultStore(db)).submit(campaign)
+        argv = ["worker", "--store", db, "--record", "--lease-seconds", "30"]
+        argv += ["--workers", "1", "--timeout", "120", "--retries", "2"]
+        assert main(argv) == 0
+        assert "2 completed" in capsys.readouterr().out
+        # No adversary, one seed: one recorded run per point.
+        assert len(SQLiteResultStore(db).trace_paths()) == 2
+
+    def test_worker_campaign_leases_only_that_campaign(self, tmp_path, capsys):
+        campaign, _ = campaign_file(tmp_path)
+        other = Campaign.from_grid("cli-service-other", campaign.scenario, {"sim.n_aus": [3]})
+        db = str(tmp_path / "svc.db")
+
+        from repro.service import Broker
+
+        broker = Broker(SQLiteResultStore(db))
+        broker.submit(campaign)
+        broker.submit(other)
+        assert main(["worker", "--store", db, "--campaign", campaign.digest]) == 0
+        assert "2 completed" in capsys.readouterr().out
+        assert broker.status(campaign.digest)["complete"] is True
+        assert broker.status(other.digest)["counts"]["pending"] == 1
+
+
+class TestServeCommand:
+    def test_verbose_serve_logs_submissions(self, tmp_path, monkeypatch, capsys):
+        from repro.service import http_api
+
+        campaign, _ = campaign_file(tmp_path)
+        make_server = http_api.make_server
+
+        def serve_forever():
+            raise KeyboardInterrupt  # the operator's Ctrl-C
+
+        def make_server_and_submit(*args, **kwargs):
+            server = make_server(*args, **kwargs)
+            server.service.handle("POST", "/api/campaigns", campaign.to_dict())
+            server.serve_forever = serve_forever
+            return server
+
+        monkeypatch.setattr(http_api, "make_server", make_server_and_submit)
+        db = str(tmp_path / "svc.db")
+        argv = ["serve", "--store", db, "--port", "0", "--verbose"]
+        assert main(argv + ["--lease-seconds", "5", "--dashboard"]) == 0
+        out = capsys.readouterr().out
+        assert "submitted cli-service (%s): 2 points" % campaign.digest[:12] in out
+        assert "lease 5s" in out and "/dashboard" in out
+        assert "shutting down" in out
+
 
 class TestStatusConnect:
     """``campaign status --connect`` reports broker trouble in one line."""
@@ -171,11 +226,24 @@ class TestStatusConnect:
         assert "Traceback" not in captured.out + captured.err
 
         # Once submitted, the same command succeeds.
-        from repro.service.worker import HttpBrokerClient
-
-        HttpBrokerClient(url).submit(campaign.to_dict())
+        assert main(["campaign", "submit", str(path), "--connect", url]) == 0
+        capsys.readouterr()
         assert main(["campaign", "status", str(path), "--connect", url, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["digest"] == campaign.digest
+
+    def test_watch_returns_once_the_campaign_is_complete(
+        self, server, tmp_path, capsys
+    ):
+        from repro.service.worker import LocalBrokerClient, Worker
+
+        campaign, path = campaign_file(tmp_path)
+        url = "http://127.0.0.1:%d" % server.server_address[1]
+        assert main(["campaign", "submit", str(path), "--connect", url]) == 0
+        Worker(LocalBrokerClient(server.service.broker)).run()
+        capsys.readouterr()
+        argv = ["campaign", "status", str(path), "--connect", url, "--watch"]
+        assert main(argv + ["--interval", "0.2"]) == 0
+        assert "2/2 points complete" in capsys.readouterr().out
 
     def test_unreachable_server_exits_2(self, server, tmp_path, capsys):
         _, path = campaign_file(tmp_path)

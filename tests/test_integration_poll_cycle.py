@@ -153,6 +153,42 @@ class TestInquoratePoll:
         assert len(poll.votes) == 0
 
 
+
+class TestSilentVoter:
+    def test_an_accepted_voter_that_never_votes_is_penalized(
+        self, simulator, network, peer_factory, small_au, collector
+    ):
+        # Accepting and then never voting wastes the poller's effort, the
+        # attrition the paper defends against: once the voter's estimated
+        # completion plus vote_timeout_slack passes without a vote, the
+        # poller marks it silent and its grade drops to debt.
+        peers = build_population(peer_factory, small_au)
+        poller = peers[0]
+        poll = poller.start_poll(small_au.au_id)
+        silenced = []
+        on_poll_ack = poll.on_poll_ack
+
+        def cut_off_the_first_acceptor(message):
+            on_poll_ack(message)
+            if message.accepted and not silenced:
+                # The poller's proof is on the wire; the voter never gets it.
+                network.block(message.voter_id)
+                silenced.append(message.voter_id)
+
+        poll.on_poll_ack = cut_off_the_first_acceptor
+        simulator.run(until=poll.solicitation_end)
+        (accepted,) = silenced
+        progress = poll.voters[accepted]
+        timeout = progress.estimated_completion + poller.config.vote_timeout_slack
+        assert timeout < poll.evaluation_time, "the poll would conclude first"
+        simulator.run(until=poll.deadline + units.DAY)
+
+        assert accepted not in poll.votes
+        assert progress.state == "silent"
+        grade = poller.au_state(small_au.au_id).known_peers.grade_of(accepted, simulator.now)
+        assert grade is Grade.DEBT
+
+
 class TestDamageAndRepair:
     def test_damaged_poller_repairs_itself_from_the_majority(
         self, simulator, peer_factory, small_au, collector

@@ -271,6 +271,61 @@ class TestEndToEnd:
         assert stats["completed"] == 1
 
 
+
+class TestRemoteBeatAndFail:
+    """The two calls a remote worker makes only when a point is slow or
+    broken: ``heartbeat`` and ``fail``, over a real server."""
+
+    @pytest.fixture
+    def short_lease_client(self, store):
+        # A 0.3 s lease: the worker beats every 0.1 s.
+        instance = make_server(store, port=0, lease_seconds=0.3)
+        import threading
+
+        threading.Thread(target=instance.serve_forever, daemon=True).start()
+        yield HttpBrokerClient("http://127.0.0.1:%d" % instance.server_address[1])
+        instance.shutdown()
+        instance.server_close()
+
+    def test_a_point_that_outlives_its_lease_is_kept_alive(
+        self, short_lease_client, monkeypatch
+    ):
+        client = short_lease_client
+        client.submit(smoke_campaign(1).to_dict())
+        seen = []
+        run = Session.run
+
+        def slow_run(session, scenario, *args, **kwargs):
+            time.sleep(0.6)  # two lease lengths
+            seen.extend(client.request("GET", "/api/workers")["workers"])
+            return run(session, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "run", slow_run)
+        stats = Worker(client, session=Session(), worker_id="slow").run()
+        assert (stats["completed"], stats["stolen"], stats["failed"]) == (1, 0, 0)
+        (row,) = seen
+        # Unextended, the lease would have expired 0.3 s ago.
+        assert row["lease"]["expires_in"] > 0
+        # The beat carried the worker's telemetry, and the broker kept it.
+        assert row["points_completed"] == 0
+        assert row["consecutive_heartbeat_failures"] == 0
+
+    def test_a_point_that_raises_reaches_the_broker_as_failed(
+        self, client, monkeypatch
+    ):
+        digest = client.submit(smoke_campaign(1).to_dict())["digest"]
+
+        def broken_run(session, scenario, *args, **kwargs):
+            raise RuntimeError("the point blew up")
+
+        monkeypatch.setattr(Session, "run", broken_run)
+        stats = Worker(client, session=Session(), worker_id="broken").run()
+        assert (stats["completed"], stats["failed"]) == (0, 1)
+        (point,) = client.request("GET", "/api/campaigns/%s" % digest)["points"]
+        assert point["state"] == "failed"
+        assert "the point blew up" in point["error"]
+
+
 class TestKeepAlive:
     def test_sequential_requests_share_one_fast_connection(self, store):
         # http.server writes a response's headers and body separately: on a
@@ -352,7 +407,9 @@ class TestLayering:
             """
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
+        inherited = os.environ.get("PYTHONPATH")
+        path = src + (os.pathsep + inherited if inherited else "")
+        env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "layering.db")],
             env=env,
