@@ -44,14 +44,13 @@ Quickstart::
 
 from .campaign import Campaign, CampaignRunner, campaign_rows
 from .observations import observe
-from .registry import DEFAULT_REGISTRY, AdversaryEntry, AdversaryRegistry, adversary
+from .registry import DEFAULT_REGISTRY, AdversaryRegistry, adversary
 from .resultset import ResultSet, export_rows, row_exporter
 from .scenario import AdversarySpec, Scenario, canonical_json, config_digest
 from .session import PointExecutionError, Session
 from .store import ResultStore
 
 __all__ = [
-    "AdversaryEntry",
     "AdversaryRegistry",
     "AdversarySpec",
     "Campaign",

@@ -26,7 +26,7 @@ custom adversary must be registered at import time of an importable module
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..adversary.brute_force import DefectionPoint
 from ..adversary.composed import (
@@ -48,17 +48,6 @@ AdversaryBuilder = Callable[..., object]
 
 
 @dataclass
-class CliOption:
-    """Metadata for one generated command-line option of an attack command."""
-
-    flag: str
-    param: str
-    kind: str  # "float" | "float_list"
-    default: object
-    help: str
-
-
-@dataclass
 class AdversaryEntry:
     """One registered attack strategy."""
 
@@ -66,11 +55,6 @@ class AdversaryEntry:
     builder: AdversaryBuilder
     description: str = ""
     defaults: Dict[str, object] = field(default_factory=dict)
-    #: Optional CLI wiring: subcommand name + generated options.  Sweep axes
-    #: (list-valued options) become sweep dimensions of the generated command.
-    cli_command: Optional[str] = None
-    cli_help: str = ""
-    cli_options: Tuple[CliOption, ...] = ()
     #: Optional params-canonicalization hook used for content hashing: maps
     #: a defaults-merged parameter dict to its fully-resolved form (e.g.
     #: merging nested component defaults of structured composition specs).
@@ -103,9 +87,6 @@ class AdversaryRegistry:
         *,
         defaults: Optional[Dict[str, object]] = None,
         description: str = "",
-        cli_command: Optional[str] = None,
-        cli_help: str = "",
-        cli_options: Tuple[CliOption, ...] = (),
         canonicalize: Optional[
             Callable[[Dict[str, object]], Dict[str, object]]
         ] = None,
@@ -122,9 +103,6 @@ class AdversaryRegistry:
                 builder=fn,
                 description=description or (doc.splitlines()[0] if doc else ""),
                 defaults=dict(defaults or {}),
-                cli_command=cli_command,
-                cli_help=cli_help,
-                cli_options=tuple(cli_options),
                 canonicalize=canonicalize,
             )
             return fn
@@ -183,46 +161,6 @@ def adversary(name: str, **kwargs):
 
 # --- builtin strategies (Section 7 of the paper) -------------------------------------
 
-_SWEEP_CLI_OPTIONS = (
-    CliOption(
-        flag="--durations",
-        param="attack_duration_days",
-        kind="float_list",
-        default=None,  # per-command default filled in below
-        help="comma-separated attack durations in days",
-    ),
-    CliOption(
-        flag="--coverages",
-        param="coverage",
-        kind="float_list",
-        default=None,
-        help="comma-separated fractions of the population attacked",
-    ),
-    CliOption(
-        flag="--recuperation",
-        param="recuperation_days",
-        kind="float",
-        default=30.0,
-        help="recuperation period in days",
-    ),
-)
-
-
-def _sweep_options(durations_default, coverages_default, extra=()):
-    options = []
-    for option in _SWEEP_CLI_OPTIONS:
-        default = option.default
-        if option.flag == "--durations":
-            default = list(durations_default)
-        elif option.flag == "--coverages":
-            default = list(coverages_default)
-        options.append(
-            CliOption(option.flag, option.param, option.kind, default, option.help)
-        )
-    options.extend(extra)
-    return tuple(options)
-
-
 @adversary(
     "pipe_stoppage",
     defaults={
@@ -231,9 +169,6 @@ def _sweep_options(durations_default, coverages_default, extra=()):
         "recuperation_days": 30.0,
     },
     description="Network-level blackout of a random victim fraction (Figs 3-5)",
-    cli_command="pipe-stoppage",
-    cli_help="Figures 3-5 sweep",
-    cli_options=_sweep_options([10.0, 60.0, 150.0], [0.4, 1.0]),
 )
 def build_pipe_stoppage(
     world,
@@ -270,21 +205,6 @@ def build_pipe_stoppage(
         "invitations_per_victim_per_day": 4.0,
     },
     description="Garbage-invitation flood against admission control (Figs 6-8)",
-    cli_command="admission-flood",
-    cli_help="Figures 6-8 sweep",
-    cli_options=_sweep_options(
-        [30.0, 200.0],
-        [1.0],
-        extra=(
-            CliOption(
-                flag="--rate",
-                param="invitations_per_victim_per_day",
-                kind="float",
-                default=6.0,
-                help="garbage invitations per victim per day",
-            ),
-        ),
-    ),
 )
 def build_admission_flood(
     world,

@@ -1,15 +1,12 @@
 """Command-line interface for running the reproduction experiments.
 
 Installed as the ``repro-experiments`` console script (also runnable as
-``python -m repro.cli``).  Each subcommand regenerates one of the paper's
-evaluation artifacts at a configurable scale and prints the series as a text
-table:
+``python -m repro.cli``).  The paper's figures, Table 1 and the defense
+ablations are campaigns: ``campaign run fig2_baseline`` runs a bench artifact
+by name, and ``campaign run examples/campaigns/laptop_fig2_baseline.json``
+runs a campaign JSON file (the ``laptop_*.json`` files hold each figure at
+laptop scale).  The subcommands:
 
-* ``baseline``        — Figure 2 (access failure vs poll interval, no attack)
-* ``pipe-stoppage``   — Figures 3–5 (network-level blackouts)
-* ``admission-flood`` — Figures 6–8 (garbage-invitation flood)
-* ``table1``          — Table 1 (brute-force adversary defection points)
-* ``ablation``        — the defense ablations described in DESIGN.md
 * ``run``             — any scenario JSON file (see ``repro.api.Scenario``),
   including scenarios with a ``faults`` plan (churn, crash-restart,
   partitions, degraded links; see docs/FAULTS.md)
@@ -41,11 +38,9 @@ table:
 * ``bench``           — the figure-benchmark suite with result-digest checks
   against the committed baseline, emitting the ``BENCH_PR2.json`` trajectory
 
-The scheduled-attack subcommands (``pipe-stoppage``, ``admission-flood``) are
-generated from the adversary registry: registering a new adversary with CLI
-metadata adds its subcommand automatically.  Every subcommand accepts
-``--workers`` (parallel multi-seed/multi-point execution on a process pool)
-and ``--store`` (a directory of digest-keyed persistent result artifacts).
+``run``, ``worker`` and the ``campaign`` verbs that execute or read points
+accept ``--workers`` (parallel multi-seed/multi-point execution on a process
+pool) and ``--store`` (digest-keyed persistent result artifacts).
 """
 
 from __future__ import annotations
@@ -56,44 +51,22 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import units
-from .adversary.brute_force import DefectionPoint
 from .api import (
     DEFAULT_REGISTRY,
-    AdversaryEntry,
-    AdversarySpec,
     Campaign,
     CampaignRunner,
     Scenario,
     Session,
-    campaign_rows,
     export_rows,
 )
 from .api.resultset import digest_rows
 from .api.session import ExperimentResult
 from .api.store import open_store
-from .config import ProtocolConfig, SimulationConfig, scaled_config
-from .experiments import ablation as ablation_module
-from .experiments import baseline, effortful
-from .experiments.attacks import FIGURE_COLUMNS
 from .experiments.reporting import format_table
-
-
-def _parse_floats(text: str) -> List[float]:
-    return [float(item) for item in text.split(",") if item.strip()]
 
 
 def _parse_ints(text: str) -> List[int]:
     return [int(item) for item in text.split(",") if item.strip()]
-
-
-def _configs(args: argparse.Namespace) -> "tuple[ProtocolConfig, SimulationConfig]":
-    protocol, sim = scaled_config(
-        n_peers=args.peers,
-        n_aus=args.aus,
-        duration=units.years(args.years),
-        seed=args.seed,
-    )
-    return protocol, sim
 
 
 def _session(args: argparse.Namespace) -> Session:
@@ -145,116 +118,6 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="attempts per point before it is marked failed (default 1)",
     )
-
-
-def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--peers", type=int, default=20, help="number of loyal peers")
-    parser.add_argument("--aus", type=int, default=2, help="AUs preserved by every peer")
-    parser.add_argument(
-        "--years", type=float, default=1.0, help="simulated duration in years"
-    )
-    parser.add_argument("--seed", type=int, default=1, help="master random seed")
-    parser.add_argument(
-        "--seeds",
-        type=_parse_ints,
-        default=[1],
-        help="comma-separated seeds averaged per data point (paper uses 3)",
-    )
-    _add_session_arguments(parser)
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    protocol, sim = _configs(args)
-    campaign = baseline.baseline_campaign(
-        poll_intervals_months=args.intervals,
-        storage_mtbf_years=args.mtbf,
-        collection_sizes=(args.aus,),
-        seeds=args.seeds,
-        protocol_config=protocol,
-        sim_config=sim,
-    )
-    rows = campaign_rows(campaign, session=_session(args))
-    print("Figure 2 — baseline access failure probability (no attack)")
-    _print_rows(
-        rows,
-        list(baseline.FIGURE2_COLUMNS) + ["normalized_access_failure_probability"],
-    )
-    return 0
-
-
-def _option_dest(flag: str) -> str:
-    return flag.lstrip("-").replace("-", "_")
-
-
-def _make_attack_command(entry: AdversaryEntry):
-    """Build the handler for one registry-generated attack-sweep subcommand."""
-
-    def handler(args: argparse.Namespace) -> int:
-        protocol, sim = _configs(args)
-        params: Dict[str, object] = {}
-        axes: Dict[str, List[object]] = {}
-        # Later list-valued options vary slowest (outermost axis), so the
-        # conventional "--durations ... --coverages ..." option order yields
-        # the figures' row order (coverage outer, duration inner).
-        for option in reversed(entry.cli_options):
-            value = getattr(args, _option_dest(option.flag))
-            if option.kind == "float_list":
-                axes["adversary." + option.param] = list(value)
-            else:
-                params[option.param] = value
-        scenario = Scenario.from_configs(
-            entry.cli_command or entry.name,
-            protocol,
-            sim,
-            adversary=AdversarySpec(entry.name, params),
-            seeds=tuple(args.seeds),
-        )
-        scenario.sweep = axes
-        campaign = Campaign.from_sweep(scenario, exporter="attack_sweep")
-        rows = campaign_rows(campaign, session=_session(args))
-        print("%s — %s" % (entry.cli_command, entry.description))
-        _print_rows(rows, FIGURE_COLUMNS)
-        return 0
-
-    return handler
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    protocol, sim = _configs(args)
-    defections = [DefectionPoint(value) for value in args.defections]
-    campaign = effortful.effortful_campaign(
-        defections=defections,
-        collection_sizes=(args.aus,),
-        seeds=args.seeds,
-        protocol_config=protocol,
-        sim_config=sim,
-        attempts_per_victim_au_per_day=args.rate,
-    )
-    rows = campaign_rows(campaign, session=_session(args))
-    print("Table 1 — brute-force effortful adversary")
-    _print_rows(rows, effortful.TABLE1_COLUMNS)
-    return 0
-
-
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    if args.which == "admission":
-        factory = ablation_module.admission_ablation_campaign
-        columns = ["admission_control", "coefficient_of_friction", "loyal_effort"]
-        title = "Ablation — admission control on/off under a garbage flood"
-    elif args.which == "effort":
-        factory = ablation_module.effort_ablation_campaign
-        columns = ["introductory_effort_fraction", "cost_ratio", "adversary_effort"]
-        title = "Ablation — introductory-effort toll vs the reservation attack"
-    else:
-        factory = ablation_module.desync_ablation_campaign
-        columns = ["mode", "success_rate", "refusal_rate", "successful_polls"]
-        title = "Ablation — desynchronized vs compressed solicitation"
-    protocol, sim = _configs(args)
-    campaign = factory(seeds=args.seeds, protocol_config=protocol, sim_config=sim)
-    rows = campaign_rows(campaign, session=_session(args))
-    print(title)
-    _print_rows(rows, columns)
-    return 0
 
 
 RESULT_COLUMNS = (
@@ -540,6 +403,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     if connect:
 
         def consume_sse() -> None:
+            import http.client
             import urllib.request
 
             url = connect.rstrip("/") + "/api/events?topics=campaign_progress"
@@ -549,7 +413,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                         for line in response:
                             if line.startswith(b"data:"):
                                 wake.set()
-                except Exception:
+                except (OSError, http.client.HTTPException):
                     # Server gone or SSE unsupported; interval polling
                     # still drives the redraw.
                     return
@@ -770,11 +634,22 @@ def _cmd_fork(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_store(reference: str, verb: str):
+    """Open the store a ``store`` verb reads; None, after saying so, if absent.
+
+    Opening a store creates it, so a mistyped path would otherwise
+    "succeed" on a fresh empty store and leave it behind.
+    """
+    if not Path(reference.removeprefix("sqlite:")).exists():
+        print("%s: no store at %s" % (verb, reference))
+        return None
+    return open_store(reference)
+
+
 def _cmd_store_prune(args: argparse.Namespace) -> int:
-    if not args.store:
-        print("store prune needs --store")
+    store = _existing_store(args.store, "store prune")
+    if store is None:
         return 2
-    store = open_store(args.store)
     try:
         removed = store.prune(kind=args.kind)
     except ValueError as error:
@@ -786,7 +661,9 @@ def _cmd_store_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    store = open_store(args.store)
+    store = _existing_store(args.store, "store stats")
+    if store is None:
+        return 2
     totals = store.stats()
     if args.json:
         import json as json_module
@@ -816,7 +693,9 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_clear(args: argparse.Namespace) -> int:
-    store = open_store(args.store)
+    store = _existing_store(args.store, "store clear")
+    if store is None:
+        return 2
     if not args.yes:
         print("store clear removes every artifact in %s; pass --yes to confirm" % args.store)
         return 2
@@ -828,7 +707,9 @@ def _cmd_store_clear(args: argparse.Namespace) -> int:
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
     from .api.store import migrate_store
 
-    source = open_store(args.source)
+    source = _existing_store(args.source, "store migrate")
+    if source is None:
+        return 2
     dest = open_store(args.dest)
     if type(source) is type(dest) and str(args.source) == str(args.dest):
         print("source and destination are the same store")
@@ -960,7 +841,6 @@ def _cmd_list_adversaries(args: argparse.Namespace) -> int:
     rows = [
         {
             "name": entry.name,
-            "cli_command": entry.cli_command or "-",
             "description": entry.description,
             "defaults": ", ".join(
                 "%s=%s" % (key, value) for key, value in sorted(entry.defaults.items())
@@ -969,7 +849,7 @@ def _cmd_list_adversaries(args: argparse.Namespace) -> int:
         for entry in DEFAULT_REGISTRY
     ]
     print("Registered adversaries")
-    _print_rows(rows, ["name", "cli_command", "description", "defaults"])
+    _print_rows(rows, ["name", "description", "defaults"])
     if getattr(args, "components", False):
         from .adversary.components import COMPONENT_REGISTRIES
 
@@ -1010,56 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    baseline_parser = subparsers.add_parser("baseline", help="Figure 2 baseline sweep")
-    _add_scale_arguments(baseline_parser)
-    baseline_parser.add_argument(
-        "--intervals", type=_parse_floats, default=[2.0, 3.0, 6.0, 12.0],
-        help="comma-separated inter-poll intervals in months",
-    )
-    baseline_parser.add_argument(
-        "--mtbf", type=_parse_floats, default=[5.0],
-        help="comma-separated storage MTBF values in disk-years",
-    )
-    baseline_parser.set_defaults(func=_cmd_baseline)
-
-    # Scheduled-attack sweeps are generated from the adversary registry.
-    for entry in DEFAULT_REGISTRY:
-        if not entry.cli_command:
-            continue
-        attack_parser = subparsers.add_parser(entry.cli_command, help=entry.cli_help)
-        _add_scale_arguments(attack_parser)
-        for option in entry.cli_options:
-            if option.kind == "float_list":
-                attack_parser.add_argument(
-                    option.flag, type=_parse_floats, default=list(option.default),
-                    help=option.help,
-                )
-            else:
-                attack_parser.add_argument(
-                    option.flag, type=float, default=option.default, help=option.help
-                )
-        attack_parser.set_defaults(func=_make_attack_command(entry))
-
-    table1_parser = subparsers.add_parser("table1", help="Table 1 defection comparison")
-    _add_scale_arguments(table1_parser)
-    table1_parser.add_argument(
-        "--defections", nargs="+", default=["intro", "remaining", "none"],
-        choices=["intro", "remaining", "none"],
-        help="which defection points to run",
-    )
-    table1_parser.add_argument(
-        "--rate", type=float, default=5.0,
-        help="adversary invitation attempts per victim per AU per day",
-    )
-    table1_parser.set_defaults(func=_cmd_table1)
-
-    ablation_parser = subparsers.add_parser("ablation", help="defense ablations")
-    _add_scale_arguments(ablation_parser)
-    ablation_parser.add_argument(
-        "which", choices=["admission", "effort", "desync"], help="which defense to ablate"
-    )
-    ablation_parser.set_defaults(func=_cmd_ablation)
 
     run_parser = subparsers.add_parser(
         "run", help="run a scenario JSON file (point or sweep)"

@@ -6,8 +6,7 @@ duration and the population coverage, then report the paper's three metrics
 per point.  This module expresses that shape once, as a declarative
 :class:`~repro.api.campaign.Campaign` (coverage axis outermost, duration axis
 innermost) plus the ``"attack_sweep"`` row exporter, so the per-figure
-modules and the generated CLI subcommands are thin labels over the same
-machinery.
+modules are thin labels over the same machinery.
 """
 
 from __future__ import annotations

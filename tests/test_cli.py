@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro import units
+from repro.adversary.brute_force import DefectionPoint
+from repro.api import DEFAULT_REGISTRY
 from repro.api.session import default_session
 from repro.cli import build_parser, main
+from repro.config import scaled_config
+from repro.experiments import attacks, baseline, effortful
 
 
 @pytest.fixture(autouse=True)
@@ -13,7 +18,13 @@ def _clear_cache():
     default_session().clear_cache()
 
 
-FAST_SCALE = ["--peers", "8", "--aus", "1", "--years", "0.6", "--seed", "5", "--seeds", "5"]
+def fast_configs():
+    return scaled_config(n_peers=8, n_aus=1, duration=units.years(0.6), seed=5)
+
+
+def run_campaign(tmp_path, campaign):
+    """Save ``campaign`` as JSON and run the file through ``campaign run``."""
+    return main(["campaign", "run", str(campaign.save(tmp_path / "campaign.json"))])
 
 
 class TestParser:
@@ -22,71 +33,56 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
-    def test_baseline_defaults(self):
-        args = build_parser().parse_args(["baseline"])
-        assert args.command == "baseline"
-        assert args.intervals == [2.0, 3.0, 6.0, 12.0]
-        assert args.mtbf == [5.0]
-        assert args.seeds == [1]
-
-    def test_scale_arguments_are_parsed(self):
-        args = build_parser().parse_args(["pipe-stoppage", *FAST_SCALE])
-        assert args.peers == 8
-        assert args.aus == 1
-        assert args.years == 0.6
-        assert args.seeds == [5]
-
     def test_comma_separated_lists(self):
-        args = build_parser().parse_args(
-            ["pipe-stoppage", "--durations", "5,30", "--coverages", "0.4,1.0"]
-        )
-        assert args.durations == [5.0, 30.0]
-        assert args.coverages == [0.4, 1.0]
-
-    def test_table1_defection_choices(self):
-        args = build_parser().parse_args(["table1", "--defections", "intro", "none"])
-        assert args.defections == ["intro", "none"]
-        assert build_parser().parse_args(["table1", "--rate", "2.5"]).rate == 2.5
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--defections", "bogus"])
-
-    def test_ablation_requires_a_target(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["ablation"])
-        args = build_parser().parse_args(["ablation", "effort"])
-        assert args.which == "effort"
+        args = build_parser().parse_args(["run", "scenario.json", "--seeds", "1,2,3"])
+        assert args.seeds == [1, 2, 3]
 
 
 class TestExecution:
-    def test_baseline_command_prints_the_figure2_table(self, capsys):
-        exit_code = main(
-            ["baseline", *FAST_SCALE, "--intervals", "3", "--mtbf", "5"]
+    """Each figure runs through ``campaign run``: a factory's campaign at a
+    small scale, saved as JSON, or a committed ``laptop_*.json`` file."""
+
+    def test_baseline_command_prints_the_figure2_table(self, tmp_path, capsys):
+        protocol, sim = fast_configs()
+        campaign = baseline.baseline_campaign(
+            poll_intervals_months=[3.0], storage_mtbf_years=[5.0],
+            collection_sizes=(1,), seeds=(5,), protocol_config=protocol, sim_config=sim,
         )
+        exit_code = run_campaign(tmp_path, campaign)
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "Figure 2" in output
+        assert "1 points complete" in output
         assert "poll_interval_months" in output
         assert "3.000" in output
 
-    def test_pipe_stoppage_command_prints_the_metrics(self, capsys):
-        exit_code = main(
-            ["pipe-stoppage", *FAST_SCALE, "--durations", "60", "--coverages", "1.0"]
+    def test_pipe_stoppage_command_prints_the_metrics(self, tmp_path, capsys):
+        protocol, sim = fast_configs()
+        campaign = attacks.attack_sweep_campaign(
+            "pipe_stoppage", durations_days=[60.0], coverages=[1.0],
+            seeds=(5,), protocol_config=protocol, sim_config=sim,
         )
+        exit_code = run_campaign(tmp_path, campaign)
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "delay_ratio" in output
         assert "coefficient_of_friction" in output
 
-    def test_table1_command_single_defection(self, capsys):
-        exit_code = main(["table1", *FAST_SCALE, "--defections", "intro"])
+    def test_table1_command_single_defection(self, tmp_path, capsys):
+        protocol, sim = fast_configs()
+        campaign = effortful.effortful_campaign(
+            defections=[DefectionPoint.INTRO], collection_sizes=(1,),
+            seeds=(5,), protocol_config=protocol, sim_config=sim,
+        )
+        exit_code = run_campaign(tmp_path, campaign)
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "Table 1" in output
         assert "intro" in output
         assert "cost_ratio" in output
 
     def test_ablation_desync_command(self, capsys):
-        exit_code = main(["ablation", "desync", *FAST_SCALE])
+        exit_code = main(
+            ["campaign", "run", "examples/campaigns/laptop_ablation_desync.json"]
+        )
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "desynchronized" in output
@@ -98,8 +94,14 @@ class TestScenarioCommands:
         exit_code = main(["list-adversaries"])
         output = capsys.readouterr().out
         assert exit_code == 0
+        header = output.splitlines()[1]
+        assert [cell.strip() for cell in header.strip("|").split("|")] == [
+            "name", "description", "defaults",
+        ]
         for kind in ("pipe_stoppage", "admission_flood", "brute_force", "composed"):
             assert kind in output
+        for entry in DEFAULT_REGISTRY:
+            assert "| %s " % entry.name in output
         assert "Targeting components" not in output
 
     def test_list_adversaries_components_shows_the_catalogs(self, capsys):
@@ -199,28 +201,9 @@ class TestScenarioCommands:
         assert exit_code == 0
         assert "cli seeds" in capsys.readouterr().out
 
-    def test_attack_commands_are_generated_from_registry(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["pipe-stoppage", "--durations", "5,30", "--coverages", "0.4"]
-        )
-        assert args.durations == [5.0, 30.0]
-        assert args.coverages == [0.4]
-        args = parser.parse_args(["admission-flood", "--rate", "12"])
-        assert args.rate == 12.0
-        args = parser.parse_args(
-            ["admission-flood", "--durations", "10,20", "--coverages", "0.5"]
-            + ["--recuperation", "15"]
-        )
-        assert args.durations == [10.0, 20.0]
-        assert args.coverages == [0.5]
-        assert args.recuperation == 15.0
-        args = parser.parse_args(["pipe-stoppage", "--recuperation", "45"])
-        assert args.recuperation == 45.0
-
     def test_workers_and_store_flags_parse(self):
         args = build_parser().parse_args(
-            ["baseline", "--workers", "4", "--store", "/tmp/x"]
+            ["campaign", "run", "fig2_baseline", "--workers", "4", "--store", "/tmp/x"]
         )
         assert args.workers == 4
         assert args.store == "/tmp/x"

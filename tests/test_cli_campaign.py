@@ -80,6 +80,51 @@ class TestCampaignParser:
             build_parser().parse_args(["store", "prune"])
 
 
+#: The laptop-scale figure campaigns: (points, exporter, campaign digest).
+#: The campaign digest hashes every point digest in order, so a drift means
+#: ``campaign run <file>`` no longer runs the points the file was written for.
+LAPTOP_CAMPAIGNS = {
+    "laptop_fig2_baseline.json": (
+        4, "figure2",
+        "78021ff6726082952d9f591389494daf6657b79904e2122cefd223de245f6234",
+    ),
+    "laptop_fig3_5_pipe_stoppage.json": (
+        6, "attack_sweep",
+        "87b556a08d43e493984ed4556ebca41c9cf324aafb202faf08c9e6ab3f27a5a1",
+    ),
+    "laptop_fig6_8_admission_flood.json": (
+        2, "attack_sweep",
+        "38d8d1ec8d1dd2b7c78a9245203baeb25193118c4f889603eeeaefbd5f9e4aa1",
+    ),
+    "laptop_table1.json": (
+        3, "table1",
+        "698e6fd8f3d2c68f32eb7c17f1f97a6e1fffbefa321fc742e28419b0f70e8e82",
+    ),
+    "laptop_ablation_admission.json": (
+        2, "ablation_admission",
+        "42a716e8f2c3c5a132d8469ef5c0eb642c04a14748d1522706b93e7d588984de",
+    ),
+    "laptop_ablation_effort.json": (
+        2, "ablation_effort",
+        "f1f9484b35dab233778c85965fdb324cc3217e71182482b6e07e2247a570a3dd",
+    ),
+    "laptop_ablation_desync.json": (
+        2, "ablation_desync",
+        "2e341f241df790595ffc6a823c4fee99074c323dde7a822f80217c2990bf8523",
+    ),
+}
+
+
+@pytest.mark.parametrize("filename", sorted(LAPTOP_CAMPAIGNS))
+def test_laptop_campaign_files_are_pinned(filename):
+    path = REPO_ROOT / "examples" / "campaigns" / filename
+    campaign = Campaign.load(path)
+    assert (len(campaign), campaign.exporter, campaign.digest) == (
+        LAPTOP_CAMPAIGNS[filename]
+    )
+    assert campaign.description.endswith("campaign run examples/campaigns/" + filename)
+
+
 class TestCampaignExecution:
     def test_run_status_resume_report_cycle(self, tmp_path, capsys):
         campaign, path = campaign_file(tmp_path)

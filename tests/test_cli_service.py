@@ -125,6 +125,22 @@ class TestStoreSubcommands:
         assert main(["campaign", "report", str(path), "--store", db]) == 0
         assert "result digest:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--store", "{missing}"],
+            ["prune", "--store", "{missing}"],
+            ["clear", "--store", "{missing}", "--yes"],
+            ["migrate", "{missing}", "{new}"],
+        ],
+        ids=["stats", "prune", "clear", "migrate"],
+    )
+    def test_a_missing_store_is_reported_not_created(self, tmp_path, capsys, argv):
+        paths = {"missing": tmp_path / "missing", "new": tmp_path / "new.db"}
+        assert main(["store"] + [arg.format(**paths) for arg in argv]) == 2
+        assert str(paths["missing"]) in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWorkerCommand:
     def test_local_worker_drains_a_submitted_campaign(self, tmp_path, capsys):

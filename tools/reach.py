@@ -26,9 +26,11 @@ The **static pass** lists what could be reached: every ``def`` under
 the repository imports it through that package), every registered kind
 (adversaries, strategy components, row exporters, base configs; reached when
 its factory ran), every CLI option (reached when passed to its parser, or to
-a parser with the identical option), and every defaulted parameter of a
+a parser with the identical option), every defaulted parameter of a
 ``def`` (reached when some call in the repository passes it by keyword,
-positionally, or through ``*``/``**``).
+positionally, or through ``*``/``**``), and every ``ProtocolConfig`` /
+``SimulationConfig`` field (reached when some attribute access under
+``src/repro`` reads it; a field nothing reads is an inert parameter).
 
 ``python tools/reach.py report DIR...`` prints what none of the collected
 runs reached, with the ledger's reason beside each entry, and ``check DIR``
@@ -378,6 +380,29 @@ def cli_options() -> Dict[Tuple[str, str], tuple]:
     return options
 
 
+def config_fields() -> List[Tuple[str, str]]:
+    """(class, field) for every field of the two config dataclasses."""
+    import dataclasses
+
+    from repro.config import ProtocolConfig, SimulationConfig
+
+    return [
+        ("%s.%s" % (cls.__module__, cls.__qualname__), spec.name)
+        for cls in (ProtocolConfig, SimulationConfig)
+        for spec in dataclasses.fields(cls)
+    ]
+
+
+def read_attributes() -> Set[str]:
+    """Every attribute name some expression under ``src/repro`` reads."""
+    return {
+        node.attr
+        for path in python_files("src/repro")
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def passed_parameters(defs: List[Definition]) -> Set[Tuple[str, str]]:
     """(function, parameter) for every parameter some call in the repository
     may pass, judged by name: any keyword argument of that name, or a call of
@@ -464,6 +489,10 @@ def unreached(dirs: Iterable[str]) -> Dict[str, int]:
         for parameter in defaulted(definition):
             if (definition.name, parameter) not in passed:
                 entries["param %s(%s)" % (definition.name, parameter)] = 0
+    read = read_attributes()
+    for owner, name in config_fields():
+        if name not in read:
+            entries["field %s.%s" % (owner, name)] = 0
     return entries
 
 
