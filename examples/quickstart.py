@@ -11,7 +11,7 @@ changed.
 The attack scenario is also written to ``quickstart_scenario.json`` so the
 same experiment can be re-run from the command line:
 
-    repro-experiments run quickstart_scenario.json --workers 2
+    repro-experiments campaign run quickstart_scenario.json --workers 2
 
 Run:  python examples/quickstart.py
 """
@@ -96,7 +96,7 @@ def main() -> None:
     path = attack.save("quickstart_scenario.json")
     print()
     print("Attack scenario written to %s (digest %s)." % (path, attack.digest[:12]))
-    print("Re-run it with: repro-experiments run %s --workers 2" % path)
+    print("Re-run it with: repro-experiments campaign run %s --workers 2" % path)
     print()
     print(
         "Note: the storage damage rate is inflated %.0fx at this scale so the small\n"

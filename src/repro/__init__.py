@@ -21,10 +21,9 @@ grids over a scenario are Campaigns, executed resumably through a Session
     print(CampaignRunner(workers=3).run(campaign)
           .rows("coverage", "attack_duration_days", "assessment.delay_ratio"))
 
-Scenarios and campaigns serialize to JSON (``campaign.save("sweep.json")``)
-and run from the command line with ``repro-experiments run`` /
-``repro-experiments campaign run`` (checkpointed and resumable with
-``--store``).  Adversaries are looked up in a string-keyed registry
+Scenarios and campaigns serialize to JSON (``campaign.save("grid.json")``)
+and run from the command line with ``repro-experiments campaign run``
+(checkpointed, and resumed by running again, with ``--store``).  Adversaries are looked up in a string-keyed registry
 (``pipe_stoppage``, ``admission_flood``, ``brute_force``); register your own
 with the ``repro.api.adversary`` decorator.
 

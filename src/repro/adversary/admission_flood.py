@@ -66,13 +66,12 @@ class AdmissionControlAdversary(Adversary):
     # -- lifecycle ------------------------------------------------------------------------
 
     def start(self) -> None:
-        self.active = True
         self.simulator.schedule(0.0, self._begin_cycle)
 
     # -- attack cycles --------------------------------------------------------------------
 
     def _begin_cycle(self) -> None:
-        if not self.active or self.simulator.now >= self.end_time:
+        if self.simulator.now >= self.end_time:
             return
         self.cycles_started += 1
         self.current_victims = self.schedule.pick_victims(self.rng, self.victims_pool)
@@ -92,7 +91,7 @@ class AdmissionControlAdversary(Adversary):
 
     def _end_cycle(self) -> None:
         self._stop_flood()
-        if not self.active or self.simulator.now >= self.end_time:
+        if self.simulator.now >= self.end_time:
             return
         self.simulator.schedule(self.schedule.recuperation, self._begin_cycle)
 
@@ -106,8 +105,6 @@ class AdmissionControlAdversary(Adversary):
 
     def _flood_victim(self, victim: str) -> None:
         """Send one garbage invitation (per preserved AU) to ``victim``."""
-        if not self.active:
-            return
         choice = self.rng.choice
         identities = self.identities
         deadline = self.simulator._now + 7 * units.DAY

@@ -93,7 +93,6 @@ class Adversary(Node):
         self.effort_scheme = effort_scheme if effort_scheme is not None else EffortScheme()
         self.effort = EffortAccount()
         self.identities: List[str] = []
-        self.active = False
         #: Replay tap (see :mod:`repro.replay`); attached by the record-mode
         #: wiring, never consulted on the adversary's own hot paths.
         self.tracer = None

@@ -120,7 +120,6 @@ class BruteForceAdversary(Adversary):
     # -- lifecycle ----------------------------------------------------------------------------
 
     def start(self) -> None:
-        self.active = True
         interval_per_victim_au = units.DAY / self.attempts_per_victim_au_per_day
         for victim in self.victims:
             for au_id in victim.au_ids():
@@ -139,7 +138,7 @@ class BruteForceAdversary(Adversary):
     def _attempt(self, victim, au_id: str) -> None:
         """Send one ostensibly legitimate invitation to ``victim`` for ``au_id``."""
         now = self.simulator._now
-        if not self.active or now >= self.end_time:
+        if now >= self.end_time:
             return
         au = victim.au_state(au_id).au
         effort = self.effort_policy.solicitation(au)

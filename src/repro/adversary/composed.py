@@ -130,7 +130,6 @@ class ComposedAdversary(Adversary):
             vector.install(peers)
 
     def start(self) -> None:
-        self.active = True
         if self.schedule.open_ended:
             # Constant schedules engage synchronously (the legacy brute-force
             # event pattern: recurrences only, no begin/end window events).
@@ -160,7 +159,6 @@ class ComposedAdversary(Adversary):
             raise ValueError(
                 "open-ended schedules engage at t=0 and cannot be fork-started"
             )
-        self.active = True
         time = 0.0
         skipped = 0
         while True:
@@ -221,7 +219,7 @@ class ComposedAdversary(Adversary):
 
     def _begin_window(self) -> None:
         now = self.simulator.now
-        if not self.active or now >= self.end_time:
+        if now >= self.end_time:
             self._disengage_all()
             return
         window = self.schedule.window(self._window_index)
@@ -256,7 +254,7 @@ class ComposedAdversary(Adversary):
 
     def _end_window(self) -> None:
         self._disengage_all()
-        if not self.active or self.simulator.now >= self.end_time:
+        if self.simulator.now >= self.end_time:
             return
         self.simulator.schedule(self._pending_gap, self._begin_window)
 

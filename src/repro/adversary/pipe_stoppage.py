@@ -48,13 +48,12 @@ class PipeStoppageAdversary(Adversary):
 
     def start(self) -> None:
         """Begin the first attack cycle immediately."""
-        self.active = True
         self.simulator.schedule(0.0, self._begin_cycle)
 
     # -- attack cycles --------------------------------------------------------------------
 
     def _begin_cycle(self) -> None:
-        if not self.active or self.simulator.now >= self.end_time:
+        if self.simulator.now >= self.end_time:
             self._release_victims()
             return
         self.cycles_started += 1
@@ -67,7 +66,7 @@ class PipeStoppageAdversary(Adversary):
 
     def _end_cycle(self) -> None:
         self._release_victims()
-        if not self.active or self.simulator.now >= self.end_time:
+        if self.simulator.now >= self.end_time:
             return
         self.simulator.schedule(self.schedule.recuperation, self._begin_cycle)
 

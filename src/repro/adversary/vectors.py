@@ -178,8 +178,6 @@ class AdmissionFloodVector(AttackVector):
     def _flood_victim(self, victim: str) -> None:
         """Send one garbage invitation (per preserved AU) to ``victim``."""
         adversary = self.adversary
-        if not adversary.active:
-            return
         choice = self.rng.choice
         identities = self.identities
         deadline = adversary.simulator._now + 7 * units.DAY
@@ -309,7 +307,7 @@ class BruteForcePollVector(AttackVector):
         """Send one ostensibly legitimate invitation to ``victim`` for ``au_id``."""
         adversary = self.adversary
         now = adversary.simulator._now
-        if not adversary.active or now >= adversary.end_time:
+        if now >= adversary.end_time:
             return
         au = victim.au_state(au_id).au
         effort = self.effort_policy.solicitation(au)

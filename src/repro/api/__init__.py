@@ -4,12 +4,12 @@ This package is the one way to describe and run any experiment in the
 reproduction:
 
 * :class:`~repro.api.scenario.Scenario` — a declarative, JSON-round-trippable
-  description of one experiment (base config + overrides, adversary spec,
-  sweep axes, seeds) with a stable content digest.
+  description of one experiment point (base config + overrides, adversary
+  spec, faults, seeds) with a stable content digest.
 * :class:`~repro.api.registry.AdversaryRegistry` / :func:`~repro.api.registry.adversary`
   — string-keyed attack strategies (``"pipe_stoppage"``, ``"admission_flood"``,
   ``"brute_force"``, plus user-defined ones).
-* :class:`~repro.api.session.Session` — executes scenarios and sweeps, in
+* :class:`~repro.api.session.Session` — executes scenarios, in
   parallel on a process pool when ``workers > 1``, with deterministic,
   bit-identical-to-serial results.
 * :class:`~repro.api.store.ResultStore` — digest-keyed JSON artifacts

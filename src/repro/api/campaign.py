@@ -1,17 +1,18 @@
 """Declarative parameter-grid campaigns with resumable execution.
 
-A :class:`Campaign` is the multi-point counterpart of a
-:class:`~repro.api.scenario.Scenario`: a base scenario plus an ordered list
-of **axes**, each axis a mapping of parameter targets to value lists.  A
-single-target axis is a plain grid dimension; a multi-target axis advances
-its targets in lockstep (a *zip* axis — e.g. pinning a human-readable
-``params.poll_interval_months`` label to the ``protocol.poll_interval``
-override it describes).  Axes expand as a cartesian product in declaration
-order, first axis outermost, mirroring ``Scenario.expand``.
+A :class:`Campaign` is the one parameter grid: a base
+:class:`~repro.api.scenario.Scenario` plus an ordered list of **axes**, each
+axis a mapping of parameter targets to value lists.  A single-target axis is
+a plain grid dimension; a multi-target axis advances its targets in lockstep
+(a *zip* axis — e.g. pinning a human-readable ``params.poll_interval_months``
+label to the ``protocol.poll_interval`` override it describes).  Axes expand
+as a cartesian product in declaration order, first axis outermost, so a grid
+over coverage then duration varies duration fastest — the paper's figure row
+order.  A campaign with no axes is its one scenario.
 
 Targets are ``"protocol.<field>"``, ``"sim.<field>"``,
-``"adversary.<param>"``, or ``"params.<label>"`` (a pure row label with no
-config effect).  Every expanded point is a concrete point scenario with the
+``"adversary.<param>"``, ``"faults.<path>"``, or ``"params.<label>"`` (a pure
+row label with no config effect).  Every expanded point is a concrete point scenario with the
 usual **content digest**, so points are persistable, deduplicatable, and
 resumable by identity rather than by position.
 
@@ -27,7 +28,8 @@ recordings, cheap replay) applied to simulation fleets.
 
 Campaigns round-trip through JSON (``save`` / ``load``), which makes every
 figure of the paper a small campaign artifact runnable via
-``repro-experiments campaign run <campaign.json>``.
+``repro-experiments campaign run <campaign.json>`` (a scenario JSON file runs
+the same way, as a one-point campaign).
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from .resultset import PointResult, ResultSet, export_rows
 from .scenario import (
-    AXIS_SCOPES,
     JsonSpec,
     RunKey,
     Scenario,
     canonical_json,
-    clone_point_scenario,
+    check_keys,
     expand_axes,
     point_identities,
     split_axis_target,
@@ -275,11 +276,6 @@ class Campaign(JsonSpec):
     def __post_init__(self) -> None:
         if isinstance(self.scenario, dict):
             self.scenario = Scenario.from_dict(self.scenario)
-        if self.scenario.is_sweep:
-            raise ValueError(
-                "campaign base scenario must be a point scenario; convert "
-                "sweep axes with Campaign.from_sweep()"
-            )
         self.axes = [
             {str(target): list(values) for target, values in axis.items()}
             for axis in self.axes
@@ -293,7 +289,7 @@ class Campaign(JsonSpec):
             raise ValueError("campaign axis must have at least one target")
         lengths = set()
         for target, values in axis.items():
-            split_axis_target(target, AXIS_SCOPES)
+            split_axis_target(target)
             if not values:
                 raise ValueError("campaign axis target %r has no values" % target)
             lengths.add(len(values))
@@ -319,30 +315,6 @@ class Campaign(JsonSpec):
             name=name,
             scenario=scenario,
             axes=[{target: list(values)} for target, values in grid.items()],
-            exporter=exporter,
-            description=description,
-        )
-
-    @classmethod
-    def from_sweep(
-        cls,
-        scenario: Scenario,
-        name: Optional[str] = None,
-        exporter: Optional[str] = None,
-        description: str = "",
-    ) -> "Campaign":
-        """Convert a sweep scenario into the equivalent campaign.
-
-        Each sweep axis becomes one grid axis in the same order, so the
-        expanded points (and their digests) match ``Scenario.expand()``.
-        """
-        base = clone_point_scenario(scenario)
-        return cls(
-            name=name if name is not None else scenario.name,
-            scenario=base,
-            axes=[
-                {axis: list(values)} for axis, values in scenario.sweep.items()
-            ],
             exporter=exporter,
             description=description,
         )
@@ -386,8 +358,7 @@ class Campaign(JsonSpec):
     def digest(self) -> str:
         """Content digest over the expanded point digests (order included).
 
-        Two differently-spelled campaigns (grid vs zip vs converted sweep)
-        that expand to the same points in the same order hash identically.
+        Two differently-spelled campaigns (grid vs zip axes) that expand to the same points in the same order hash identically.
         (Callers that already hold the expansion should prefer
         :meth:`digest_of` — this property re-expands the grid.)
         """
@@ -409,6 +380,7 @@ class Campaign(JsonSpec):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "Campaign":
+        check_keys(payload, cls)
         return cls(
             name=str(payload.get("name", "campaign")),
             scenario=Scenario.from_dict(payload["scenario"]),
@@ -528,7 +500,7 @@ class CampaignStatus:
     pending: List[CampaignPoint]
     #: Errors of points the manifest marks ``failed``, keyed by point index.
     #: Failed points stay in ``pending`` too — they are still runnable work
-    #: (``resume`` re-executes them) — so this only refines their state.
+    #: (the next ``run`` re-executes them) — so this only refines their state.
     failed: Dict[int, str] = field(default_factory=dict)
 
     @property
@@ -663,11 +635,11 @@ class CampaignRunner:
 
         Points are dispatched in worker-sized chunks and every run is in
         the store once it finishes, so an interactive Ctrl-C and a
-        hard kill leave a store that :meth:`resume` continues exactly like
+        hard kill leave a store that the next ``run`` continues exactly like
         ``--max-points``.  A point whose runs fail or time out past the
         session's retry budget is marked ``failed`` in the manifest — with
         its error — so it does not poison the
-        pool and ``resume`` re-leases it automatically; the manifest is
+        pool and the next ``run`` re-executes it; the manifest is
         written when the store has none and when that marking changes.
         """
         points = campaign.expand()
@@ -729,10 +701,6 @@ class CampaignRunner:
             ]
         )
 
-    def resume(self, campaign: Campaign) -> ResultSet:
-        """Finish whatever ``run`` (or a killed invocation) left pending."""
-        return self.run(campaign)
-
     def _publish_progress(
         self,
         campaign: Campaign,
@@ -766,7 +734,7 @@ class CampaignRunner:
             if result is None:
                 raise LookupError(
                     "campaign %r is incomplete: point #%d (%s) is missing "
-                    "from the store — run or resume it first"
+                    "from the store — run it first"
                     % (campaign.name, point.index, point.digest[:12])
                 )
             yield PointResult(point, result)
@@ -774,10 +742,10 @@ class CampaignRunner:
     def result_set(self, campaign: Campaign, lazy: bool = False) -> ResultSet:
         """Load the campaign's results from the store without simulating.
 
-        Raises ``LookupError`` if any point is missing — run or resume
-        first.  With ``lazy=True`` the returned set streams results via
-        :meth:`iter_results` (missing points then surface during
-        iteration rather than up front).
+        Raises ``LookupError`` if any point is missing — run it first.
+        With ``lazy=True`` the returned set streams results via
+        :meth:`iter_results` (missing points then surface during iteration
+        rather than up front).
         """
         if lazy:
             return ResultSet.lazy(

@@ -3,9 +3,10 @@
 A :class:`Scenario` is a complete, serializable description of one
 experiment: which base configuration it starts from, which protocol and
 simulation parameters it overrides, which adversary (if any) attacks the
-population, which seeds are averaged, and which parameter axes are swept.
-Scenarios round-trip through JSON, so every figure and table of the paper can
-be stored as a small artifact file and re-run with ``repro-experiments run``.
+population, and which seeds are averaged.  A parameter grid over a scenario
+is a :class:`~repro.api.campaign.Campaign`.  Scenarios round-trip through
+JSON, so any experiment point can be stored as a small artifact file and
+re-run with ``repro-experiments campaign run scenario.json``.
 
 Every scenario has a **content digest**: a SHA-256 over its *resolved*
 configuration (base applied, overrides merged), so two scenarios that
@@ -116,6 +117,19 @@ def _values_digest(protocol: str, sim: str, seeds: str, adversary: str, extra: s
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def check_keys(payload: Dict[str, object], spec: type, *also: str) -> None:
+    """Reject a ``spec`` dict with a key that is neither a field of the
+    dataclass ``spec`` nor in ``also``: a misspelled key would otherwise be
+    dropped silently (an ``"adversery"`` runs no attack at all)."""
+    known = [f.name for f in dataclasses.fields(spec)] + list(also)
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ValueError(
+            "unknown %s key(s) %s (known: %s)"
+            % (spec.__name__, ", ".join(map(repr, unknown)), ", ".join(known))
+        )
+
+
 class JsonSpec:
     """JSON text and file forms of a spec with ``to_dict`` / ``from_dict``."""
 
@@ -144,7 +158,7 @@ class AdversarySpec:
     specs (``{"targeting": {...}, "schedule": {...}, "vectors": [...]}``),
     addressable by dotted axis targets like ``adversary.targeting.coverage``
     or ``adversary.vectors.0.invitations_per_victim_per_day``.  Copies are
-    deep so expanded sweep/campaign points never share nested structure.
+    deep so expanded campaign points never share nested structure.
     """
 
     kind: str
@@ -155,6 +169,7 @@ class AdversarySpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "AdversarySpec":
+        check_keys(payload, cls)
         return cls(
             kind=str(payload["kind"]),
             params=copy.deepcopy(dict(payload.get("params") or {})),
@@ -210,21 +225,17 @@ def set_nested(container: object, path: str, value: object) -> None:
         )
 
 
-#: Axis scopes a plain scenario sweep may target.
-SWEEP_SCOPES: Tuple[str, ...] = ("protocol", "sim", "adversary", "faults")
-#: Axis scopes a campaign may target (adds pure row labels).
-AXIS_SCOPES: Tuple[str, ...] = SWEEP_SCOPES + ("params",)
+#: Axis scopes a campaign may target (``params`` is a pure row label).
+AXIS_SCOPES: Tuple[str, ...] = ("protocol", "sim", "adversary", "faults", "params")
 
 
-def split_axis_target(
-    target: str, scopes: Sequence[str] = AXIS_SCOPES
-) -> Tuple[str, str]:
+def split_axis_target(target: str) -> Tuple[str, str]:
     """Validate and split an axis target like ``"protocol.poll_interval"``."""
     scope, _, field_name = target.partition(".")
-    if scope not in scopes or not field_name:
+    if scope not in AXIS_SCOPES or not field_name:
         raise ValueError(
             "axis target %r must look like %s"
-            % (target, " or ".join("'%s.<name>'" % scope for scope in scopes))
+            % (target, " or ".join("'%s.<name>'" % scope for scope in AXIS_SCOPES))
         )
     return scope, field_name
 
@@ -233,7 +244,6 @@ def clone_point_scenario(scenario: "Scenario") -> "Scenario":
     """Copy a scenario deeply enough for independent point mutation."""
     return dataclasses.replace(
         scenario,
-        sweep={},
         protocol=dict(scenario.protocol),
         sim=dict(scenario.sim),
         adversary=(
@@ -244,12 +254,7 @@ def clone_point_scenario(scenario: "Scenario") -> "Scenario":
     )
 
 
-def apply_axis_value(
-    scenario: "Scenario",
-    target: str,
-    value: object,
-    scopes: Sequence[str] = AXIS_SCOPES,
-) -> str:
+def apply_axis_value(scenario: "Scenario", target: str, value: object) -> str:
     """Apply one axis value to a point scenario in place.
 
     Sets the targeted override (or, for ``params.*``, only the label),
@@ -257,7 +262,7 @@ def apply_axis_value(
     and suffixes the scenario name with ``<label>=<value>``.  Returns the
     recorded label.
     """
-    scope, field_name = split_axis_target(target, scopes)
+    scope, field_name = split_axis_target(target)
     if scope == "adversary":
         if scenario.adversary is None:
             raise ValueError("axis target %r needs an adversary spec" % target)
@@ -279,25 +284,23 @@ def apply_axis_value(
 
 
 def expand_axes(
-    scenario: "Scenario",
-    axes: Sequence[Dict[str, List[object]]],
-    scopes: Sequence[str] = AXIS_SCOPES,
+    scenario: "Scenario", axes: Sequence[Dict[str, List[object]]]
 ) -> List["Scenario"]:
     """The cartesian product of ``axes`` over ``scenario``, first axis outermost.
 
     Each axis maps targets to equal-length value lists advanced in lockstep.
-    The one grid loop behind ``Scenario.expand`` and ``Campaign.expand``.
+    The grid loop behind ``Campaign.expand``.
     """
     for axis in axes:
         for target in axis:
-            split_axis_target(target, scopes)
+            split_axis_target(target)
     points: List[Scenario] = []
     widths = [range(len(next(iter(axis.values())))) for axis in axes]
     for positions in itertools.product(*widths):
         point = clone_point_scenario(scenario)
         for axis, position in zip(axes, positions):
             for target, values in axis.items():
-                apply_axis_value(point, target, values[position], scopes)
+                apply_axis_value(point, target, values[position])
         points.append(point)
     return points
 
@@ -322,14 +325,11 @@ def _overridden(
 
 @dataclass
 class Scenario(JsonSpec):
-    """One declarative experiment: configs + adversary + seeds + sweep axes.
+    """One declarative experiment point: configs + adversary + faults + seeds.
 
     ``protocol`` and ``sim`` are override mappings applied on top of the
-    named ``base`` configuration.  ``sweep`` maps axis names to value lists;
-    an axis name is ``"protocol.<field>"``, ``"sim.<field>"``, or
-    ``"adversary.<param>"``.  :meth:`expand` produces the cartesian product
-    of all axes (in insertion order, first axis outermost) as concrete
-    point scenarios.
+    named ``base`` configuration.  A grid of points over one scenario is a
+    :class:`~repro.api.campaign.Campaign`'s axes.
     """
 
     name: str
@@ -342,8 +342,7 @@ class Scenario(JsonSpec):
     #: adversary, so they apply to baseline runs too.
     faults: Dict[str, object] = field(default_factory=dict)
     seeds: Tuple[int, ...] = (1, 2, 3)
-    sweep: Dict[str, List[object]] = field(default_factory=dict)
-    #: Free-form labels carried into ``ExperimentResult.parameters`` (sweep
+    #: Free-form labels carried into ``ExperimentResult.parameters`` (campaign
     #: expansion records each point's axis values here).
     parameters: Dict[str, object] = field(default_factory=dict)
 
@@ -412,26 +411,6 @@ class Scenario(JsonSpec):
             sim = sim.with_overrides(seed=int(seed))
         return protocol, sim
 
-    # -- sweep expansion ----------------------------------------------------------------
-
-    @property
-    def is_sweep(self) -> bool:
-        return bool(self.sweep)
-
-    def expand(self) -> List["Scenario"]:
-        """Expand sweep axes into concrete point scenarios.
-
-        Axes iterate in insertion order with the first axis outermost, so a
-        sweep declared as ``{"adversary.coverage": [...],
-        "adversary.attack_duration_days": [...]}`` varies duration fastest —
-        matching the paper's figure row order.
-        """
-        if not self.sweep:
-            return [self]
-        return expand_axes(
-            self, [{axis: values} for axis, values in self.sweep.items()], SWEEP_SCOPES
-        )
-
     # -- serialization ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -443,13 +422,20 @@ class Scenario(JsonSpec):
             "adversary": self.adversary.to_dict() if self.adversary else None,
             "faults": _jsonable(dict(self.faults)),
             "seeds": list(self.seeds),
-            "sweep": _jsonable(dict(self.sweep)),
             "parameters": _jsonable(dict(self.parameters)),
         }
         return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Scenario":
+        # "sweep" is known so that payloads written before sweeps moved to
+        # campaigns (traces, checkpoints, broker rows hold "sweep": {}) load.
+        check_keys(payload, cls, "sweep")
+        if payload.get("sweep"):
+            raise ValueError(
+                "a scenario has no sweep axes; declare the grid as a campaign's "
+                '"axes" (Campaign.from_grid(name, scenario, grid))'
+            )
         adversary = payload.get("adversary")
         return cls(
             name=str(payload.get("name", "scenario")),
@@ -461,10 +447,6 @@ class Scenario(JsonSpec):
             ),
             faults=copy.deepcopy(dict(payload.get("faults") or {})),
             seeds=tuple(payload.get("seeds") or (1, 2, 3)),
-            sweep={
-                str(key): list(values)
-                for key, values in (payload.get("sweep") or {}).items()
-            },
             parameters=dict(payload.get("parameters") or {}),
         )
 
@@ -512,11 +494,11 @@ class Scenario(JsonSpec):
 
         The scenario name and the base/override split do not affect the
         digest; the resolved configs, adversary spec (registry defaults
-        merged), fault plan (when active), seeds, and sweep axes do.  Two
+        merged), fault plan (when active) and seeds do.  Two
         differently-spelled scenarios describing the same experiment
         therefore share result-store artifacts.
         """
-        return _Identity(self).digest(_encode(self._canonical_adversary()), self.sweep)
+        return _Identity(self).digest(_encode(self._canonical_adversary()))
 
     def point_digest(self, seed: int, baseline: bool = False) -> str:
         """Digest of a single-seed run of this scenario (attacked or baseline).
@@ -556,18 +538,12 @@ class _Identity:
         self.sim_head = head + '"seed":'
         self.sim = self.sim_head + _encode(sim["seed"]) + self.sim_tail
         self.seeds = _encode(list(scenario.seeds))
-        self.faults = faults = scenario._canonical_faults()
+        faults = scenario._canonical_faults()
         self.extra = _encode(_jsonable({"faults": faults} if faults is not None else None))
 
-    def digest(self, adversary: str, sweep: Dict[str, List[object]]) -> str:
+    def digest(self, adversary: str) -> str:
         """The point digest, given the canonical adversary's JSON text."""
-        extra = self.extra
-        if sweep:
-            parts: Dict[str, object] = {"sweep": dict(sweep)}
-            if self.faults is not None:
-                parts["faults"] = self.faults
-            extra = _encode(_jsonable(parts))
-        return _values_digest(self.protocol, self.sim, self.seeds, adversary, extra)
+        return _values_digest(self.protocol, self.sim, self.seeds, adversary, self.extra)
 
     def run_digest(self, seed: int, adversary: str) -> str:
         """One single-seed run's digest (``adversary`` is ``"null"`` for a baseline)."""
@@ -581,7 +557,7 @@ class _Identity:
         keys = [(seed, False, self.run_digest(seed, adversary)) for seed in seeds]
         if scenario.adversary is not None:
             keys += [(seed, True, self.run_digest(seed, "null")) for seed in seeds]
-        return self.digest(adversary, scenario.sweep), keys
+        return self.digest(adversary), keys
 
 
 def point_identities(scenarios: Sequence[Scenario]) -> List[Tuple[str, List[RunKey]]]:

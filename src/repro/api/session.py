@@ -2,8 +2,8 @@
 
 A :class:`Session` is the one entry point for running experiments: it takes
 declarative :class:`~repro.api.scenario.Scenario` objects, executes their
-multi-seed (and multi-point, for sweeps) runs either serially or on a process
-pool, compares attacked runs against matching no-adversary baselines, and
+multi-seed (and, through ``run_all``, multi-point) runs either serially or on a
+process pool, compares attacked runs against matching no-adversary baselines, and
 caches every per-seed run by content digest — in memory and, when a
 :class:`~repro.api.store.ResultStore` is attached, on disk.
 
@@ -256,7 +256,7 @@ class PointExecutionError(RuntimeError):
 
     Carries enough context (``label``, ``seed``, ``baseline``, ``attempts``,
     ``cause``) for a campaign manifest to mark the point ``failed`` and for
-    ``campaign resume`` to re-lease it later.
+    the campaign's next run to execute it again.
     """
 
     def __init__(
@@ -410,10 +410,6 @@ class Session:
                 output.append(assemble_result(scenario, scenario.digest, keys, computed))
         return output
 
-    def sweep(self, scenario: Scenario) -> List[ExperimentResult]:
-        """Expand a sweep scenario and run every point through one batch."""
-        return self.run_all(scenario.expand())
-
     def run_fork_groups(self, groups: Sequence[ForkGroup]) -> Dict[str, RunMetrics]:
         """Execute prefix-fork groups, warming the per-run digest cache.
 
@@ -470,10 +466,6 @@ class Session:
 
     def _tasks_for(self, scenario: Scenario) -> List[_Task]:
         """One task per run the point needs, in ``Scenario.run_keys`` order."""
-        if scenario.is_sweep:
-            raise ValueError(
-                "scenario %r has sweep axes; use Session.sweep()" % scenario.name
-            )
         return [
             _Task(digest=digest, scenario=scenario, seed=seed, baseline=baseline)
             for seed, baseline, digest in scenario.run_keys()

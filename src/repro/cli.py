@@ -1,22 +1,20 @@
 """Command-line interface for running the reproduction experiments.
 
 Installed as the ``repro-experiments`` console script (also runnable as
-``python -m repro.cli``).  The paper's figures, Table 1 and the defense
-ablations are campaigns: ``campaign run fig2_baseline`` runs a bench artifact
-by name, and ``campaign run examples/campaigns/laptop_fig2_baseline.json``
-runs a campaign JSON file (the ``laptop_*.json`` files hold each figure at
-laptop scale).  The subcommands:
+``python -m repro.cli``).  Everything runs through ``campaign run``: the
+paper's figures, Table 1 and the defense ablations by bench artifact name
+(``campaign run fig2_baseline``) or as campaign JSON files (the
+``examples/campaigns/laptop_*.json`` files hold each figure at laptop scale),
+and any scenario JSON file (see ``repro.api.Scenario``, ``faults`` plans
+included; docs/FAULTS.md) as a one-point campaign.  The subcommands:
 
-* ``run``             — any scenario JSON file (see ``repro.api.Scenario``),
-  including scenarios with a ``faults`` plan (churn, crash-restart,
-  partitions, degraded links; see docs/FAULTS.md)
 * ``campaign``        — declarative parameter-grid campaigns
-  (``run`` / ``status`` / ``resume`` / ``report`` over a campaign JSON file
-  or a named bench artifact, plus ``submit`` to a running service),
-  resumable via the digest-keyed store; points that time out or crash are
-  marked failed in the manifest and re-leased by ``resume``;
-  ``status --json`` emits the machine-readable payload the service's
-  status endpoint shares
+  (``run`` / ``status`` / ``report`` over a campaign or scenario JSON file
+  or a named bench artifact, plus ``submit`` to a running service); with
+  ``--store``, running a campaign again resumes it from the digest-keyed
+  store, and points that timed out or crashed (marked failed in the
+  manifest) are executed again; ``status --json`` emits the
+  machine-readable payload the service's status endpoint shares
 * ``store``           — store housekeeping (``stats`` per-kind counts and
   bytes, ``prune`` torn temp files or one artifact kind, ``clear``
   everything, ``migrate`` a JSON-file store into a SQLite one); every
@@ -38,14 +36,15 @@ laptop scale).  The subcommands:
 * ``bench``           — the figure-benchmark suite with result-digest checks
   against the committed baseline, emitting the ``BENCH_PR2.json`` trajectory
 
-``run``, ``worker`` and the ``campaign`` verbs that execute or read points
-accept ``--workers`` (parallel multi-seed/multi-point execution on a process
+``worker`` and the ``campaign`` verbs that execute or read points accept
+``--workers`` (parallel multi-seed/multi-point execution on a process
 pool) and ``--store`` (digest-keyed persistent result artifacts).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -60,13 +59,8 @@ from .api import (
     export_rows,
 )
 from .api.resultset import digest_rows
-from .api.session import ExperimentResult
 from .api.store import open_store
 from .experiments.reporting import format_table
-
-
-def _parse_ints(text: str) -> List[int]:
-    return [int(item) for item in text.split(",") if item.strip()]
 
 
 def _session(args: argparse.Namespace) -> Session:
@@ -118,58 +112,6 @@ def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="attempts per point before it is marked failed (default 1)",
     )
-
-
-RESULT_COLUMNS = (
-    "label",
-    "access_failure_probability",
-    "delay_ratio",
-    "coefficient_of_friction",
-    "cost_ratio",
-)
-
-
-def _result_row(result: ExperimentResult) -> Dict[str, object]:
-    assessment = result.assessment
-    row: Dict[str, object] = {
-        "label": result.label,
-        "access_failure_probability": assessment.access_failure_probability,
-        "delay_ratio": assessment.delay_ratio,
-        "coefficient_of_friction": assessment.coefficient_of_friction,
-        "cost_ratio": assessment.cost_ratio,
-    }
-    row.update(result.parameters)
-    return row
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = Scenario.load(args.scenario)
-    if args.seeds is not None:
-        scenario.seeds = tuple(args.seeds)
-    session = _session(args)
-    aggregator = None
-    if getattr(args, "metrics", False):
-        from .telemetry import EventBus, MetricsAggregator
-
-        session.telemetry = EventBus()
-        aggregator = MetricsAggregator(session.telemetry)
-    if scenario.is_sweep:
-        results = session.sweep(scenario)
-    else:
-        results = [session.run(scenario)]
-    rows = [_result_row(result) for result in results]
-    parameter_columns = sorted(
-        {key for result in results for key in result.parameters}
-    )
-    print("Scenario %s (digest %s)" % (scenario.name, scenario.digest[:12]))
-    _print_rows(rows, list(RESULT_COLUMNS) + parameter_columns)
-    if args.store:
-        print("Results persisted under %s (digest-keyed JSON)." % args.store)
-    if aggregator is not None:
-        aggregator.pump()
-        print()
-        print(aggregator.registry.exposition(), end="")
-    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -257,16 +199,16 @@ def _print_problems(problems: Sequence[str]) -> bool:
 
 
 def _load_campaign(reference: str) -> Campaign:
-    """Resolve a campaign reference: a JSON file path or a bench artifact name."""
+    """Resolve a campaign reference: a bench artifact name, or a JSON file —
+    a campaign when its object has a ``scenario`` key, else a scenario, run
+    as a one-point campaign."""
     path = Path(reference)
     if path.exists():
-        try:
-            return Campaign.load(path)
-        except KeyError as error:
-            raise SystemExit(
-                "%s is not a campaign file (missing %s); scenario JSON runs "
-                "via `repro-experiments run`" % (reference, error)
-            )
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if "scenario" in payload:
+            return Campaign.from_dict(payload)
+        scenario = Scenario.from_dict(payload)
+        return Campaign(scenario.name, scenario)
     from .experiments import bench as bench_module
 
     if reference in bench_module.ARTIFACTS:
@@ -294,6 +236,12 @@ def _print_campaign_rows(rows: Sequence[Dict[str, object]]) -> None:
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     campaign = _load_campaign(args.campaign)
     runner = _campaign_runner(args)
+    aggregator = None
+    if args.metrics:
+        from .telemetry import EventBus, MetricsAggregator
+
+        runner.session.telemetry = EventBus()
+        aggregator = MetricsAggregator(runner.session.telemetry)
     results = runner.run(campaign, max_points=args.max_points)
     total = len(campaign)
     if len(results) < total:
@@ -302,19 +250,23 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
         if runner.store is not None:
             print(
-                "resume with: repro-experiments campaign resume %s --store %s"
+                "resume with: repro-experiments campaign run %s --store %s"
                 % (args.campaign, args.store)
             )
         else:
             print("(no --store attached, nothing was checkpointed)")
-        return 0
-    print(
-        "Campaign %s (digest %s): %d points complete"
-        % (campaign.name, campaign.digest[:12], len(results))
-    )
-    _print_campaign_rows(export_rows(campaign.exporter, results))
-    if args.store:
-        print("Results persisted under %s (digest-keyed JSON)." % args.store)
+    else:
+        print(
+            "Campaign %s (digest %s): %d points complete"
+            % (campaign.name, campaign.digest[:12], len(results))
+        )
+        _print_campaign_rows(export_rows(campaign.exporter, results))
+        if args.store:
+            print("Results persisted under %s (digest-keyed JSON)." % args.store)
+    if aggregator is not None:
+        aggregator.pump()
+        print()
+        print(aggregator.registry.exposition(), end="")
     return 0
 
 
@@ -359,8 +311,6 @@ def _render_status(payload: Dict[str, object]) -> str:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    import json as json_module
-
     campaign = _load_campaign(args.campaign)
     connect = getattr(args, "connect", None)
     if connect:
@@ -388,7 +338,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         return 2
     if not getattr(args, "watch", False):
         if args.json:
-            print(json_module.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(_render_status(payload))
         return 0
@@ -439,21 +389,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    campaign = _load_campaign(args.campaign)
-    runner = _campaign_runner(args)
-    if runner.store is None:
-        print("campaign resume needs --store (nothing was checkpointed without one)")
-        return 2
-    results = runner.resume(campaign)
-    print(
-        "Campaign %s (digest %s): %d points complete"
-        % (campaign.name, campaign.digest[:12], len(results))
-    )
-    _print_campaign_rows(export_rows(campaign.exporter, results))
-    return 0
-
-
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
     campaign = _load_campaign(args.campaign)
     runner = _campaign_runner(args)
@@ -464,7 +399,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
         rows = runner.rows(campaign)
     except LookupError as error:
         print(str(error))
-        print("run or resume the campaign first")
+        print("run the campaign with --store first")
         return 2
     digest = digest_rows(rows)
     print("Campaign %s report (%d rows)" % (campaign.name, len(rows)))
@@ -546,10 +481,8 @@ def _cmd_bisect(args: argparse.Namespace) -> int:
 def _parse_adversary_params(text: Optional[str]) -> Dict[str, object]:
     if not text:
         return {}
-    import json as json_module
-
     try:
-        params = json_module.loads(text)
+        params = json.loads(text)
     except ValueError as error:
         raise SystemExit("--params must be a JSON object: %s" % error)
     if not isinstance(params, dict):
@@ -562,8 +495,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from .replay import Checkpoint
 
     scenario = Scenario.load(args.scenario)
-    if scenario.is_sweep:
-        raise SystemExit("checkpoint needs a point scenario, not a sweep")
     world = build_point_world(scenario, args.seed, baseline=args.baseline)
     horizon = world.sim_config.duration
     at = units.days(args.at_days) if args.at_days is not None else horizon / 2.0
@@ -622,10 +553,8 @@ def _cmd_fork(args: argparse.Namespace) -> int:
     _print_rows(rows, list(rows[0]))
     print("metrics digest: %s" % digest)
     if args.out:
-        import json as json_module
-
         with open(args.out, "w", encoding="utf-8") as handle:
-            json_module.dump(
+            json.dump(
                 {"metrics": metrics.to_dict(), "digest": digest}, handle,
                 indent=2, sort_keys=True,
             )
@@ -666,9 +595,7 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         return 2
     totals = store.stats()
     if args.json:
-        import json as json_module
-
-        print(json_module.dumps(totals, indent=2, sort_keys=True))
+        print(json.dumps(totals, indent=2, sort_keys=True))
         return 0
     rows = [
         {"kind": kind, "count": record["count"], "bytes": record["bytes"]}
@@ -891,30 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser(
-        "run", help="run a scenario JSON file (point or sweep)"
-    )
-    run_parser.add_argument("scenario", help="path to a Scenario JSON file")
-    run_parser.add_argument(
-        "--seeds", type=_parse_ints, default=None,
-        help="override the scenario's seeds (comma-separated)",
-    )
-    _add_session_arguments(run_parser)
-    run_parser.add_argument(
-        "--record", action="store_true",
-        help="capture every computed run as a replay trace in the store "
-        "(requires --store; see docs/REPLAY.md)",
-    )
-    run_parser.add_argument(
-        "--metrics", action="store_true",
-        help="attach a telemetry bus to the run and print the aggregated "
-        "metrics exposition afterwards (see docs/TELEMETRY.md)",
-    )
-    run_parser.set_defaults(func=_cmd_run)
-
     campaign_parser = subparsers.add_parser(
         "campaign",
-        help="declarative parameter-grid campaigns (run/status/resume/report)",
+        help="declarative parameter-grid campaigns (run/status/submit/report)",
     )
     campaign_sub = campaign_parser.add_subparsers(
         dest="campaign_command", required=True
@@ -923,13 +829,15 @@ def build_parser() -> argparse.ArgumentParser:
     def _campaign_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "campaign",
-            help="a campaign JSON file, or a bench artifact name "
-            "(e.g. fig2_baseline; see `bench`)",
+            help="a campaign or scenario JSON file, or a bench artifact "
+            "name (e.g. fig2_baseline; see `bench`)",
         )
         _add_session_arguments(sub)
 
     campaign_run = campaign_sub.add_parser(
-        "run", help="run a campaign, resuming from the store when possible"
+        "run",
+        help="run a campaign (or one scenario), resuming from the store: "
+        "only points whose runs are not stored are simulated",
     )
     _campaign_common(campaign_run)
     campaign_run.add_argument(
@@ -937,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="stop after executing N pending points (checkpoint + exit; "
-        "finish later with `campaign resume`)",
+        "finish later by running again with the same --store)",
     )
     campaign_run.add_argument(
         "--record", action="store_true",
@@ -948,7 +856,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--fork-prefixes", action="store_true",
         help="simulate each shared (baseline, seed) prefix once and fork "
         "the attack suffixes from its checkpoint — bit-identical results, "
-        "less wall-clock (see docs/CAMPAIGNS.md)",
+        "less wall-clock; reuses the prefix checkpoints an earlier "
+        "--fork-prefixes run persisted (see docs/CAMPAIGNS.md)",
+    )
+    campaign_run.add_argument(
+        "--metrics", action="store_true",
+        help="attach a telemetry bus to the runs and print the aggregated "
+        "metrics exposition afterwards (see docs/TELEMETRY.md)",
     )
     campaign_run.set_defaults(func=_cmd_campaign_run)
 
@@ -990,7 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_submit.add_argument(
         "campaign",
-        help="a campaign JSON file, or a bench artifact name (e.g. fig2_baseline)",
+        help="a campaign or scenario JSON file, or a bench artifact name "
+        "(e.g. fig2_baseline)",
     )
     campaign_submit.add_argument(
         "--connect",
@@ -999,22 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="service base URL, e.g. http://127.0.0.1:8642",
     )
     campaign_submit.set_defaults(func=_cmd_campaign_submit)
-
-    campaign_resume = campaign_sub.add_parser(
-        "resume", help="finish the pending points of a checkpointed campaign"
-    )
-    _campaign_common(campaign_resume)
-    campaign_resume.add_argument(
-        "--record", action="store_true",
-        help="capture every newly computed run as a replay trace in the "
-        "store (requires --store; see docs/REPLAY.md)",
-    )
-    campaign_resume.add_argument(
-        "--fork-prefixes", action="store_true",
-        help="finish the pending points via prefix forking, reusing any "
-        "prefix checkpoints a previous --fork-prefixes run persisted",
-    )
-    campaign_resume.set_defaults(func=_cmd_campaign_resume)
 
     campaign_report = campaign_sub.add_parser(
         "report", help="rebuild the figure rows (and digest) from the store"

@@ -88,8 +88,10 @@ class ProtocolConfig:
     #: Refractory period entered after admitting one invitation from an
     #: unknown or in-debt peer (per AU).
     refractory_period: float = units.DAY
-    #: A peer considers at most ``rate_limit_factor`` times the legitimate
-    #: invitation rate it expects (Section 6.3 allows 4x).
+    #: Inert: no code reads it, so the reproduction models no invitation
+    #: rate limit (the paper's Section 6.3 allows 4x the expected rate).  It
+    #: is hashed into ``config_digest``, so changing or removing it moves
+    #: every store key; ROADMAP item 18 decides between the two.
     rate_limit_factor: float = 4.0
     #: Master switch for the admission-control filter; disabled only by the
     #: ablation experiments, which then pay full consideration cost for every

@@ -7,9 +7,8 @@ invitations from unknown or in-debt *loyal* peers are dropped too.  Figures
 coverage), the access failure probability, the delay ratio, and the
 coefficient of friction.
 
-The sweep is one declarative :class:`~repro.api.Scenario` (adversary kind
-``"admission_flood"``, sweep axes over coverage and duration) executed
-through the shared :class:`~repro.api.Session`; see
+The sweep is one declarative :class:`~repro.api.Campaign` (adversary kind
+``"admission_flood"``, grid axes over coverage and duration); see
 :mod:`repro.experiments.attacks`.
 
 Shape to reproduce: the attack barely moves the access failure probability or

@@ -32,7 +32,7 @@ def attack_sweep_campaign(
 ) -> Campaign:
     """The duration x coverage grid as a campaign with the figure exporter.
 
-    One declarative sweep over (coverage outer, duration inner).
+    One declarative grid over (coverage outer, duration inner).
     ``extra_params`` are forwarded into the adversary spec (e.g. the
     admission flood's ``invitations_per_victim_per_day``).
     """
@@ -46,11 +46,11 @@ def attack_sweep_campaign(
         adversary=AdversarySpec(kind, params),
         seeds=tuple(seeds),
     )
-    scenario.sweep = {
+    grid = {
         "adversary.coverage": list(coverages),
         "adversary.attack_duration_days": list(durations_days),
     }
-    return Campaign.from_sweep(scenario, name=name or kind, exporter="attack_sweep")
+    return Campaign.from_grid(name or kind, scenario, grid, exporter="attack_sweep")
 
 
 @row_exporter("attack_sweep")

@@ -187,8 +187,7 @@ def _near_baseline(row: Row) -> bool:
 
 def _paper_smoke_campaign(name: str, **bench_scale: object) -> Campaign:
     """:func:`paper_smoke_scenario` as the one-point campaign an artifact is."""
-    scenario = paper_smoke_scenario(**bench_scale)
-    return Campaign.from_sweep(scenario, name=name, exporter="attack_sweep")
+    return Campaign(name, paper_smoke_scenario(**bench_scale), exporter="attack_sweep")
 
 
 #: Every measured artifact, in report order.

@@ -7,9 +7,9 @@ plot, against the attack duration, the access failure probability, the delay
 ratio, and the coefficient of friction respectively — the same simulation
 runs viewed through three metrics, so one sweep regenerates all three.
 
-The sweep is one declarative :class:`~repro.api.Scenario` (adversary kind
-``"pipe_stoppage"``, sweep axes over coverage and duration) executed through
-the shared :class:`~repro.api.Session`; see :mod:`repro.experiments.attacks`.
+The sweep is one declarative :class:`~repro.api.Campaign` (adversary kind
+``"pipe_stoppage"``, grid axes over coverage and duration); see
+:mod:`repro.experiments.attacks`.
 
 Shape to reproduce: all three metrics grow with coverage and duration;
 attacks must last on the order of 60+ days at high coverage before the delay

@@ -11,8 +11,8 @@ experiment *service*:
   store with ``repro-experiments store migrate``.
 * :class:`~repro.service.broker.Broker` — owns campaign manifests in the
   SQLite store and leases points to workers with heartbeats, lease expiry,
-  and crash-safe re-leasing (the ``failed``-point machinery campaign
-  ``resume`` already uses, generalized to a worker fleet).
+  and crash-safe re-leasing (the ``failed``-point machinery a resuming
+  ``campaign run`` already uses, generalized to a worker fleet).
 * :class:`~repro.service.worker.Worker` — the work-stealing loop: lease a
   batch of points, run each through a :class:`~repro.api.session.Session`
   (honoring ``timeout`` / ``retries`` / ``record``), report the batch's

@@ -3,12 +3,12 @@
 The :class:`Broker` owns campaign manifests inside the service's SQLite
 store and hands out **leases** on pending points to any number of workers
 — threads, processes, or machines sharing the database file.  The protocol
-is the per-point ``failed``-state machinery campaign ``resume`` introduced,
-generalized to a live fleet:
+is the per-point ``failed``-state machinery a resuming ``campaign run``
+uses, generalized to a live fleet:
 
 * ``submit`` expands a campaign, marks points whose runs the store already
   holds ``complete``, and queues the rest ``pending`` (a resubmission also
-  re-queues ``failed`` points, exactly like ``campaign resume``);
+  re-queues ``failed`` points, exactly like running a campaign again);
 * ``lease`` atomically claims the first available point — ``pending``, or
   ``leased`` with an **expired** lease (its worker crashed or was
   SIGKILLed) — and stamps it with the worker id and a deadline;
@@ -560,7 +560,7 @@ class Broker:
         return accepted
 
     def fail(self, worker: str, campaign: str, index: int, error: str) -> bool:
-        """Mark a leased point failed (kept for ``resume``/resubmit to re-queue)."""
+        """Mark a leased point failed (kept for a resubmit to re-queue)."""
         now = self.clock()
         with self.store.transaction() as conn:
             self._touch_worker(conn, worker, now)

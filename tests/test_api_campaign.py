@@ -90,23 +90,13 @@ class TestExpansion:
             campaign.expand()
 
     def test_sweep_scenario_base_is_rejected(self):
-        sweep = point_scenario(sweep={"adversary.coverage": [0.4, 1.0]})
-        with pytest.raises(ValueError):
-            Campaign(name="bad", scenario=sweep)
+        # The grid belongs in the campaign's axes, not in its scenario.
+        sweep = dict(point_scenario().to_dict(), sweep={"adversary.coverage": [0.4]})
+        with pytest.raises(ValueError, match="axes"):
+            Campaign.from_dict({"name": "bad", "scenario": sweep})
 
     def test_len_counts_grid_points_without_expanding(self):
         assert len(grid_campaign()) == 4
-
-    def test_from_sweep_matches_scenario_expand_digests(self):
-        sweep = point_scenario(
-            sweep={
-                "adversary.coverage": [0.4, 1.0],
-                "adversary.attack_duration_days": [30.0, 60.0],
-            }
-        )
-        campaign = Campaign.from_sweep(sweep)
-        expected = [point.digest for point in sweep.expand()]
-        assert [point.digest for point in campaign.expand()] == expected
 
     def test_expansion_does_not_mutate_the_base_scenario(self):
         campaign = grid_campaign()
@@ -118,13 +108,11 @@ class TestExpansion:
 
 class TestIdentity:
     def test_digest_is_spelling_independent(self):
-        sweep = point_scenario(
-            sweep={
-                "adversary.coverage": [0.4, 1.0],
-                "adversary.attack_duration_days": [30.0, 60.0],
-            }
-        )
-        assert Campaign.from_sweep(sweep).digest == grid_campaign().digest
+        # Another name, the axes added one by one: the same points.
+        campaign = Campaign(name="spelled out", scenario=point_scenario())
+        campaign.add_axis(**{"adversary.coverage": [0.4, 1.0]})
+        campaign.add_axis(**{"adversary.attack_duration_days": [30.0, 60.0]})
+        assert campaign.digest == grid_campaign().digest
 
     def test_digest_changes_with_axis_order(self):
         flipped = Campaign.from_grid(
@@ -187,7 +175,7 @@ class TestRunner:
             campaign, max_points=2
         )
         resumed_runner = CampaignRunner(Session(store=ResultStore(store_dir)))
-        resumed = resumed_runner.resume(campaign)
+        resumed = resumed_runner.run(campaign)
         assert len(resumed) == 4
         assert resumed_runner.status(campaign).complete
         assert digest_rows(resumed_runner.rows(campaign)) == reference_digest
@@ -204,7 +192,7 @@ class TestRunner:
             "execute_point",
             lambda *args, **kwargs: pytest.fail("resume recomputed a point"),
         )
-        results = CampaignRunner(Session(store=ResultStore(tmp_path))).resume(campaign)
+        results = CampaignRunner(Session(store=ResultStore(tmp_path))).run(campaign)
         assert len(results) == 4
 
     def test_label_only_points_share_digest_but_keep_their_labels(self, tmp_path):

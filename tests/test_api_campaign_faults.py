@@ -174,7 +174,7 @@ class TestKeyboardInterrupt:
             session_module, "execute_point", SelectiveFailure(1.0, KeyboardInterrupt)
         )
         with pytest.raises(KeyboardInterrupt):
-            CampaignRunner(session, store=store).resume(campaign)
+            CampaignRunner(session, store=store).run(campaign)
         assert status_of(store, campaign) == before
 
     def test_interrupted_campaign_resumes_like_max_points(self, tmp_path, monkeypatch):
@@ -203,7 +203,7 @@ class TestKeyboardInterrupt:
             patch.setattr(session_module, "execute_point", interrupt_second_point)
             with pytest.raises(KeyboardInterrupt):
                 CampaignRunner(Session(store=store), store=store).run(campaign)
-        resumed = CampaignRunner(Session(store=store), store=store).resume(campaign)
+        resumed = CampaignRunner(Session(store=store), store=store).run(campaign)
         assert len(resumed) == len(campaign)
 
 

@@ -1,5 +1,5 @@
 """Unit tests for the declarative Scenario API (JSON round-trip, digests,
-sweep expansion, config resolution)."""
+grid expansion through campaign axes, config resolution)."""
 
 import dataclasses
 import enum
@@ -34,12 +34,15 @@ def make_scenario(**overrides):
     return Scenario(**fields)
 
 
+def grid_points(scenario, grid):
+    """The point scenarios of a one-axis-per-target grid over ``scenario``."""
+    campaign = Campaign.from_grid("grid", scenario, grid)
+    return [point.scenario for point in campaign.expand()]
+
+
 class TestRoundTrip:
     def test_json_round_trip_preserves_fields(self):
-        scenario = make_scenario(
-            sweep={"adversary.coverage": [0.4, 1.0]},
-            parameters={"note": "x"},
-        )
+        scenario = make_scenario(parameters={"note": "x"})
         restored = Scenario.from_json(scenario.to_json())
         assert restored.name == scenario.name
         assert restored.base == scenario.base
@@ -47,7 +50,6 @@ class TestRoundTrip:
         assert restored.sim == scenario.sim
         assert restored.adversary == scenario.adversary
         assert restored.seeds == scenario.seeds
-        assert restored.sweep == scenario.sweep
         assert restored.parameters == scenario.parameters
 
     def test_json_round_trip_preserves_digest(self):
@@ -145,6 +147,61 @@ class TestDigest:
         assert baseline == make_scenario(seeds=(7,), adversary=None).point_digest(7)
 
 
+class TestUnknownKeys:
+    """A misspelled spec key is an error naming it, not a dropped field."""
+
+    @pytest.mark.parametrize(
+        "load, payload, key",
+        [
+            pytest.param(
+                Scenario.from_dict,
+                {"name": "x", "adversery": {"kind": "pipe_stoppage"}},
+                "adversery",
+                id="scenario",
+            ),
+            pytest.param(
+                Scenario.from_dict,
+                {"name": "x", "adversary": {"kind": "pipe_stoppage", "param": {}}},
+                "param",
+                id="scenario-adversary",
+            ),
+            pytest.param(
+                Campaign.from_dict,
+                {
+                    "name": "c",
+                    "scenario": {"name": "x"},
+                    "axis": [{"protocol.quorum": [3, 4]}],
+                },
+                "axis",
+                id="campaign",
+            ),
+            pytest.param(
+                Campaign.from_dict,
+                {"name": "c", "scenario": {"name": "x", "seed": [1]}},
+                "seed",
+                id="campaign-scenario",
+            ),
+            pytest.param(
+                AdversarySpec.from_dict,
+                {"kind": "pipe_stoppage", "parms": {"coverage": 0.4}},
+                "parms",
+                id="adversary",
+            ),
+        ],
+    )
+    def test_unknown_key_is_rejected(self, load, payload, key):
+        with pytest.raises(ValueError, match="unknown .* key.*'%s'" % key):
+            load(payload)
+
+    def test_an_empty_sweep_still_loads(self):
+        # Traces, checkpoints and broker rows written before sweeps moved
+        # into campaign axes carry ``"sweep": {}``.
+        scenario = make_scenario()
+        payload = scenario.to_dict()
+        assert "sweep" not in payload
+        assert Scenario.from_dict(dict(payload, sweep={})).digest == scenario.digest
+
+
 class TestResolve:
     def test_overrides_are_applied(self):
         protocol, sim = make_scenario().resolve()
@@ -176,18 +233,18 @@ class TestResolve:
 class TestSweepExpansion:
     def test_point_scenario_expands_to_itself(self):
         scenario = make_scenario()
-        points = scenario.expand()
-        assert len(points) == 1
-        assert points[0].digest == scenario.digest
+        (point,) = Campaign("point", scenario).expand()
+        assert point.digest == scenario.digest
+        assert point.scenario.to_dict() == scenario.to_dict()
 
     def test_axis_order_first_axis_outermost(self):
-        scenario = make_scenario(
-            sweep={
+        points = grid_points(
+            make_scenario(),
+            {
                 "adversary.coverage": [0.4, 1.0],
                 "adversary.attack_duration_days": [30.0, 60.0],
-            }
+            },
         )
-        points = scenario.expand()
         combos = [
             (p.parameters["coverage"], p.parameters["attack_duration_days"])
             for p in points
@@ -195,38 +252,29 @@ class TestSweepExpansion:
         assert combos == [(0.4, 30.0), (0.4, 60.0), (1.0, 30.0), (1.0, 60.0)]
 
     def test_expansion_merges_axes_into_specs(self):
-        scenario = make_scenario(
-            sweep={"sim.n_aus": [1, 2], "protocol.quorum": [3]},
-        )
-        points = scenario.expand()
+        scenario = make_scenario()
+        points = grid_points(scenario, {"sim.n_aus": [1, 2], "protocol.quorum": [3]})
         assert [p.sim["n_aus"] for p in points] == [1, 2]
         assert all(p.protocol["quorum"] == 3 for p in points)
-        assert all(not p.is_sweep for p in points)
         # The original scenario is not mutated by expansion.
         assert scenario.sim["n_peers"] == 12
         assert "n_aus" not in scenario.sim
 
     def test_expansion_records_parameters_and_names(self):
-        scenario = make_scenario(sweep={"adversary.coverage": [0.4]})
-        (point,) = scenario.expand()
+        (point,) = grid_points(make_scenario(), {"adversary.coverage": [0.4]})
         assert point.parameters["coverage"] == 0.4
         assert "coverage=0.4" in point.name
 
     def test_adversary_axis_without_adversary_fails(self):
-        scenario = make_scenario(
-            adversary=None, sweep={"adversary.coverage": [1.0]}
-        )
         with pytest.raises(ValueError):
-            scenario.expand()
+            grid_points(make_scenario(adversary=None), {"adversary.coverage": [1.0]})
 
     def test_malformed_axis_fails(self):
-        scenario = make_scenario(sweep={"bogus": [1]})
         with pytest.raises(ValueError):
-            scenario.expand()
+            grid_points(make_scenario(), {"bogus": [1]})
 
     def test_expanded_points_serialize(self):
-        scenario = make_scenario(sweep={"adversary.coverage": [0.4, 1.0]})
-        for point in scenario.expand():
+        for point in grid_points(make_scenario(), {"adversary.coverage": [0.4, 1.0]}):
             assert Scenario.from_json(point.to_json()).digest == point.digest
 
 
@@ -335,17 +383,16 @@ class TestPinnedStoreKeys:
         )
 
     def test_sweep_scenario_and_its_points(self):
+        # The points a sweep scenario expanded to before sweeps moved into
+        # campaign axes: the same grid as a campaign keeps their digests.
         s = Scenario(
             name="pin sweep",
             base="smoke",
             seeds=(1, 2),
             adversary=AdversarySpec("pipe_stoppage", {"coverage": 0.4}),
-            sweep={"adversary.coverage": [0.4, 1.0], "protocol.quorum": [4, 5]},
         )
-        assert s.digest == (
-            "c8074c8167957c6fc0a3ac8f7250896387dd6e9d9dcc4a05ea0e565762e77efa"
-        )
-        assert [point.digest for point in s.expand()] == [
+        grid = {"adversary.coverage": [0.4, 1.0], "protocol.quorum": [4, 5]}
+        assert [point.digest for point in grid_points(s, grid)] == [
             "3d1d388fd18a71ff07cd39de363f5c39f0d82a2f9d2b89b44974ec971a34e3a9",
             "4d9eba1066cd3b4f5bf34c2f9c92c83b4475344d9a953d122aa76a9fba18a63c",
             "c3359003e75e8408753a074de720e0167d45d8af8110c999592976eaf4f7d1fb",
@@ -508,14 +555,8 @@ def reference_identity(scenario):
     protocol, sim = scenario.resolve()
     adversary = scenario._canonical_adversary()
     faults = scenario._canonical_faults()
-    extra = {}
-    if scenario.sweep:
-        extra["sweep"] = dict(scenario.sweep)
-    if faults is not None:
-        extra["faults"] = faults
-    digest = reference_config_digest(
-        protocol, sim, scenario.seeds, adversary, extra or None
-    )
+    extra = {"faults": faults} if faults is not None else None
+    digest = reference_config_digest(protocol, sim, scenario.seeds, adversary, extra)
     sides = (False, True) if scenario.adversary is not None else (False,)
     runs = [
         (
@@ -526,7 +567,7 @@ def reference_identity(scenario):
                 sim.with_overrides(seed=int(seed)),
                 (seed,),
                 None if baseline else adversary,
-                {"faults": faults} if faults is not None else None,
+                extra,
             ),
         )
         for baseline in sides
@@ -659,12 +700,6 @@ scenarios = st.builds(
     adversary=adversaries,
     faults=fault_plans,
     seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
-    sweep=st.one_of(
-        st.just({}),
-        st.lists(st.integers(1, 9), min_size=1, max_size=3).map(
-            lambda values: {"protocol.quorum": values}
-        ),
-    ),
 )
 
 

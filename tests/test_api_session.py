@@ -10,6 +10,8 @@ import pytest
 from repro import units
 from repro.api import (
     AdversarySpec,
+    Campaign,
+    CampaignRunner,
     ResultStore,
     Scenario,
     Session,
@@ -33,6 +35,12 @@ def smoke_scenario(**overrides):
     return Scenario(**fields)
 
 
+def duration_grid(scenario):
+    """Two points differing only in the attack duration."""
+    grid = {"adversary.attack_duration_days": [30.0, 60.0]}
+    return Campaign.from_grid("durations", scenario, grid)
+
+
 class TestSerialExecution:
     def test_no_adversary_run_has_unit_ratios(self):
         result = Session().run(smoke_scenario(adversary=None, seeds=(1,)))
@@ -49,9 +57,12 @@ class TestSerialExecution:
         assert result.scenario_digest == scenario.digest
 
     def test_run_rejects_sweep_scenarios(self):
-        scenario = smoke_scenario(sweep={"adversary.coverage": [0.4, 1.0]})
-        with pytest.raises(ValueError):
-            Session().run(scenario)
+        # A grid is a campaign's axes; a scenario cannot carry one.
+        payload = dict(smoke_scenario().to_dict(), sweep={"adversary.coverage": [0.4]})
+        with pytest.raises(ValueError, match="campaign's \"axes\""):
+            Scenario.from_dict(payload)
+        with pytest.raises(TypeError):
+            smoke_scenario(sweep={"adversary.coverage": [0.4, 1.0]})
 
     def test_in_memory_cache_reuses_runs(self, monkeypatch):
         session = Session()
@@ -67,7 +78,7 @@ class TestSerialExecution:
         assert second.assessment == first.assessment
 
     def test_sweep_shares_baselines_across_points(self):
-        # Two sweep points differing only in adversary params share one
+        # Two grid points differing only in adversary params share one
         # baseline configuration: 2 attacked + 1 baseline = 3 simulations.
         calls = []
         original = session_module.execute_point
@@ -78,16 +89,13 @@ class TestSerialExecution:
                 scenario, seed, baseline=baseline, registry=registry, **kwargs
             )
 
-        scenario = smoke_scenario(
-            seeds=(1,),
-            sweep={"adversary.attack_duration_days": [30.0, 60.0]},
-        )
+        campaign = duration_grid(smoke_scenario(seeds=(1,)))
         session = Session()
         try:
             session_module.execute_point = counting
             # Session._compute calls the module function through the serial
             # path below (workers=1).
-            results = session.sweep(scenario)
+            results = CampaignRunner(session).run(campaign)
         finally:
             session_module.execute_point = original
         assert len(results) == 2
@@ -105,12 +113,9 @@ class TestParallelExecution:
         assert parallel.assessment == serial.assessment
 
     def test_parallel_sweep_matches_serial_sweep(self):
-        scenario = smoke_scenario(
-            seeds=(1,),
-            sweep={"adversary.attack_duration_days": [30.0, 60.0]},
-        )
-        serial = Session(workers=1).sweep(scenario)
-        parallel = Session(workers=2).sweep(scenario)
+        campaign = duration_grid(smoke_scenario(seeds=(1,)))
+        serial = [p.result for p in CampaignRunner(Session(workers=1)).run(campaign)]
+        parallel = [p.result for p in CampaignRunner(Session(workers=2)).run(campaign)]
         assert [r.assessment for r in parallel] == [r.assessment for r in serial]
         assert [r.parameters for r in parallel] == [r.parameters for r in serial]
 

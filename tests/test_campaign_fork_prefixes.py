@@ -333,7 +333,7 @@ class TestKillResume:
         monkeypatch.setattr(
             Checkpoint, "capture_at", classmethod(counting_capture_at)
         )
-        assert main(["campaign", "resume", str(path), "--store", store_killed,
+        assert main(["campaign", "run", str(path), "--store", store_killed,
                      "--fork-prefixes"]) == 0
         assert "3 points complete" in capsys.readouterr().out
         # The completed prefix was never re-simulated on resume.

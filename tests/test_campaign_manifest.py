@@ -124,5 +124,5 @@ class TestParentFormatManifest:
         assert payload["points"][1]["error"] == "boom"
         assert payload["counts"] == {"complete": 1, "failed": 1, "pending": 1}
         # ... and resumed from without conversion.
-        assert len(runner.resume(campaign)) == 3
+        assert len(runner.run(campaign)) == 3
         assert runner.status(campaign).complete

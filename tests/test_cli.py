@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.adversary.brute_force import DefectionPoint
-from repro.api import DEFAULT_REGISTRY
+from repro.api import DEFAULT_REGISTRY, Campaign
 from repro.api.session import default_session
 from repro.cli import build_parser, main
 from repro.config import scaled_config
@@ -33,9 +33,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
-    def test_comma_separated_lists(self):
-        args = build_parser().parse_args(["run", "scenario.json", "--seeds", "1,2,3"])
-        assert args.seeds == [1, 2, 3]
+    def test_one_run_verb(self):
+        # ``campaign run`` runs grids, scenario files and resumes alike.
+        def verbs(parser):
+            (action,) = [a for a in parser._actions if a.dest.endswith("command")]
+            return action.choices
+
+        top = verbs(build_parser())
+        assert sorted(top) == sorted(
+            "campaign store replay bisect checkpoint fork serve worker "
+            "list-adversaries bench".split()
+        )
+        assert sorted(verbs(top["campaign"])) == ["report", "run", "status", "submit"]
 
 
 class TestExecution:
@@ -159,12 +168,12 @@ class TestScenarioCommands:
             seeds=(1,),
         )
         path = scenario.save(tmp_path / "scenario.json")
-        exit_code = main(["run", str(path)])
+        exit_code = main(["campaign", "run", str(path)])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "cli point" in output
         assert "delay_ratio" in output
-        assert scenario.digest[:12] in output
+        assert Campaign("cli point", scenario).digest[:12] in output
 
     def test_run_sweep_scenario_with_store(self, tmp_path, capsys):
         from repro import units
@@ -176,30 +185,16 @@ class TestScenarioCommands:
             sim={"duration": units.months(5)},
             adversary=AdversarySpec("pipe_stoppage", {"coverage": 1.0}),
             seeds=(1,),
-            sweep={"adversary.attack_duration_days": [30.0, 60.0]},
         )
-        path = scenario.save(tmp_path / "sweep.json")
+        grid = {"adversary.attack_duration_days": [30.0, 60.0]}
+        path = Campaign.from_grid("cli sweep", scenario, grid).save(tmp_path / "sweep.json")
         store_dir = tmp_path / "store"
-        exit_code = main(["run", str(path), "--store", str(store_dir)])
+        exit_code = main(["campaign", "run", str(path), "--store", str(store_dir)])
         output = capsys.readouterr().out
         assert exit_code == 0
+        assert "2 points complete" in output
         assert "attack_duration_days" in output
         assert store_dir.is_dir() and list(store_dir.glob("runs-*.json"))
-
-    def test_run_seeds_override(self, tmp_path, capsys):
-        from repro import units
-        from repro.api import Scenario
-
-        scenario = Scenario(
-            name="cli seeds",
-            base="smoke",
-            sim={"duration": units.months(5)},
-            seeds=(1, 2, 3),
-        )
-        path = scenario.save(tmp_path / "scenario.json")
-        exit_code = main(["run", str(path), "--seeds", "5"])
-        assert exit_code == 0
-        assert "cli seeds" in capsys.readouterr().out
 
     def test_workers_and_store_flags_parse(self):
         args = build_parser().parse_args(

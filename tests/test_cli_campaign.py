@@ -125,6 +125,29 @@ def test_laptop_campaign_files_are_pinned(filename):
     assert campaign.description.endswith("campaign run examples/campaigns/" + filename)
 
 
+class TestScenarioFile:
+    """A scenario JSON file runs through ``campaign run`` as a one-point campaign."""
+
+    def test_matches_session_run(self, tmp_path, capsys):
+        path = REPO_ROOT / "examples" / "scenarios" / "smoke_pipe_stoppage.json"
+        scenario = Scenario.load(path)
+        expected = Session().run(scenario)
+        store_dir = tmp_path / "store"
+        assert main(["campaign", "run", str(path), "--store", str(store_dir)]) == 0
+        output = capsys.readouterr().out
+        assert "Campaign smoke pipe stoppage" in output
+        assert "1 points complete" in output
+        store = ResultStore(store_dir)
+        runs = expected.attacked_runs + expected.baseline_runs
+        for (_, _, digest), run in zip(scenario.run_keys(), runs):
+            assert store.load_runs(digest) == [run]
+        (point,) = CampaignRunner(Session(store=store)).result_set(
+            Campaign(scenario.name, scenario)
+        )
+        assert point.digest == scenario.digest
+        assert point.result.assessment == expected.assessment
+
+
 class TestCampaignExecution:
     def test_run_status_resume_report_cycle(self, tmp_path, capsys):
         campaign, path = campaign_file(tmp_path)
@@ -134,13 +157,13 @@ class TestCampaignExecution:
                      "--max-points", "1"]) == 0
         output = capsys.readouterr().out
         assert "1/2 points complete" in output
-        assert "campaign resume" in output
+        assert "resume with: repro-experiments campaign run %s --store" % path in output
 
         assert main(["campaign", "status", str(path), "--store", store]) == 0
         output = capsys.readouterr().out
         assert "pending" in output and "complete" in output
 
-        assert main(["campaign", "resume", str(path), "--store", store]) == 0
+        assert main(["campaign", "run", str(path), "--store", store]) == 0
         output = capsys.readouterr().out
         assert "2 points complete" in output
         assert "delay_ratio" in output
@@ -158,8 +181,11 @@ class TestCampaignExecution:
 
     def test_resume_and_report_need_a_store(self, tmp_path, capsys):
         _, path = campaign_file(tmp_path)
-        assert main(["campaign", "resume", str(path)]) == 2
-        assert "--store" in capsys.readouterr().out
+        for _ in range(2):  # without a store, a second run starts over
+            assert main(["campaign", "run", str(path), "--max-points", "1"]) == 0
+            output = capsys.readouterr().out
+            assert "1/2 points complete" in output
+            assert "no --store attached, nothing was checkpointed" in output
         assert main(["campaign", "report", str(path)]) == 2
         assert "--store" in capsys.readouterr().out
 
@@ -293,7 +319,7 @@ class TestStaleAndCorruptArtifacts:
             return real_execute_point(scenario, seed, **kwargs)
 
         monkeypatch.setattr(session_module, "execute_point", counting_execute_point)
-        assert main(["campaign", "resume", str(path), "--store", str(store_dir)]) == 0
+        assert main(["campaign", "run", str(path), "--store", str(store_dir)]) == 0
         assert "2 points complete" in capsys.readouterr().out
         assert executed == [(point.label, 1, False)]
         assert report_digest(path, store_dir, capsys) == clean

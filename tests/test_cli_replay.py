@@ -13,7 +13,7 @@ from repro.replay.trace import TraceReader, TraceWriter
 
 @pytest.fixture(scope="module")
 def recorded_store(tmp_path_factory):
-    """A store populated by ``run --record`` for one point scenario."""
+    """A store populated by ``campaign run --record`` for one point scenario."""
     root = tmp_path_factory.mktemp("cli-replay")
     scenario = Scenario(
         name="cli replay point",
@@ -26,7 +26,8 @@ def recorded_store(tmp_path_factory):
     )
     scenario_path = scenario.save(root / "scenario.json")
     store_dir = root / "store"
-    assert main(["run", str(scenario_path), "--store", str(store_dir), "--record"]) == 0
+    argv = ["campaign", "run", str(scenario_path), "--store", str(store_dir), "--record"]
+    assert main(argv) == 0
     return scenario, scenario_path, ResultStore(store_dir)
 
 
@@ -38,7 +39,7 @@ class TestRecordFlag:
     def test_record_without_store_is_an_error(self, recorded_store):
         _, scenario_path, _ = recorded_store
         with pytest.raises(SystemExit):
-            main(["run", str(scenario_path), "--record"])
+            main(["campaign", "run", str(scenario_path), "--record"])
 
 
 class TestReplayCommand:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import AdversarySpec, Scenario
+from repro.api import AdversarySpec, Campaign, Scenario
 from repro.faults import (
     ChurnSpec,
     CrashSpec,
@@ -179,11 +179,9 @@ class TestScenarioIntegration:
         assert again.digest == faulted.digest
 
     def test_faults_sweep_scope_expands_per_point(self):
-        swept = scenario(
-            faults={"churn": {"rate_per_peer_per_year": 4.0}},
-            sweep={"faults.churn.rate_per_peer_per_year": [4.0, 12.0]},
-        )
-        points = swept.expand()
+        base = scenario(faults={"churn": {"rate_per_peer_per_year": 4.0}})
+        grid = {"faults.churn.rate_per_peer_per_year": [4.0, 12.0]}
+        points = [p.scenario for p in Campaign.from_grid("churn", base, grid).expand()]
         assert [p.faults["churn"]["rate_per_peer_per_year"] for p in points] == [
             4.0,
             12.0,

@@ -162,7 +162,7 @@ class TestRunMetricsFlag:
     def test_exposition_counts_what_the_runs_measured(self, capsys):
         result = Session().run(Scenario.load(SMOKE_SCENARIO_FILE))
         runs = list(result.attacked_runs) + list(result.baseline_runs)
-        assert main(["run", str(SMOKE_SCENARIO_FILE), "--metrics"]) == 0
+        assert main(["campaign", "run", str(SMOKE_SCENARIO_FILE), "--metrics"]) == 0
         samples = {}
         for line in capsys.readouterr().out.splitlines():
             if line.startswith("repro_"):
