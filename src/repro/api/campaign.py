@@ -546,6 +546,10 @@ class CampaignRunner:
                 session.record = True
         self.session = session
         self.fork_prefixes = bool(fork_prefixes)
+        #: Errors of the points whose last attempt failed, keyed by point
+        #: index, as the latest :meth:`run` left them — the manifest's
+        #: ``failed`` set, kept even when no store holds a manifest.
+        self.failed: Dict[int, str] = {}
         if self.fork_prefixes and self.session.record:
             raise ValueError(
                 "record mode captures full-run traces; prefix-forked runs "
@@ -631,7 +635,8 @@ class CampaignRunner:
         — the deterministic stand-in for a mid-campaign kill, used by the
         resume tests and the CI smoke job.  The returned :class:`ResultSet`
         holds the completed points in expansion order; check
-        :meth:`status` for completeness.
+        :meth:`status` for completeness and :attr:`failed` for the points
+        that failed.
 
         Points are dispatched in worker-sized chunks and every run is in
         the store once it finishes, so an interactive Ctrl-C and a
@@ -693,6 +698,7 @@ class CampaignRunner:
                 self._write_manifest(campaign, digest, points, results, failed)
             self._publish_progress(campaign, digest, points, results, failed)
 
+        self.failed = failed
         return ResultSet(
             [
                 PointResult(point, results[point.index])

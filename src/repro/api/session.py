@@ -599,7 +599,9 @@ class Session:
                     outcome: object = unit.call()
                 except Exception as exc:
                     outcome = exc
-                self._publish_run(unit.task, outcome, time.perf_counter() - started)
+                self._publish_run(
+                    unit.task, outcome, time.perf_counter() - started, observed=not self.record
+                )
                 outcomes.append(outcome)
             return outcomes
 
@@ -629,12 +631,14 @@ class Session:
         task: Optional[_Task],
         outcome: object = None,
         wall_s: Optional[float] = None,
+        observed: bool = False,
     ) -> None:
         """Publish the ``run_lifecycle`` event for one attempt at a run task.
 
         No ``outcome`` yet announces ``started``; metrics publish
         ``finished`` and an exception ``failed``.  A unit that is not a run
-        task publishes nothing.
+        task publishes nothing.  ``observed`` marks a finished run whose
+        in-simulation events went to the bus too (serial, not recorded).
         """
         bus = self.telemetry
         if bus is None or task is None:
@@ -644,7 +648,7 @@ class Session:
         state, details = "started", {}
         if isinstance(outcome, RunMetrics):
             state = "finished"
-            details = {"events": outcome.extras.get("events_processed")}
+            details = {"events": outcome.extras.get("events_processed"), "observed": observed}
         elif outcome is not None:
             state, details = "failed", {"error": str(outcome)}
         publish_run_event(

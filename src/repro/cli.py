@@ -265,9 +265,21 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             print("Results persisted under %s (digest-keyed JSON)." % args.store)
     if aggregator is not None:
         aggregator.pump()
+        runs = {digest for point in campaign.expand() for _, _, digest in point.run_keys}
+        coverage = "in-simulation counters cover %d of %d runs" % (
+            aggregator.observed_runs,
+            len(runs),
+        )
+        if aggregator.observed_runs < len(runs):
+            print(
+                "warning: %s: pooled (--workers), recorded and stored runs "
+                "publish no in-simulation events" % coverage,
+                file=sys.stderr,
+            )
         print()
+        print("# " + coverage)
         print(aggregator.registry.exposition(), end="")
-    return 0
+    return 1 if runner.failed else 0
 
 
 def _render_status(payload: Dict[str, object]) -> str:

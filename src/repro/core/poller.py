@@ -145,12 +145,9 @@ class PollerPoll:
 
         peer.charge("proof", effort.introductory)
         intro_proof = peer.effort_scheme.generate(peer.peer_id, effort.introductory)
+        # Positional: poll_id, au_id, poller_id, vote_deadline, introductory_effort.
         invitation = Poll(
-            poll_id=self.poll_id,
-            au_id=self.au_id,
-            poller_id=peer.peer_id,
-            vote_deadline=self.evaluation_time,
-            introductory_effort=intro_proof,
+            self.poll_id, self.au_id, peer.peer_id, self.evaluation_time, intro_proof
         )
         progress.state = "invited"
         peer.send(voter_id, invitation)

@@ -296,13 +296,8 @@ class Network:
         dst_bandwidth, dst_latency = dst
         bottleneck = src_bandwidth if src_bandwidth < dst_bandwidth else dst_bandwidth
         delay = src_latency + dst_latency + size_bytes * 8.0 / bottleneck
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.simulator._now,
-        )
+        # Positional: sender, recipient, payload, size_bytes, sent_at.
+        message = Message(sender, recipient, payload, size_bytes, self.simulator._now)
         self.simulator.post(delay, self._deliver, message)
         return True
 

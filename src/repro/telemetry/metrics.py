@@ -265,6 +265,9 @@ class MetricsAggregator:
         self._last_pump: Optional[float] = None
         #: subject -> crash/leave sim time, for downtime pairing.
         self._down_since: Dict[str, float] = {}
+        #: Finished runs whose in-simulation events came through the bus;
+        #: pooled, recorded and stored runs publish lifecycle events only.
+        self.observed_runs = 0
         reg = self.registry
         self._events = reg.counter(
             "repro_bus_events_total", "Bus events consumed by the aggregator"
@@ -395,6 +398,8 @@ class MetricsAggregator:
         state = str(data.get("state", ""))
         if state:
             self._runs.inc(state=state)
+        if state == "finished" and data.get("observed"):
+            self.observed_runs += 1
         wall = data.get("wall_s")
         if state in ("finished", "failed") and wall is not None:
             self._run_wall.observe(float(wall))

@@ -124,8 +124,12 @@ def publish_run_event(
     wall_s: Optional[float] = None,
     events: Optional[float] = None,
     error: Optional[str] = None,
+    observed: bool = False,
 ) -> None:
-    """Publish one ``run_lifecycle`` event (no-op without a bus)."""
+    """Publish one ``run_lifecycle`` event (no-op without a bus).
+
+    ``observed`` marks a run whose in-simulation events went to ``bus``.
+    """
     if bus is None:
         return
     data: Dict[str, object] = {
@@ -141,6 +145,8 @@ def publish_run_event(
         data["events"] = int(events)
     if error is not None:
         data["error"] = str(error)
+    if observed:
+        data["observed"] = True
     bus.publish("run_lifecycle", data, run=digest)
 
 

@@ -148,6 +148,28 @@ class TestScenarioFile:
         assert point.result.assessment == expected.assessment
 
 
+class TestExitStatus:
+    """``campaign run`` exits 1 when points fail, 0 when some are only pending."""
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_failed_points_exit_1(self, tmp_path, capsys, with_store):
+        spec = json.loads(
+            (REPO_ROOT / "examples" / "scenarios" / "smoke_pipe_stoppage.json").read_text()
+        )
+        spec["adversary"]["kind"] = "nope"
+        path = tmp_path / "nope.json"
+        path.write_text(json.dumps(spec))
+        argv = ["campaign", "run", str(path), "--retries", "0"]
+        if with_store:
+            argv += ["--store", str(tmp_path / "store")]
+        assert main(argv) == 1
+        assert "0/1 points complete" in capsys.readouterr().out
+
+    def test_points_left_pending_exit_0(self, capsys):
+        assert main(["campaign", "run", "fig2_baseline", "--max-points", "2"]) == 0
+        assert "2/4 points complete" in capsys.readouterr().out
+
+
 class TestCampaignExecution:
     def test_run_status_resume_report_cycle(self, tmp_path, capsys):
         campaign, path = campaign_file(tmp_path)

@@ -23,6 +23,7 @@ from repro.replay import (
     replay_trace,
 )
 from repro.api.session import execute_point
+from repro.service.sqlite_store import SQLiteResultStore
 
 
 def smoke_scenario(**overrides):
@@ -292,6 +293,52 @@ class TestDamagedTraces:
         bad.write_bytes(damage(gzip.decompress(packed), packed))
         with pytest.raises(SignatureMismatch, match=message):
             list(iter_records(bad))
+
+
+@pytest.fixture(scope="module", params=["directory", "sqlite"])
+def store_traces(request, tmp_path_factory):
+    """A store of either backend holding the traces of one recorded point."""
+    root = tmp_path_factory.mktemp(request.param)
+    if request.param == "directory":
+        store = ResultStore(root / "store")
+    else:
+        store = SQLiteResultStore(root / "store.db")
+    Session(store=store, record=True).run(smoke_scenario())
+    traces = store.trace_paths()
+    assert len(traces) == 2  # attacked + baseline
+    return store, traces
+
+
+class TestDeflatedContainer:
+    def test_trace_is_under_half_its_decompressed_size(self, store_traces):
+        _, traces = store_traces
+        for trace in traces:
+            packed = trace.read_bytes()
+            assert len(packed) < len(gzip.decompress(packed)) / 2
+
+    def test_a_stored_level_0_trace_still_replays(self, store_traces, tmp_path):
+        _, traces = store_traces
+        for trace in traces:
+            stored = tmp_path / trace.name
+            stored.write_bytes(
+                gzip.compress(gzip.decompress(trace.read_bytes()), compresslevel=0)
+            )
+            assert stored.stat().st_size > trace.stat().st_size
+            # replay_trace checks every record and the footer's digest.
+            assert replay_trace(stored).records_checked > 0
+
+    def test_a_flipped_byte_is_refused_and_quarantined(self, store_traces):
+        store, traces = store_traces
+        for trace in traces:
+            damaged = bytearray(trace.read_bytes())
+            damaged[len(damaged) // 2] ^= 0xFF
+            path = store.trace_path("flipped")
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(SignatureMismatch):
+                list(iter_records(path))
+            assert not store.check_trace("flipped")
+            assert not path.exists()
+            assert path.with_name(path.name + ".corrupt").read_bytes() == damaged
 
 
 class TestFilterRecords:

@@ -179,6 +179,26 @@ class TestRunMetricsFlag:
         )
         assert samples["repro_adversary_windows_total"] > 0
 
+    @pytest.mark.parametrize(
+        "mode, observed", [("cold serial", 2), ("pooled", 0), ("warm store", 0)]
+    )
+    def test_exposition_says_how_many_runs_it_covers(self, tmp_path, capsys, mode, observed):
+        argv = ["campaign", "run", str(SMOKE_SCENARIO_FILE)]
+        if mode == "pooled":
+            argv += ["--workers", "2"]
+        elif mode == "warm store":
+            argv += ["--store", str(tmp_path / "store")]
+            assert main(argv) == 0
+            capsys.readouterr()
+        assert main(argv + ["--metrics"]) == 0
+        captured = capsys.readouterr()
+        coverage = "in-simulation counters cover %d of 2 runs" % observed
+        assert "# " + coverage in captured.out.splitlines()
+        if observed == 2:
+            assert "warning" not in captured.err
+        else:
+            assert "warning: " + coverage in captured.err
+
 
 class _StubSim:
     _now = 42.0
