@@ -16,29 +16,28 @@ conclusion: the best the attacker can do is behave like a large number of new
 loyal peers, and even that only raises the defenders' cost by a small
 constant factor that over-provisioning absorbs.
 
+The grid is the committed laptop-scale campaign file
+``examples/campaigns/laptop_table1.json`` (20 peers, 2 AUs, one simulated
+year); ``repro-experiments campaign run examples/campaigns/laptop_table1.json``
+runs the same points.
+
 Run:  python examples/effortful_adversary.py
 """
 
 from __future__ import annotations
 
-from repro import DefectionPoint, scaled_config, units
-from repro.api import campaign_rows
-from repro.experiments.effortful import TABLE1_COLUMNS, effortful_campaign
+from pathlib import Path
+
+from repro.api import Campaign, campaign_rows
+from repro.experiments.effortful import TABLE1_COLUMNS
 from repro.experiments.reporting import format_table
+
+CAMPAIGN = Path(__file__).resolve().parent / "campaigns" / "laptop_table1.json"
 
 
 def main() -> None:
-    protocol, sim = scaled_config(n_peers=16, n_aus=1, duration=units.years(1), seed=31)
     print("Running the brute-force adversary at three defection points ...")
-    campaign = effortful_campaign(
-        defections=(DefectionPoint.INTRO, DefectionPoint.REMAINING, DefectionPoint.NONE),
-        collection_sizes=(sim.n_aus,),
-        seeds=(31,),
-        protocol_config=protocol,
-        sim_config=sim,
-        attempts_per_victim_au_per_day=5.0,
-    )
-    rows = campaign_rows(campaign)
+    rows = campaign_rows(Campaign.load(CAMPAIGN))
     print()
     print(format_table(TABLE1_COLUMNS, [[row.get(c) for c in TABLE1_COLUMNS] for row in rows]))
     print()

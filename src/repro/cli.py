@@ -63,9 +63,11 @@ from .api.store import open_store
 from .experiments.reporting import format_table
 
 
-def _session(args: argparse.Namespace) -> Session:
-    """Build the execution session a subcommand runs its scenarios through."""
-    store = open_store(args.store) if getattr(args, "store", None) else None
+def _session(args: argparse.Namespace, store=None) -> Session:
+    """Build the execution session a subcommand runs its scenarios through:
+    over ``store`` when given, else over the ``--store`` it names."""
+    if store is None and getattr(args, "store", None):
+        store = open_store(args.store)
     record = bool(getattr(args, "record", False))
     if record and store is None:
         raise SystemExit("--record needs --store (traces are store artifacts)")
@@ -118,11 +120,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .experiments import bench as bench_module
 
     names = args.artifacts.split(",") if args.artifacts else None
-    unknown = [name for name in names or () if name not in bench_module.ARTIFACTS]
+    known = bench_module.artifact_names()
+    unknown = [name for name in names or () if name not in known]
     if unknown:
         print(
             "unknown bench artifact(s) %s (known artifacts: %s)"
-            % (", ".join(unknown), ", ".join(sorted(bench_module.ARTIFACTS)))
+            % (", ".join(unknown), ", ".join(known))
         )
         return 2
     comparison = bench_module.COMPARISONS.get(args.compare)
@@ -211,17 +214,20 @@ def _load_campaign(reference: str) -> Campaign:
         return Campaign(scenario.name, scenario)
     from .experiments import bench as bench_module
 
-    if reference in bench_module.ARTIFACTS:
-        return bench_module.artifact_campaign(reference)
-    raise SystemExit(
-        "no campaign file %r and no bench artifact of that name (known artifacts: %s)"
-        % (reference, ", ".join(sorted(bench_module.ARTIFACTS)))
-    )
+    try:
+        artifact = bench_module.load_artifact(reference)
+    except KeyError:
+        raise SystemExit(
+            "no campaign file %r and no bench artifact of that name "
+            "(known artifacts: %s)"
+            % (reference, ", ".join(bench_module.artifact_names()))
+        ) from None
+    return bench_module.campaign_of(artifact)
 
 
-def _campaign_runner(args: argparse.Namespace) -> CampaignRunner:
+def _campaign_runner(args: argparse.Namespace, store=None) -> CampaignRunner:
     return CampaignRunner(
-        _session(args),
+        _session(args, store),
         fork_prefixes=getattr(args, "fork_prefixes", False),
     )
 
@@ -335,7 +341,12 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             return client.request("GET", "/api/campaigns/%s" % digest)
 
     else:
-        runner = _campaign_runner(args)
+        store = None
+        if args.store:
+            store = _existing_store(args.store, "campaign status")
+            if store is None:
+                return 2
+        runner = _campaign_runner(args, store)
 
         def fetch() -> Dict[str, object]:
             return runner.status(campaign).to_dict()
@@ -403,10 +414,13 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
     campaign = _load_campaign(args.campaign)
-    runner = _campaign_runner(args)
-    if runner.store is None:
+    if not args.store:
         print("campaign report needs --store (it reads persisted results)")
         return 2
+    store = _existing_store(args.store, "campaign report")
+    if store is None:
+        return 2
+    runner = _campaign_runner(args, store)
     try:
         rows = runner.rows(campaign)
     except LookupError as error:

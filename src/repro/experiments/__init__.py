@@ -1,34 +1,33 @@
 """Experiment harness reproducing the paper's evaluation.
 
-Each module corresponds to one artifact of Section 7:
+A figure is a file.  Every artifact of Section 7 that ``bench`` checks is a
+campaign JSON file under ``repro/experiments/artifacts/`` — the parameter
+grid at bench scale, its title, and the paper's claims about its rows as
+data — run by name (``repro-experiments campaign run fig2_baseline``) and
+judged by :mod:`repro.experiments.bench`.  ``examples/campaigns/laptop_*.json``
+hold the same figures at laptop scale.  For another scale, copy a file and
+edit its ``scenario.sim``.
 
-* :mod:`repro.experiments.baseline` — Figure 2 (baseline access failure vs
-  inter-poll interval and storage failure rate, no attack).
-* :mod:`repro.experiments.pipe_stoppage` — Figures 3–5 (pipe stoppage:
-  access failure, delay ratio, coefficient of friction vs attack duration and
-  coverage).
-* :mod:`repro.experiments.admission_attack` — Figures 6–8 (admission-control
-  garbage-invitation flood: the same three metrics).
-* :mod:`repro.experiments.effortful` — Table 1 (brute-force effortful
-  adversary defecting at INTRO / REMAINING / NONE).
+The modules here turn a campaign's results into the figure's rows: each
+registers the named row exporters its artifacts reference.
+
+* :mod:`repro.experiments.baseline` — Figure 2 (``"figure2"``: baseline
+  access failure vs inter-poll interval and storage failure rate).
+* :mod:`repro.experiments.attacks` — Figures 3–8 (``"attack_sweep"``:
+  access failure, delay ratio and coefficient of friction vs attack
+  duration and coverage, for pipe stoppage and the admission flood).
+* :mod:`repro.experiments.effortful` — Table 1 (``"table1"``: brute-force
+  effortful adversary defecting at INTRO / REMAINING / NONE).
 * :mod:`repro.experiments.ablation` — ablations of individual defenses
-  (admission control, effort balancing, desynchronization) called out in
-  DESIGN.md.
+  (``"ablation_admission"``, ``"ablation_effort"``, ``"ablation_desync"``).
 * :mod:`repro.experiments.composed` — the composed-adversary families
-  (combined multi-vector attack, adaptive vector switching, and the
-  targeting x vector matrix; see docs/ADVERSARIES.md).
-
-Every figure has one entry point: its ``*_campaign`` factory returns the
-parameter grid as a declarative :class:`repro.api.Campaign`, and
-``repro.api.campaign_rows(campaign, session=...)`` runs it and exports its
-rows.  :mod:`repro.experiments.bench` calls the same factories at laptop
-scale for the digest-pinned artifacts, and holds the paper's claims about
-each figure's rows next to the artifact they describe.
+  (``"composed_attack"``; see docs/ADVERSARIES.md).
+* :mod:`repro.experiments.faults` — churn and partition families
+  (``"fault_sweep"``; see docs/FAULTS.md).
 
 :mod:`repro.experiments.world` builds a simulated world from configuration;
-:mod:`repro.experiments.attacks` expresses the duration x coverage attack
-sweeps as one campaign shape; :mod:`repro.experiments.reporting` renders rows
-as text tables.  Runs execute through :class:`repro.api.Session`.
+:mod:`repro.experiments.reporting` renders rows as text tables.  Runs
+execute through :class:`repro.api.Session`.
 """
 
 # Importing the artifact modules registers their named row exporters

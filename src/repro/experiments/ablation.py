@@ -4,8 +4,8 @@ The paper argues for a *combination* of defenses; these ablations quantify
 what each one buys by re-running an attack with a single defense weakened or
 disabled.  Every ablation is a declarative
 :class:`~repro.api.campaign.Campaign` — the weakened defense is just a
-protocol-config axis over the base scenario — executed through the shared
-:class:`~repro.api.Session`:
+protocol-config axis over the base scenario (the ``ablation_*`` artifacts,
+``laptop_ablation_*.json``); this module holds their row exporters:
 
 * **Admission control** — the garbage-invitation flood with the
   admission-control filter enabled vs. disabled
@@ -22,50 +22,20 @@ protocol-config axis over the base scenario — executed through the shared
   be produced almost simultaneously, which creates scheduling contention and
   refusals even without an attack.  (This one is a zip axis: the ``mode``
   label advances in lockstep with the two protocol fields it describes.)
+  A laptop-scale population cannot reproduce the paper's 600-AU load, so
+  the campaign emulates it by scaling the per-vote compute cost
+  (``sim.hash_rate``): each vote costs 2.5% of the inter-poll interval.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from .. import units
-from ..api import AdversarySpec, Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
-from ..config import ProtocolConfig, SimulationConfig
-from .configs import resolve_base_configs
 
 
 # -- admission control ------------------------------------------------------------------
-
-
-def admission_ablation_campaign(
-    attack_duration_days: float = 120.0,
-    coverage: float = 1.0,
-    invitations_per_victim_per_day: float = 96.0,
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    name: str = "ablation-admission",
-) -> Campaign:
-    """Garbage flood with the admission-control defense on vs. off."""
-    base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
-    base = Scenario.from_configs(
-        name,
-        base_protocol,
-        base_sim,
-        adversary=AdversarySpec(
-            "admission_flood",
-            {
-                "attack_duration_days": attack_duration_days,
-                "coverage": coverage,
-                "invitations_per_victim_per_day": invitations_per_victim_per_day,
-            },
-        ),
-        seeds=tuple(seeds),
-    )
-    campaign = Campaign(name=name, scenario=base, exporter="ablation_admission")
-    campaign.add_axis(**{"protocol.admission_control_enabled": [True, False]})
-    return campaign
 
 
 @row_exporter("ablation_admission")
@@ -88,36 +58,6 @@ def admission_ablation_export(results: ResultSet) -> List[Dict[str, object]]:
 # -- effort balancing -------------------------------------------------------------------
 
 
-def effort_ablation_campaign(
-    introductory_fractions: Sequence[float] = (0.20, 0.02),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    attempts_per_victim_au_per_day: float = 5.0,
-    name: str = "ablation-effort",
-) -> Campaign:
-    """Reservation attack under a sweep of introductory-effort tolls."""
-    base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
-    base = Scenario.from_configs(
-        name,
-        base_protocol,
-        base_sim,
-        adversary=AdversarySpec(
-            "brute_force",
-            {
-                "defection": "intro",
-                "attempts_per_victim_au_per_day": attempts_per_victim_au_per_day,
-            },
-        ),
-        seeds=tuple(seeds),
-    )
-    campaign = Campaign(name=name, scenario=base, exporter="ablation_effort")
-    campaign.add_axis(
-        **{"protocol.introductory_effort_fraction": list(introductory_fractions)}
-    )
-    return campaign
-
-
 @row_exporter("ablation_effort")
 def effort_ablation_export(results: ResultSet) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
@@ -138,47 +78,6 @@ def effort_ablation_export(results: ResultSet) -> List[Dict[str, object]]:
 
 
 # -- desynchronization ------------------------------------------------------------------
-
-
-def desync_ablation_campaign(
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    name: str = "ablation-desync",
-) -> Campaign:
-    """Spread-out vs. compressed solicitation as one zip-axis campaign.
-
-    A laptop-scale population cannot reproduce the paper's 600-AU load
-    directly, so the heavy-load regime is emulated by scaling the per-vote
-    compute cost: each vote costs 2.5% of the inter-poll interval (the
-    aggregate busyness a peer holding hundreds of AUs would experience).
-    Under that load, the desynchronized protocol (votes due only at
-    evaluation time, most of an interval away) lets voters queue the work,
-    while the compressed variant (all solicitation and voting squeezed into
-    a few days) runs into scheduling refusals and inquorate polls — the
-    effect Section 5.2 describes.
-    """
-    base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
-    # Emulate a heavily loaded peer: one vote costs a noticeable fraction of
-    # the poll interval.
-    vote_cost = base_protocol.poll_interval * 0.025
-    loaded_sim = base_sim.with_overrides(hash_rate=base_sim.au_size / vote_cost)
-    base = Scenario.from_configs(name, base_protocol, loaded_sim, seeds=tuple(seeds))
-    campaign = Campaign(name=name, scenario=base, exporter="ablation_desync")
-    campaign.add_axis(
-        **{
-            "params.mode": ["desynchronized", "synchronized"],
-            "protocol.solicitation_fraction": [
-                base_protocol.solicitation_fraction,
-                0.05,
-            ],
-            "protocol.outer_circle_fraction": [
-                base_protocol.outer_circle_fraction,
-                0.04,
-            ],
-        }
-    )
-    return campaign
 
 
 @row_exporter("ablation_desync")

@@ -7,10 +7,12 @@ the access failure probability grows with the inter-poll interval (damage
 takes longer to detect and repair) and with the storage failure rate, and the
 large collection tracks the small one closely.
 
-Each grid point is a no-adversary :class:`~repro.api.Scenario` executed
-through the shared :class:`~repro.api.Session`.  The default sweep is
-laptop-scale (small population and collection, shorter horizon); pass
-explicit configurations for larger studies.  Absolute values depend on the
+Each grid point is a no-adversary :class:`~repro.api.Scenario`; the
+campaign zips the ``protocol.poll_interval`` override (seconds) with the
+``params.poll_interval_months`` row label, and the
+``sim.storage_mtbf_disk_years`` field with the ``params.storage_mtbf_years``
+label (the ``fig2_baseline`` artifact, ``laptop_fig2_baseline.json``).  This
+module holds its ``"figure2"`` row exporter.  Absolute values depend on the
 ratio of poll interval to storage MTBF exactly as in the paper, so the
 expected magnitude (≈5e-4 at a 3-month interval and 5-year MTBF) is
 preserved even at reduced scale.
@@ -18,51 +20,10 @@ preserved even at reduced scale.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from .. import units
-from ..api import Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
-from ..config import ProtocolConfig, SimulationConfig
-from .configs import resolve_base_configs
-
-
-def baseline_campaign(
-    poll_intervals_months: Sequence[float] = (2.0, 3.0, 6.0, 12.0),
-    storage_mtbf_years: Sequence[float] = (1.0, 5.0),
-    collection_sizes: Sequence[int] = (2,),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    name: str = "figure2-baseline",
-) -> Campaign:
-    """The Figure 2 grid (collection x MTBF x poll interval) as a campaign.
-
-    The poll-interval axis is a zip axis: the ``protocol.poll_interval``
-    override (seconds) advances in lockstep with the human-readable
-    ``params.poll_interval_months`` row label.  Likewise the MTBF axis pins
-    the paper's ``storage_mtbf_years`` label to the
-    ``sim.storage_mtbf_disk_years`` config field.
-    """
-    base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
-    base = Scenario.from_configs(name, base_protocol, base_sim, seeds=tuple(seeds))
-    campaign = Campaign(name=name, scenario=base, exporter="figure2")
-    campaign.add_axis(**{"sim.n_aus": list(collection_sizes)})
-    campaign.add_axis(
-        **{
-            "sim.storage_mtbf_disk_years": list(storage_mtbf_years),
-            "params.storage_mtbf_years": list(storage_mtbf_years),
-        }
-    )
-    campaign.add_axis(
-        **{
-            "protocol.poll_interval": [
-                units.months(interval) for interval in poll_intervals_months
-            ],
-            "params.poll_interval_months": list(poll_intervals_months),
-        }
-    )
-    return campaign
 
 
 @row_exporter("figure2")

@@ -1,14 +1,20 @@
 """Figure-benchmark harness: timed artifacts, result digests, paper claims.
 
 This module is the measurement half of the simulation-kernel fast path: it
-runs every paper artifact (Figures 2-8, Table 1, the ablations) at laptop
-scale, plus a 100-peer "paper-scale smoke" scenario, and records for each one
+runs every paper artifact (Figures 2-8, Table 1, the ablations, the composed
+and faulted attack families and a 100-peer "paper-scale smoke" point) and
+records for each one
 
 * the wall-clock time,
 * the simulation throughput (events processed per second of wall-clock),
 * the process peak RSS,
 * a SHA-256 **result digest** over the artifact's full row payload, and
-* the verdict on the **paper's claims** about those rows (:data:`ARTIFACTS`).
+* the verdict on the **paper's claims** about those rows, with each claim's
+  margin.
+
+An artifact is a file: ``artifacts/<name>.json`` beside this module holds
+the campaign, its title, the key columns its claims select rows by, and the
+claims as data (:func:`load_artifact`, :func:`evaluate_claims`).
 
 The digests make performance work falsifiable: every optimization of the
 engine, network, or protocol hot paths must reproduce the committed digests
@@ -37,7 +43,6 @@ import tempfile
 import time
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -47,37 +52,11 @@ from typing import (
     Tuple,
 )
 
-from .. import units
 from ..api import Session
 from ..api.campaign import Campaign, CampaignRunner
 from ..api.resultset import digest_rows, export_rows
-from ..api.scenario import AdversarySpec, Scenario
 from ..api.store import ResultStore
-from ..config import ProtocolConfig, SimulationConfig
 from ..crypto.hashing import NONCE_STREAM_VERSION
-from .ablation import (
-    admission_ablation_campaign,
-    desync_ablation_campaign,
-    effort_ablation_campaign,
-)
-from .admission_attack import admission_flood_campaign
-from .baseline import baseline_campaign
-from .composed import (
-    adaptive_attack_campaign,
-    adversary_matrix_campaign,
-    combined_attack_campaign,
-    delayed_attack_campaign,
-)
-from .effortful import effortful_campaign
-from .faults import churn_baseline_campaign, partition_attack_campaign
-from .pipe_stoppage import pipe_stoppage_campaign
-
-#: Seeds used for every benchmark data point (the paper averages 3 runs per
-#: point; benchmarks use 1 to stay fast).
-BENCH_SEEDS: Tuple[int, ...] = (1,)
-
-#: Storage damage inflation used at bench scale.
-BENCH_DAMAGE_INFLATION = 60.0
 
 #: Default location of the committed digest baseline.
 DEFAULT_BASELINE_PATH = Path("benchmarks") / "bench_baseline.json"
@@ -86,408 +65,127 @@ DEFAULT_BASELINE_PATH = Path("benchmarks") / "bench_baseline.json"
 DEFAULT_REPORT_PATH = Path("BENCH_PR2.json")
 
 
-def bench_configs(
-    n_aus: int = 1,
-    duration: float = units.months(9),
-) -> Tuple[ProtocolConfig, SimulationConfig]:
-    """Laptop-scale configuration used by all figure/table benchmarks."""
-    protocol = ProtocolConfig(
-        quorum=3,
-        max_disagreeing_votes=1,
-        outer_circle_size=3,
-        reference_list_target_size=12,
-        nominations_per_vote=3,
-        friend_bias_count=1,
-    )
-    sim = SimulationConfig(
-        n_peers=10,
-        n_aus=n_aus,
-        au_size=8 * units.MB,
-        block_size=units.MB,
-        duration=duration,
-        sampling_interval=units.days(2),
-        initial_reference_list_size=8,
-        friends_list_size=2,
-        storage_damage_inflation=BENCH_DAMAGE_INFLATION,
-        seed=1,
-    )
-    return protocol, sim
-
-
-def paper_smoke_scenario(
-    protocol_config: ProtocolConfig,
-    sim_config: SimulationConfig,
-    seeds: Sequence[int] = BENCH_SEEDS,
-    n_peers: int = 100,
-) -> Scenario:
-    """A 100-peer pipe-stoppage smoke test at paper-scale population.
-
-    Short horizon, single AU: the point is to exercise the kernel at the
-    paper's population size (100 peers), not to regenerate a figure.
-    """
-    sim = sim_config.with_overrides(
-        n_peers=n_peers,
-        initial_reference_list_size=min(30, n_peers - 1),
-        friends_list_size=min(5, n_peers - 1),
-    )
-    scenario = Scenario.from_configs(
-        "paper-scale-smoke",
-        protocol_config,
-        sim,
-        adversary=AdversarySpec(
-            "pipe_stoppage",
-            {
-                "attack_duration_days": 20.0,
-                "coverage": 0.4,
-                "recuperation_days": 30.0,
-            },
-        ),
-        seeds=tuple(seeds),
-    )
-    return scenario
-
-
-# -- artifact registry -----------------------------------------------------------------
+# -- artifacts -------------------------------------------------------------------------
 #
-# An artifact is a row of data: the figure's campaign factory and parameter
-# grid, the two deltas it applies to :func:`bench_configs`, and the paper's
-# claims about its rows.  The campaign is named after the artifact, so
-# ``repro-experiments campaign run fig2_baseline`` and ``campaign report
-# --check-digest`` resolve it.
+# An artifact is a file, ``artifacts/<name>.json`` beside this module: the
+# keys of the campaign it runs (``Campaign.to_dict()``, named after the
+# artifact, so ``repro-experiments campaign run fig2_baseline`` and ``campaign
+# report --check-digest`` resolve it from any working directory) plus three
+# of its own: the report ``title``, the ``key`` parameter columns its claims
+# select rows by, and the paper's ``claims`` about the exported rows.
 #
-# A claim is ``statement: predicate``.  The statement says what the paper
-# reports and where; the predicate gets the exported rows indexed by the
-# artifact's ``key`` parameter columns (``by[1.0, 150.0]``: coverage 1.0,
-# 150-day attack), never by list position.  :func:`evaluate_claims` judges
-# them on exactly the rows that are digested.
+# A claim is data: ``{"statement", "row", "metric", "bounds"}``.  ``row`` is
+# one key value (a list for several key columns: ``[1.0, 150.0]`` is coverage
+# 1.0, 150-day attack), or ``"every"``, which needs one row for each point of
+# the campaign.  Each bound is ``[op, rhs]`` with ``op`` one of ``<``, ``<=``,
+# ``>``, ``>=`` and ``rhs`` a number, another row's value ``{"row": key,
+# "metric"?: m, "times"?: f}`` (the claim's metric, times 1, unless given), or
+# ``"near_baseline"``: Figure 6 and Table 1's "within a small factor of the
+# no-attack baseline" at bench scale (inflated damage rate, one seed).
+# :func:`evaluate_claims` judges them on exactly the rows that are digested.
 
 Row = Dict[str, object]
-ACCESS_FAILURE = "access_failure_probability"
-FRICTION = "coefficient_of_friction"
+
+#: Where the artifact files live.
+ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
+
+#: An artifact file's keys that are not its campaign's.
+ARTIFACT_FIELDS = ("title", "key", "claims")
+
+#: A claim bound's comparison operators.
+OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-class Artifact(NamedTuple):
-    """One measured artifact: what to run at bench scale and what must hold."""
-
-    title: str
-    factory: Callable[..., Campaign]
-    grid: Dict[str, object]  # the factory's keyword arguments
-    key: Tuple[str, ...] = ()  # the parameter columns claims select rows by
-    claims: Dict[str, Callable[[Dict[object, Row]], bool]] = {}
-    n_aus: int = 1  # bench_configs deltas
-    months: float = 9.0
+def artifact_names() -> List[str]:
+    """Every artifact's name, in report order."""
+    return sorted(path.stem for path in ARTIFACT_DIR.glob("*.json"))
 
 
-def _near_baseline(row: Row) -> bool:
-    """Figure 6 and Table 1's "within a small factor of the no-attack baseline"
-    at bench scale (inflated damage rate, one seed)."""
-    baseline = row["baseline_access_failure_probability"]
-    return row[ACCESS_FAILURE] <= max(4.0 * baseline, baseline + 0.05)
+def load_artifact(name: str) -> Dict[str, object]:
+    """The named artifact's file, parsed; :class:`KeyError` if there is none."""
+    if name not in artifact_names():
+        raise KeyError(name)
+    return json.loads((ARTIFACT_DIR / (name + ".json")).read_text(encoding="utf-8"))
 
 
-def _paper_smoke_campaign(name: str, **bench_scale: object) -> Campaign:
-    """:func:`paper_smoke_scenario` as the one-point campaign an artifact is."""
-    return Campaign(name, paper_smoke_scenario(**bench_scale), exporter="attack_sweep")
-
-
-#: Every measured artifact, in report order.
-ARTIFACTS: Dict[str, Artifact] = {
-    "fig2_baseline": Artifact(
-        "Figure 2 - baseline access failure",
-        baseline_campaign,
-        dict(
-            poll_intervals_months=(2.0, 3.0, 6.0, 12.0),
-            storage_mtbf_years=(5.0,),
-            collection_sizes=(1,),
-        ),
-        key=("poll_interval_months",),
-        claims={
-            "Fig. 2: access failure grows with the poll interval (12 >= 2 months)": (
-                lambda by: by[12.0][ACCESS_FAILURE] >= by[2.0][ACCESS_FAILURE]
-            ),
-            "Fig. 2: all four access failure probabilities lie in [0, 0.5)": (
-                lambda by: len(by) == 4
-                and all(0.0 <= row[ACCESS_FAILURE] < 0.5 for row in by.values())
-            ),
-        },
-    ),
-    "fig3_pipe_stoppage": Artifact(
-        "Figure 3 - pipe stoppage access failure",
-        pipe_stoppage_campaign,
-        dict(
-            durations_days=(10.0, 60.0, 150.0),
-            coverages=(0.4, 1.0),
-            recuperation_days=30.0,
-        ),
-        key=("coverage", "attack_duration_days"),
-        claims={
-            "Fig. 3: at 150 days, 100% coverage is as damaging as 40% (>= 0.8x)": (
-                lambda by: by[1.0, 150.0][ACCESS_FAILURE]
-                >= by[0.4, 150.0][ACCESS_FAILURE] * 0.8
-            ),
-            "Fig. 3: at 100% coverage, 150 days is as damaging as 10 days": (
-                lambda by: by[1.0, 150.0][ACCESS_FAILURE] >= by[1.0, 10.0][ACCESS_FAILURE]
-            ),
-        },
-    ),
-    "fig4_delay_ratio": Artifact(
-        "Figure 4 - pipe stoppage delay ratio",
-        pipe_stoppage_campaign,
-        dict(durations_days=(10.0, 120.0), coverages=(1.0,), recuperation_days=20.0),
-        key=("attack_duration_days",),
-        claims={
-            "Fig. 4: a 10-day attack barely moves the delay ratio (< 2)": (
-                lambda by: by[10.0]["delay_ratio"] < 2.0
-            ),
-            "Fig. 4: the delay ratio grows with attack duration (120 > 10 days)": (
-                lambda by: by[120.0]["delay_ratio"] > by[10.0]["delay_ratio"]
-            ),
-            "Fig. 4: a 120-day full-coverage attack delays polls (ratio > 1.2)": (
-                lambda by: by[120.0]["delay_ratio"] > 1.2
-            ),
-        },
-    ),
-    "fig5_friction": Artifact(
-        "Figure 5 - pipe stoppage friction",
-        pipe_stoppage_campaign,
-        dict(durations_days=(5.0, 120.0), coverages=(1.0,), recuperation_days=20.0),
-        key=("attack_duration_days",),
-        claims={
-            "Fig. 5: a 5-day attack leaves friction small (< 2)": (
-                lambda by: by[5.0][FRICTION] < 2.0
-            ),
-            "Fig. 5: friction does not fall with duration (120 >= 0.9x 5 days)": (
-                lambda by: by[120.0][FRICTION] >= by[5.0][FRICTION] * 0.9
-            ),
-            "Fig. 5: a 120-day full-coverage attack raises friction above 1": (
-                lambda by: by[120.0][FRICTION] > 1.0
-            ),
-        },
-    ),
-    "fig6_admission": Artifact(
-        "Figure 6 - admission flood access failure",
-        admission_flood_campaign,
-        dict(
-            durations_days=(30.0, 200.0),
-            coverages=(1.0,),
-            invitations_per_victim_per_day=6.0,
-        ),
-        key=("attack_duration_days",),
-        claims={
-            "Fig. 6: the flood leaves access failure near the no-attack baseline": (
-                lambda by: all(_near_baseline(row) for row in by.values())
-            ),
-        },
-    ),
-    "fig7_admission_delay": Artifact(
-        "Figure 7 - admission flood delay ratio",
-        admission_flood_campaign,
-        dict(
-            durations_days=(90.0, 200.0),
-            coverages=(1.0,),
-            invitations_per_victim_per_day=6.0,
-        ),
-        key=("attack_duration_days",),
-        claims={
-            "Fig. 7: the flood keeps the delay ratio near 1 (< 2) at every duration": (
-                lambda by: all(row["delay_ratio"] < 2.0 for row in by.values())
-            ),
-        },
-    ),
-    "fig8_admission_friction": Artifact(
-        "Figure 8 - admission flood friction",
-        admission_flood_campaign,
-        dict(
-            durations_days=(200.0,),
-            coverages=(0.4, 1.0),
-            invitations_per_victim_per_day=8.0,
-        ),
-        key=("coverage",),
-        claims={
-            # The small bench population exaggerates the paper's 1.33: a
-            # larger share of poller/voter pairs are unknown or in debt.
-            "Fig. 8: the flood raises friction modestly (paper ~1.33; here [0.8, 3))": (
-                lambda by: all(0.8 <= row[FRICTION] < 3.0 for row in by.values())
-            ),
-            "Fig. 8: friction grows with coverage (100% >= 0.9x 40%)": (
-                lambda by: by[1.0][FRICTION] >= by[0.4][FRICTION] * 0.9
-            ),
-        },
-    ),
-    "table1_effortful": Artifact(
-        "Table 1 - brute-force defection points",
-        effortful_campaign,
-        dict(
-            defections=("intro", "remaining", "none"),
-            collection_sizes=(1,),
-            attempts_per_victim_au_per_day=5.0,
-        ),
-        key=("defection",),
-        claims={
-            "Table 1: friction NONE > INTRO (paper 2.60 > 1.40)": (
-                lambda by: by["none"][FRICTION] > by["intro"][FRICTION]
-            ),
-            "Table 1: friction REMAINING > INTRO (paper 2.61 > 1.40)": (
-                lambda by: by["remaining"][FRICTION] > by["intro"][FRICTION]
-            ),
-            "Table 1: full participation is the cheapest strategy: cost ratio NONE "
-            "<= INTRO (paper 1.02 vs 1.93; REMAINING 1.55)": (
-                lambda by: by["none"]["cost_ratio"] <= by["intro"]["cost_ratio"]
-            ),
-            "Table 1: delay ratio near 1 at every defection (paper 1.10-1.11; < 2)": (
-                lambda by: all(row["delay_ratio"] < 2.0 for row in by.values())
-            ),
-            "Table 1: access failure near the no-attack baseline at every "
-            "defection (paper 4.99e-4 to 6.35e-4)": (
-                lambda by: all(_near_baseline(row) for row in by.values())
-            ),
-        },
-    ),
-    "ablation_admission": Artifact(
-        "Ablation - admission control on/off",
-        admission_ablation_campaign,
-        dict(
-            attack_duration_days=120.0,
-            coverage=1.0,
-            invitations_per_victim_per_day=96.0,
-        ),
-        key=("admission_control",),
-        claims={
-            "Section 5.1: without admission control defenders work at least as hard": (
-                lambda by: by[False]["loyal_effort"] >= by[True]["loyal_effort"]
-            ),
-            "Section 5.1: admission control never helps the flood "
-            "(friction on <= 1.5x off)": (
-                lambda by: by[True][FRICTION] <= by[False][FRICTION] * 1.5
-            ),
-        },
-    ),
-    "ablation_effort": Artifact(
-        "Ablation - introductory-effort toll",
-        effort_ablation_campaign,
-        dict(introductory_fractions=(0.20, 0.02), attempts_per_victim_au_per_day=5.0),
-        key=("introductory_effort_fraction",),
-        claims={
-            "Section 5.1: a 2% introductory toll more than halves the reservation "
-            "attacker's effort against the paper's 20%": (
-                lambda by: by[0.02]["adversary_effort"]
-                < 0.5 * by[0.20]["adversary_effort"]
-            ),
-            "Section 5.1: a 2% toll lowers the attacker's cost ratio against 20%": (
-                lambda by: by[0.02]["cost_ratio"] < by[0.20]["cost_ratio"]
-            ),
-        },
-    ),
-    "ablation_desync": Artifact(
-        "Ablation - desynchronized solicitation",
-        desync_ablation_campaign,
-        {},
-        key=("mode",),
-        claims={
-            "Section 5.2: desynchronized solicitation is refused no more often": (
-                lambda by: by["desynchronized"]["refusal_rate"]
-                <= by["synchronized"]["refusal_rate"]
-            ),
-            "Section 5.2: desynchronized polls succeed as often (>= 0.95x compressed)": (
-                lambda by: by["desynchronized"]["success_rate"]
-                >= by["synchronized"]["success_rate"] * 0.95
-            ),
-        },
-        n_aus=2,
-    ),
-    "paper_smoke_100": Artifact(
-        "Paper-scale smoke - 100 peers, pipe stoppage",
-        _paper_smoke_campaign,
-        {},
-        months=6.0,
-    ),
-    "combined_attack": Artifact(
-        "Combined attack - admission flood + effortful brute force",
-        combined_attack_campaign,
-        dict(
-            coverages=(0.4, 1.0),
-            attack_duration_days=30.0,
-            recuperation_days=30.0,
-            invitations_per_victim_per_day=6.0,
-        ),
-    ),
-    "adaptive_attack": Artifact(
-        "Adaptive attack - brute force escalating to pipe stoppage",
-        adaptive_attack_campaign,
-        dict(thresholds=(0.05, 0.95)),
-    ),
-    "adversary_matrix": Artifact(
-        "Adversary matrix - 2x2 targeting x vector smoke grid",
-        adversary_matrix_campaign,
-        {},
-    ),
-    "delayed_attack_sweep": Artifact(
-        "Delayed attack - coverage sweep behind a 365-day quiescent prefix",
-        delayed_attack_campaign,
-        dict(
-            coverages=(0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0),
-            onset_day=365.0,
-        ),
-        # 18-month horizon with the strike at day 365: the adversary lurks for
-        # two thirds of the archive's history, so the shared quiescent prefix
-        # dominates and ``--fork-prefixes`` has real work to skip.
-        months=18.0,
-    ),
-    "churn_baseline": Artifact(
-        "Churn baseline - Poisson membership turnover, no adversary",
-        churn_baseline_campaign,
-        dict(churn_rates_per_year=(4.0, 12.0), mean_downtime_days=14.0),
-    ),
-    "partition_attack": Artifact(
-        "Partition attack - admission flood riding a partition window",
-        partition_attack_campaign,
-        dict(
-            partition_durations_days=(5.0, 20.0),
-            partition_start_day=60.0,
-            partition_fraction=0.4,
-            attack_duration_days=120.0,
-        ),
-    ),
-}
-
-
-def artifact_campaign(name: str) -> Campaign:
-    """The named artifact's campaign: the one call of a factory at bench scale."""
-    artifact = ARTIFACTS[name]
-    protocol, sim = bench_configs(
-        n_aus=artifact.n_aus, duration=units.months(artifact.months)
+def campaign_of(artifact: Dict[str, object]) -> Campaign:
+    """The campaign an artifact file holds."""
+    return Campaign.from_dict(
+        {key: value for key, value in artifact.items() if key not in ARTIFACT_FIELDS}
     )
-    return artifact.factory(
-        **artifact.grid,
-        seeds=BENCH_SEEDS,
-        protocol_config=protocol,
-        sim_config=sim,
-        name=name,
-    )
+
+
+def _row_key(selector: object) -> object:
+    """A claim's row selector as the key :func:`evaluate_claims` indexes by."""
+    return tuple(selector) if isinstance(selector, list) else selector
+
+
+def _bound(rhs: object, row: Row, by: Dict[object, Row], metric: str) -> float:
+    """A bound's right-hand side for ``row`` (see the claim format above)."""
+    if rhs == "near_baseline":
+        baseline = row["baseline_access_failure_probability"]
+        return max(4.0 * baseline, baseline + 0.05)
+    if isinstance(rhs, dict):
+        other = by[_row_key(rhs["row"])]
+        return other[rhs.get("metric", metric)] * rhs.get("times", 1.0)
+    return rhs
+
+
+def _judge_claim(
+    claim: Dict[str, object], by: Dict[object, Row], points: int
+) -> Tuple[bool, Optional[float]]:
+    """Whether ``claim`` holds on the rows ``by`` key, and its margin."""
+    if claim["row"] == "every":
+        if len(by) != points:
+            return False, None
+        rows = list(by.values())
+    else:
+        rows = [by[_row_key(claim["row"])]]
+    held, slacks = True, []
+    for row in rows:
+        value = row[claim["metric"]]
+        for op, rhs in claim["bounds"]:
+            bound = _bound(rhs, row, by, claim["metric"])
+            held = held and OPERATORS[op](value, bound)
+            slacks.append(value - bound if op.startswith(">") else bound - value)
+    return held, min(slacks)
 
 
 def evaluate_claims(name: str, rows: Sequence[Row]) -> Dict[str, object]:
-    """The verdict on ``name``'s claims over ``rows``: how many, which broke.
+    """The verdict on ``name``'s claims over ``rows``: how many, which broke,
+    and each claim's margin.
 
-    A claim whose rows are missing or whose values cannot be compared is
-    broken, not skipped; a name outside :data:`ARTIFACTS` has no claims.
+    A margin is the claim's signed slack in its metric's units, the least
+    over its rows and bounds: positive when the claim holds with room to
+    spare, zero when a ``<=`` / ``>=`` bound is met exactly.  A claim whose
+    rows are missing or whose values cannot be compared is broken, not
+    skipped, and has no margin; rows without the key columns (another
+    campaign's) satisfy no claim.  A name with no artifact file has no claims.
     """
-    if name not in ARTIFACTS or not ARTIFACTS[name].claims:
-        return {"total": 0, "broken": []}
-    artifact = ARTIFACTS[name]
-    # itemgetter yields the bare value for one key column, a tuple for several;
-    # rows without the key columns (another campaign's) satisfy no claim.
-    columns = operator.itemgetter(*artifact.key)
-    by = {columns(row): row for row in rows if set(artifact.key) <= set(row)}
+    try:
+        artifact = load_artifact(name)
+    except KeyError:
+        artifact = {"claims": []}
+    claims = artifact["claims"]
+    if not claims:
+        return {"total": 0, "broken": [], "margins": {}}
+    key = artifact["key"]
+    # itemgetter yields the bare value for one key column, a tuple for several.
+    columns = operator.itemgetter(*key)
+    by = {columns(row): row for row in rows if set(key) <= set(row)}
+    points = len(campaign_of(artifact))
     broken: List[str] = []
-    for statement, holds in artifact.claims.items():
+    margins: Dict[str, float] = {}
+    for claim in claims:
         try:
-            held = holds(by)
+            held, margin = _judge_claim(claim, by, points)
         except (LookupError, TypeError):
-            held = False
+            held, margin = False, None
         if not held:
-            broken.append(statement)
-    return {"total": len(artifact.claims), "broken": broken}
+            broken.append(claim["statement"])
+        if margin is not None:
+            margins[claim["statement"]] = margin
+    return {"total": len(claims), "broken": broken, "margins": margins}
 
 
 #: Artifacts run under ``--quick`` (CI-sized subset; same digests as full).
@@ -529,7 +227,7 @@ class Comparison(NamedTuple):
 
     what: str  # the feature, as named in the verdict lines
     report: str  # where ``--out`` points by default
-    artifacts: Tuple[str, ...]  # measured when none are named ...
+    artifacts: Optional[Tuple[str, ...]]  # measured when none are named (None: all) ...
     quick_artifacts: Tuple[str, ...]  # ... and under ``--quick``
     counters: Tuple[str, ...]  # what the on side counts besides time
 
@@ -540,14 +238,14 @@ COMPARISONS: Dict[str, Comparison] = {
     "record": Comparison(
         "recording",
         "BENCH_PR6.json",
-        tuple(ARTIFACTS),
+        None,
         QUICK_ARTIFACTS,
         ("traces", "trace_bytes"),
     ),
     "telemetry": Comparison(
         "telemetry",
         "BENCH_PR10.json",
-        tuple(ARTIFACTS),
+        None,
         QUICK_ARTIFACTS,
         ("bus_events", "bus_dropped"),
     ),
@@ -583,7 +281,8 @@ def _run_artifact(name: str, variant: Optional[str] = None) -> Dict[str, object]
             subscription = bus.subscribe()
         session = Session(store=store, record=variant == "record", telemetry=bus)
         started = time.perf_counter()
-        campaign = artifact_campaign(name)
+        artifact = load_artifact(name)
+        campaign = campaign_of(artifact)
         runner = CampaignRunner(session, fork_prefixes=variant == "fork")
         rows = export_rows(campaign.exporter, runner.run(campaign))
         wall = time.perf_counter() - started
@@ -592,7 +291,7 @@ def _run_artifact(name: str, variant: Optional[str] = None) -> Dict[str, object]
             for run in session._run_cache.values()
         )
         record: Dict[str, object] = {
-            "title": ARTIFACTS[name].title,
+            "title": artifact["title"],
             "wall_s": round(wall, 4),
             "events": int(events),
             "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
@@ -616,15 +315,19 @@ def _run_artifact(name: str, variant: Optional[str] = None) -> Dict[str, object]
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 
-def _select(names: Optional[Sequence[str]], default: Sequence[str]) -> Sequence[str]:
-    """The artifacts to run: ``names`` when given (validated), else ``default``."""
+def _select(
+    names: Optional[Sequence[str]], default: Optional[Sequence[str]]
+) -> Sequence[str]:
+    """The artifacts to run: ``names`` when given (validated), else ``default``
+    (every artifact when that is None)."""
+    known = artifact_names()
     if names is None:
-        return default
-    unknown = [name for name in names if name not in ARTIFACTS]
+        return known if default is None else default
+    unknown = [name for name in names if name not in known]
     if unknown:
         raise ValueError(
             "unknown bench artifacts: %s (known: %s)"
-            % (", ".join(unknown), ", ".join(ARTIFACTS))
+            % (", ".join(unknown), ", ".join(known))
         )
     return names
 
@@ -764,7 +467,7 @@ def run_bench(
     quick: bool = False,
 ) -> Dict[str, object]:
     """Run the requested artifacts and return the measurement report."""
-    names = _select(names, QUICK_ARTIFACTS if quick else tuple(ARTIFACTS))
+    names = _select(names, QUICK_ARTIFACTS if quick else None)
     artifacts = {name: _run_artifact(name) for name in names}
     total_wall = sum(record["wall_s"] for record in artifacts.values())
     total_events = sum(record["events"] for record in artifacts.values())
@@ -875,15 +578,20 @@ def write_report(report: Dict[str, object], path: Path = DEFAULT_REPORT_PATH) ->
 
 
 def format_report(report: Dict[str, object]) -> str:
-    """Render a :func:`run_bench` report as an aligned text table."""
-    header = "%-24s %10s %12s %7s" % ("artifact", "wall_s", "events/s", "claims")
+    """Render a :func:`run_bench` report as an aligned text table; ``margin``
+    is the artifact's smallest claim margin."""
+    header = "%-24s %10s %12s %7s %10s" % (
+        "artifact", "wall_s", "events/s", "claims", "margin"
+    )
     lines = [header, "-" * len(header)]
     for name, record in report.get("artifacts", {}).items():
         claimed, broken = record["claims"]["total"], record["claims"]["broken"]
         claims = "%d/%d" % (claimed - len(broken), claimed) if claimed else "-"
+        margins = record["claims"]["margins"].values()
+        margin = "%.3g" % min(margins) if margins else "-"
         lines.append(
-            "%-24s %10.3f %12.0f %7s"
-            % (name, record["wall_s"], record["events_per_s"], claims)
+            "%-24s %10.3f %12.0f %7s %10s"
+            % (name, record["wall_s"], record["events_per_s"], claims, margin)
         )
     total = report.get("total", {})
     lines.append("-" * len(header))

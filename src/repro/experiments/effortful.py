@@ -9,8 +9,9 @@ of friction, the cost ratio, the delay ratio, and the access failure
 probability for each strategy.
 
 Each (defection, collection size) cell is a :class:`~repro.api.Scenario`
-with adversary kind ``"brute_force"`` executed through the shared
-:class:`~repro.api.Session`.
+with adversary kind ``"brute_force"``, its ``defection`` one of ``"intro"``,
+``"remaining"``, ``"none"`` (the ``table1_effortful`` artifact,
+``laptop_table1.json``); this module holds the ``"table1"`` row exporter.
 
 Shape to reproduce: full participation (NONE) is the adversary's most
 cost-effective strategy (lowest cost ratio, close to 1); the coefficient of
@@ -22,50 +23,9 @@ limits prevent the adversary from bringing its unlimited resources to bear.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from ..adversary.brute_force import DefectionPoint
-from ..api import AdversarySpec, Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
-from ..config import ProtocolConfig, SimulationConfig
-from .configs import resolve_base_configs
-
-
-def effortful_campaign(
-    defections: Sequence[DefectionPoint] = (
-        DefectionPoint.INTRO,
-        DefectionPoint.REMAINING,
-        DefectionPoint.NONE,
-    ),
-    collection_sizes: Sequence[int] = (2,),
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    attempts_per_victim_au_per_day: float = 5.0,
-    name: str = "table1-effortful",
-) -> Campaign:
-    """Table 1 (defection outer, collection size inner) as a campaign."""
-    base_protocol, base_sim = resolve_base_configs(protocol_config, sim_config)
-    defection_values = [
-        d.value if isinstance(d, DefectionPoint) else str(d) for d in defections
-    ]
-    base = Scenario.from_configs(
-        name,
-        base_protocol,
-        base_sim,
-        adversary=AdversarySpec(
-            "brute_force",
-            {
-                "defection": defection_values[0] if defection_values else "none",
-                "attempts_per_victim_au_per_day": attempts_per_victim_au_per_day,
-            },
-        ),
-        seeds=tuple(seeds),
-    )
-    campaign = Campaign(name=name, scenario=base, exporter="table1")
-    campaign.add_axis(**{"adversary.defection": defection_values})
-    campaign.add_axis(**{"sim.n_aus": list(collection_sizes)})
-    return campaign
 
 
 @row_exporter("table1")

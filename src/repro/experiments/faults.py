@@ -3,30 +3,27 @@
 Two campaign families exercise the :mod:`repro.faults` subsystem at bench
 scale:
 
-* :func:`churn_baseline_campaign` — no adversary, Poisson churn swept over
-  the per-peer leave rate.  Measures how much graceful degradation plain
-  membership turnover costs the defended population: departing peers lose
-  their replicas and reference lists, so every rejoin forces re-audit and
-  repair traffic.
-* :func:`partition_attack_campaign` — an admission flood riding a network
-  partition window, swept over the partition duration.  The partition
-  suppresses cross-group polling while the flood keeps victims in their
-  refractory periods, so the combination probes whether recovery after the
-  partition heals stays graceful.
+* ``churn_baseline`` — no adversary, Poisson churn swept over the per-peer
+  leave rate.  Measures how much graceful degradation plain membership
+  turnover costs the defended population: departing peers lose their
+  replicas and reference lists, so every rejoin forces re-audit and repair
+  traffic.
+* ``partition_attack`` — an admission flood riding a network partition
+  window, swept over the partition duration.  The partition suppresses
+  cross-group polling while the flood keeps victims in their refractory
+  periods, so the combination probes whether recovery after the partition
+  heals stays graceful.
 
-Both export through the ``"fault_sweep"`` row exporter, which extends the
-standard attack columns with the graceful-degradation metrics
+Both export through the ``"fault_sweep"`` row exporter below, which extends
+the standard attack columns with the graceful-degradation metrics
 (:class:`~repro.api.observations.FaultObservation`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from ..api import AdversarySpec, Campaign, Scenario
 from ..api.resultset import ResultSet, row_exporter
-from ..config import ProtocolConfig, SimulationConfig
-from .configs import resolve_base_configs
 
 
 @row_exporter("fault_sweep")
@@ -58,96 +55,3 @@ def fault_sweep_export(results: ResultSet) -> List[Dict[str, object]]:
         )
         rows.append(row)
     return rows
-
-
-def churn_baseline_campaign(
-    churn_rates_per_year: Sequence[float] = (4.0, 12.0),
-    mean_downtime_days: float = 14.0,
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    name: str = "churn_baseline",
-) -> Campaign:
-    """Adversary-free churn sweep: leave rate (per peer per year) is the axis.
-
-    Churn always implies full state loss (replicas and reference lists), so
-    the interesting output is the repair traffic and time-to-recovery the
-    defended population pays to re-absorb each rejoining peer.
-    """
-    protocol, sim = resolve_base_configs(protocol_config, sim_config)
-    scenario = Scenario.from_configs(
-        name,
-        protocol,
-        sim,
-        faults={
-            "churn": {
-                "rate_per_peer_per_year": float(churn_rates_per_year[0]),
-                "mean_downtime_days": float(mean_downtime_days),
-            }
-        },
-        seeds=tuple(seeds),
-    )
-    return Campaign.from_grid(
-        name,
-        scenario,
-        {"faults.churn.rate_per_peer_per_year": [float(r) for r in churn_rates_per_year]},
-        exporter="fault_sweep",
-        description="Poisson churn with admission-controlled rejoin, no adversary",
-    )
-
-
-def partition_attack_campaign(
-    partition_durations_days: Sequence[float] = (5.0, 20.0),
-    partition_start_day: float = 60.0,
-    partition_fraction: float = 0.4,
-    attack_duration_days: float = 200.0,
-    coverage: float = 1.0,
-    invitations_per_victim_per_day: float = 6.0,
-    seeds: Sequence[int] = (1,),
-    protocol_config: Optional[ProtocolConfig] = None,
-    sim_config: Optional[SimulationConfig] = None,
-    name: str = "partition_attack",
-) -> Campaign:
-    """Admission flood + partition window, swept over the window duration.
-
-    The partition cleaves off ``partition_fraction`` of the population while
-    the flood runs; the axis measures how the damage and the post-heal
-    recovery scale with how long the groups stay unreachable.
-    """
-    protocol, sim = resolve_base_configs(protocol_config, sim_config)
-    scenario = Scenario.from_configs(
-        name,
-        protocol,
-        sim,
-        adversary=AdversarySpec(
-            "admission_flood",
-            {
-                "attack_duration_days": float(attack_duration_days),
-                "coverage": float(coverage),
-                "invitations_per_victim_per_day": float(
-                    invitations_per_victim_per_day
-                ),
-            },
-        ),
-        faults={
-            "partitions": [
-                {
-                    "start_day": float(partition_start_day),
-                    "duration_days": float(partition_durations_days[0]),
-                    "fraction": float(partition_fraction),
-                }
-            ]
-        },
-        seeds=tuple(seeds),
-    )
-    return Campaign.from_grid(
-        name,
-        scenario,
-        {
-            "faults.partitions.0.duration_days": [
-                float(d) for d in partition_durations_days
-            ]
-        },
-        exporter="fault_sweep",
-        description="Admission flood riding a group-to-group partition window",
-    )

@@ -193,7 +193,7 @@ class TestCombinedAttack:
         This is the point of a *combined* protocol-level attack — and the
         regression guard against compositions whose vectors cancel each
         other out (a blackout, for instance, would drop the flood's own
-        invitations; see combined_attack_campaign's docstring).
+        invitations; see the repro.experiments.composed docstring).
         """
         combined_world, _ = run_with(
             self.combined_factory([self.FLOOD, self.BRUTE]), seed=3

@@ -434,7 +434,8 @@ def expected_run_keys(scenario):
 
 def record_replay_shaped_campaigns():
     """The faulted / brute-force / flood campaign shapes of the perf workloads."""
-    protocol, sim = bench.bench_configs(duration=units.months(1))
+    protocol, sim = smoke_config()
+    sim = sim.with_overrides(duration=units.months(1))
     flood = AdversarySpec(
         "admission_flood",
         {
@@ -473,9 +474,9 @@ class TestRunKeys:
     they must say what ``point_digest`` / ``digest`` say, for every campaign
     shape the repo runs, and must never be cached on the mutable scenario."""
 
-    @pytest.mark.parametrize("name", sorted(bench.ARTIFACTS))
+    @pytest.mark.parametrize("name", bench.artifact_names())
     def test_every_artifact_point(self, name):
-        self.check_campaign(bench.artifact_campaign(name))
+        self.check_campaign(bench.campaign_of(bench.load_artifact(name)))
 
     def test_record_replay_shaped_campaigns(self):
         for campaign in record_replay_shaped_campaigns():
@@ -846,7 +847,8 @@ class TestIdentityCost:
 
     @pytest.fixture(scope="class")
     def campaign(self):
-        protocol, sim = bench.bench_configs(duration=units.months(3))
+        protocol, sim = smoke_config()
+        sim = sim.with_overrides(duration=units.months(3))
         base = Scenario.from_configs(
             "campaign_store",
             protocol,

@@ -3,7 +3,8 @@
 ``bench._run_artifact`` digests an artifact's rows and judges the paper's
 claims on those same rows; this module holds all 18 artifacts to the
 committed baseline and shows that a broken claim, and a drifted digest with
-intact claims, are each reported for what they are.
+intact claims, are each reported for what they are.  Each artifact is a
+campaign file with its claims as data (``repro/experiments/artifacts``).
 """
 
 import copy
@@ -21,27 +22,40 @@ from repro.experiments import bench
 BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_baseline.json"
 
 
-@pytest.mark.parametrize("name", list(bench.ARTIFACTS))
+def claims(name):
+    return bench.load_artifact(name)["claims"]
+
+
+def statements(name):
+    return [claim["statement"] for claim in claims(name)]
+
+
+#: The artifacts that carry claims.
+CLAIMED = [name for name in bench.artifact_names() if claims(name)]
+
+
+@pytest.mark.parametrize("name", bench.artifact_names())
 def test_pinned_digest_and_paper_claims(name):
     record = bench._run_artifact(name)
     assert record["digest"] == bench.load_baseline(BASELINE)[name]
-    assert record["claims"] == {
-        "total": len(bench.ARTIFACTS[name].claims),
-        "broken": [],
-    }
+    assert record["claims"]["total"] == len(claims(name))
+    assert record["claims"]["broken"] == []
+    # Every claim that holds has a margin, and it is positive.
+    assert set(record["claims"]["margins"]) == set(statements(name))
+    assert min(record["claims"]["margins"].values(), default=1.0) > 0
 
 
 def test_every_paper_figure_carries_claims():
-    claimed = [name for name, artifact in bench.ARTIFACTS.items() if artifact.claims]
-    assert len(claimed) >= 11
-    assert sum(len(bench.ARTIFACTS[name].claims) for name in claimed) >= 22
-    for name in claimed:
-        assert bench.ARTIFACTS[name].key, name
+    assert len(CLAIMED) >= 11
+    assert sum(len(claims(name)) for name in CLAIMED) >= 22
+    for name in CLAIMED:
+        assert bench.load_artifact(name)["key"], name
 
 
 @functools.lru_cache(maxsize=None)
 def _rows_once(name):
-    return campaign_rows(bench.artifact_campaign(name), session=Session())
+    campaign = bench.campaign_of(bench.load_artifact(name))
+    return campaign_rows(campaign, session=Session())
 
 
 def real_rows(name):
@@ -119,24 +133,43 @@ class TestBrokenClaims:
         ],
     )
     def test_a_perturbed_row_breaks_exactly_its_claims(self, name, mutate, fragments):
-        statements = list(bench.ARTIFACTS[name].claims)
         assert bench.evaluate_claims(name, real_rows(name))["broken"] == []
-        expected = [s for s in statements if any(f in s for f in fragments)]
+        expected = [s for s in statements(name) if any(f in s for f in fragments)]
         assert len(expected) == len(fragments)
         verdict = bench.evaluate_claims(name, mutate(real_rows(name)))
-        assert verdict == {"total": len(statements), "broken": expected}
+        assert verdict["total"] == len(statements(name))
+        assert verdict["broken"] == expected
+        # The margin tells the same: a claim is broken exactly when its
+        # margin is <= 0 or it has none (a row or a value is missing).
+        for statement in statements(name):
+            margin = verdict["margins"].get(statement)
+            broken = statement in verdict["broken"]
+            assert broken == (margin is None or margin <= 0), statement
 
     def test_names_outside_the_registry_have_no_claims(self):
         assert bench.evaluate_claims("hand-written", [{"x": 1}]) == {
             "total": 0,
             "broken": [],
+            "margins": {},
         }
 
-    def test_another_campaigns_rows_satisfy_no_claim(self):
-        # `campaign report --artifact fig4_delay_ratio` on rows that lack the
-        # artifact's key columns: every claim is broken, nothing raises.
-        verdict = bench.evaluate_claims("fig4_delay_ratio", [{"x": 1}])
-        assert verdict["broken"] == list(bench.ARTIFACTS["fig4_delay_ratio"].claims)
+    @pytest.mark.parametrize("name", CLAIMED)
+    def test_another_campaigns_rows_satisfy_no_claim(self, name):
+        # `campaign report --artifact <name>` on rows that lack the artifact's
+        # key columns: every claim is broken, none has a margin, nothing raises.
+        verdict = bench.evaluate_claims(name, [{"x": 1}])
+        assert verdict["broken"] == statements(name)
+        assert verdict["margins"] == {}
+
+    def test_a_margin_is_the_slack_in_the_metrics_units(self):
+        rows = real_rows("fig4_delay_ratio")
+        ratio = {row["attack_duration_days"]: row["delay_ratio"] for row in rows}
+        assert bench.evaluate_claims("fig4_delay_ratio", rows)["margins"] == dict(
+            zip(
+                statements("fig4_delay_ratio"),
+                [2.0 - ratio[10.0], ratio[120.0] - ratio[10.0], ratio[120.0] - 1.2],
+            )
+        )
 
 
 class TestJudge:
@@ -180,13 +213,21 @@ class TestBrokenClaimCli:
     STATEMENT = "Fig. 4: a claim this change broke"
 
     @pytest.fixture
-    def broken(self, monkeypatch):
-        artifact = bench.ARTIFACTS["fig4_delay_ratio"]
-        claims = dict(artifact.claims)
-        claims[self.STATEMENT] = lambda by: by[120.0]["delay_ratio"] < by[10.0]["delay_ratio"]
-        monkeypatch.setitem(
-            bench.ARTIFACTS, "fig4_delay_ratio", artifact._replace(claims=claims)
-        )
+    def broken(self, monkeypatch, tmp_path):
+        # A copy of the artifact files, fig4's with one more claim, as data.
+        for name in bench.artifact_names():
+            artifact = bench.load_artifact(name)
+            if name == "fig4_delay_ratio":
+                artifact["claims"].append(
+                    {
+                        "statement": self.STATEMENT,
+                        "row": 120.0,
+                        "metric": "delay_ratio",
+                        "bounds": [["<", {"row": 10.0}]],
+                    }
+                )
+            (tmp_path / (name + ".json")).write_text(json.dumps(artifact), "utf-8")
+        monkeypatch.setattr(bench, "ARTIFACT_DIR", tmp_path)
 
     def bench_argv(self, *extra):
         return ["bench", "--artifacts", "fig4_delay_ratio", "--out", "", *extra]

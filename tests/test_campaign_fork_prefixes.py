@@ -21,17 +21,19 @@ from repro.api.campaign import attack_onset, plan_fork_groups, prefix_key
 from repro.api.scenario import canonical_json
 from repro.api.session import build_point_world
 from repro.cli import main
-from repro.experiments.bench import bench_configs
-from repro.experiments.composed import (
-    adaptive_attack_campaign,
-    combined_attack_campaign,
-    delayed_attack_campaign,
-)
+from repro.experiments import bench
 from repro.replay.checkpoint import Checkpoint, CheckpointError
 from repro.service.broker import Broker, Lease
 from repro.service.http_api import ExperimentService, make_server
 from repro.service.sqlite_store import SQLiteResultStore
 from repro.service.worker import HttpBrokerClient, LocalBrokerClient, Worker
+
+
+def three_month_artifact(name):
+    """A bench artifact's campaign, its file edited to three simulated months."""
+    payload = bench.load_artifact(name)
+    payload["scenario"]["sim"]["duration"] = units.months(3)
+    return bench.campaign_of(payload)
 
 
 def delayed_scenario(
@@ -121,14 +123,8 @@ class TestForkParity:
     def test_onset_zero_families_fall_back_to_full_runs(self, tmp_path):
         # combined and adaptive attacks strike at t=0: nothing to fork,
         # fork_prefixes must degrade to plain full runs with equal digests.
-        protocol, sim = bench_configs(duration=units.months(3))
-        for maker, axis in (
-            (combined_attack_campaign, {"coverages": (0.4, 1.0)}),
-            (adaptive_attack_campaign, {"thresholds": (0.05, 0.95)}),
-        ):
-            campaign = maker(
-                seeds=(1,), protocol_config=protocol, sim_config=sim, **axis
-            )
+        for name in ("combined_attack", "adaptive_attack"):
+            campaign = three_month_artifact(name)
             assert plan_fork_groups(campaign.expand()) == []
             session = assert_fork_parity(
                 campaign, tmp_path / ("store-" + campaign.name)
@@ -145,18 +141,15 @@ class TestForkParity:
         assert result_blobs(serial) == result_blobs(pooled)
 
     def test_delayed_attack_campaign_shape(self):
-        # The bench family itself plans one group per seed covering every
+        # The bench artifact itself plans one group per seed covering every
         # coverage, forking at the configured onset.
-        protocol, sim = bench_configs(duration=units.months(9))
-        campaign = delayed_attack_campaign(
-            seeds=(1,), protocol_config=protocol, sim_config=sim
-        )
+        campaign = bench.campaign_of(bench.load_artifact("delayed_attack_sweep"))
         points = campaign.expand()
-        assert attack_onset(points[0].scenario) == 165.0 * units.DAY
+        assert attack_onset(points[0].scenario) == 365.0 * units.DAY
         groups = plan_fork_groups(points)
         assert len(groups) == 1
         attacked = [spec for _, spec in groups[0].members if spec is not None]
-        assert len(attacked) == 5
+        assert len(attacked) == 8
 
 
 class TestForkGrouping:
@@ -254,10 +247,7 @@ class TestForkGrouping:
         campaign.add_axis(**{"sim.n_aus": [1, 2]})
         assert plan_fork_groups(campaign.expand()) == []
         # Onset at t=0 (plain on_off schedule) -> provably nothing to skip.
-        protocol, sim = bench_configs(duration=units.months(3))
-        zero = combined_attack_campaign(
-            coverages=(0.4, 1.0), seeds=(1,), protocol_config=protocol, sim_config=sim
-        )
+        zero = three_month_artifact("combined_attack")
         assert attack_onset(zero.expand()[0].scenario) == 0.0
         assert plan_fork_groups(zero.expand()) == []
 
@@ -379,10 +369,7 @@ class TestBrokerPrefixAffinity:
         assert prefixes[0] == prefixes[1] != prefixes[2] == prefixes[3]
 
         # Unforkable campaigns carry NULL prefixes.
-        protocol, sim = bench_configs(duration=units.months(3))
-        zero = combined_attack_campaign(
-            coverages=(0.4, 1.0), seeds=(1,), protocol_config=protocol, sim_config=sim
-        )
+        zero = three_month_artifact("combined_attack")
         zero_digest = broker.submit(zero)["digest"]
         zero_rows = store.execute(
             "SELECT prefix FROM broker_points WHERE campaign=?", (zero_digest,)

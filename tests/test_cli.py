@@ -3,12 +3,10 @@
 import pytest
 
 from repro import units
-from repro.adversary.brute_force import DefectionPoint
 from repro.api import DEFAULT_REGISTRY, Campaign
 from repro.api.session import default_session
 from repro.cli import build_parser, main
-from repro.config import scaled_config
-from repro.experiments import attacks, baseline, effortful
+from repro.experiments import bench
 
 
 @pytest.fixture(autouse=True)
@@ -18,12 +16,15 @@ def _clear_cache():
     default_session().clear_cache()
 
 
-def fast_configs():
-    return scaled_config(n_peers=8, n_aus=1, duration=units.years(0.6), seed=5)
-
-
-def run_campaign(tmp_path, campaign):
-    """Save ``campaign`` as JSON and run the file through ``campaign run``."""
+def run_small(tmp_path, name, axes):
+    """Run bench artifact ``name`` through ``campaign run`` as a file, edited
+    to seed 5 and 0.6 simulated years, ``axes`` (index -> axis) replaced."""
+    payload = bench.load_artifact(name)
+    payload["scenario"]["sim"]["duration"] = units.years(0.6)
+    payload["scenario"]["seeds"] = [5]
+    for index, axis in axes.items():
+        payload["axes"][index] = axis
+    campaign = bench.campaign_of(payload)
     return main(["campaign", "run", str(campaign.save(tmp_path / "campaign.json"))])
 
 
@@ -48,16 +49,15 @@ class TestParser:
 
 
 class TestExecution:
-    """Each figure runs through ``campaign run``: a factory's campaign at a
-    small scale, saved as JSON, or a committed ``laptop_*.json`` file."""
+    """Each figure runs through ``campaign run``: a bench artifact's file
+    edited to a small scale and saved, or a committed ``laptop_*.json`` file."""
 
     def test_baseline_command_prints_the_figure2_table(self, tmp_path, capsys):
-        protocol, sim = fast_configs()
-        campaign = baseline.baseline_campaign(
-            poll_intervals_months=[3.0], storage_mtbf_years=[5.0],
-            collection_sizes=(1,), seeds=(5,), protocol_config=protocol, sim_config=sim,
-        )
-        exit_code = run_campaign(tmp_path, campaign)
+        poll_interval = {
+            "protocol.poll_interval": [units.months(3)],
+            "params.poll_interval_months": [3.0],
+        }
+        exit_code = run_small(tmp_path, "fig2_baseline", {2: poll_interval})
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "1 points complete" in output
@@ -65,24 +65,19 @@ class TestExecution:
         assert "3.000" in output
 
     def test_pipe_stoppage_command_prints_the_metrics(self, tmp_path, capsys):
-        protocol, sim = fast_configs()
-        campaign = attacks.attack_sweep_campaign(
-            "pipe_stoppage", durations_days=[60.0], coverages=[1.0],
-            seeds=(5,), protocol_config=protocol, sim_config=sim,
-        )
-        exit_code = run_campaign(tmp_path, campaign)
+        axes = {
+            0: {"adversary.coverage": [1.0]},
+            1: {"adversary.attack_duration_days": [60.0]},
+        }
+        exit_code = run_small(tmp_path, "fig3_pipe_stoppage", axes)
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "delay_ratio" in output
         assert "coefficient_of_friction" in output
 
     def test_table1_command_single_defection(self, tmp_path, capsys):
-        protocol, sim = fast_configs()
-        campaign = effortful.effortful_campaign(
-            defections=[DefectionPoint.INTRO], collection_sizes=(1,),
-            seeds=(5,), protocol_config=protocol, sim_config=sim,
-        )
-        exit_code = run_campaign(tmp_path, campaign)
+        axes = {0: {"adversary.defection": ["intro"]}}
+        exit_code = run_small(tmp_path, "table1_effortful", axes)
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "intro" in output

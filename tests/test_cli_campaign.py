@@ -125,6 +125,99 @@ def test_laptop_campaign_files_are_pinned(filename):
     assert campaign.description.endswith("campaign run examples/campaigns/" + filename)
 
 
+#: The bench artifact files: (points, exporter, campaign digest), as the
+#: Python factories they replaced built them.  A drift means ``bench`` no
+#: longer runs the points ``benchmarks/bench_baseline.json`` was written for.
+ARTIFACT_CAMPAIGNS = {
+    "ablation_admission": (
+        2, "ablation_admission",
+        "0a9bee26c80df95f8940f251d8257539276d3296c6912f9ecfa8e9406b3274a0",
+    ),
+    "ablation_desync": (
+        2, "ablation_desync",
+        "7badd0ac98d27a900c904e5ddda027296562d07b5b95f8481e784deaee202206",
+    ),
+    "ablation_effort": (
+        2, "ablation_effort",
+        "0a217d612699bfd8e987c1e4ba753ba1ac4be5a7a70621990c5bae8845bada0d",
+    ),
+    "adaptive_attack": (
+        2, "composed_attack",
+        "7d5c7cd7aa395a53e7ab21a7a4ce82d3d53f16604137db194d752225f003503d",
+    ),
+    "adversary_matrix": (
+        4, "composed_attack",
+        "a9f47390d8858fbf23fa1d53937e533bdc929b9fda70c50c9b945fdb93e8c239",
+    ),
+    "churn_baseline": (
+        2, "fault_sweep",
+        "230906a1c9f16dc9d3adf718a511d1ed446223ee4705869b8c2914536abba4d2",
+    ),
+    "combined_attack": (
+        2, "composed_attack",
+        "1040e195ce7c0ce9beabc7a7335f655391cf5e36100a0fc02945fc29f5c70145",
+    ),
+    "delayed_attack_sweep": (
+        8, "composed_attack",
+        "b67b22d63c6541944b52246b98a5da6f5b0c34929af91efbfb7b33ad352bfe0c",
+    ),
+    "fig2_baseline": (
+        4, "figure2",
+        "61ba25e43c8257163f48b8b5c2ef5f341d33ca536ea2fe8600b1148bcc5d4dba",
+    ),
+    "fig3_pipe_stoppage": (
+        6, "attack_sweep",
+        "8e3ec7f4e6f1498bc7ee76c08cb42c395e98a04f971d02df9d6f208ce0925f5e",
+    ),
+    "fig4_delay_ratio": (
+        2, "attack_sweep",
+        "022e4cc34d5b4e73603f456fa4d2aa9752b383df51ab0e2d68c8a5215df2ba90",
+    ),
+    "fig5_friction": (
+        2, "attack_sweep",
+        "93a295371b4191e4c553d19dea184bc9128a1a2ba8068cb8ca9749ec0b9bdb89",
+    ),
+    "fig6_admission": (
+        2, "attack_sweep",
+        "3073b59ffe40e59aaddd2064e33debcb2da40798aec2e89e394d1225182a36f9",
+    ),
+    "fig7_admission_delay": (
+        2, "attack_sweep",
+        "57676fd7660ae7b548524fcf92e89f218cbc64546496c2856a9d70ff4d8773a8",
+    ),
+    "fig8_admission_friction": (
+        2, "attack_sweep",
+        "a973f74860c96eacf8e5bd1845728dc9a1c2c88a76b99e169146e71c483aa6dd",
+    ),
+    "paper_smoke_100": (
+        1, "attack_sweep",
+        "0b4647782fe249e42d69273d8438472420966e9d261d90136de102ee8c16ad20",
+    ),
+    "partition_attack": (
+        2, "fault_sweep",
+        "ac97267bd84f26b72b3fd6ca500797b18b755aef9e54836741d5234cab35657a",
+    ),
+    "table1_effortful": (
+        3, "table1",
+        "1f1971b4c878b6ff77c2627f724f7c226d7772316320c9e52015070299c289c7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_CAMPAIGNS))
+def test_artifact_files_are_pinned(name):
+    campaign = bench.campaign_of(bench.load_artifact(name))
+    assert (len(campaign), campaign.exporter, campaign.digest) == (
+        ARTIFACT_CAMPAIGNS[name]
+    )
+    assert campaign.name == name
+
+
+def test_the_artifact_files_are_the_baselined_artifacts():
+    digests = json.loads(BASELINE.read_text(encoding="utf-8"))["digests"]
+    assert bench.artifact_names() == sorted(digests) == sorted(ARTIFACT_CAMPAIGNS)
+
+
 class TestScenarioFile:
     """A scenario JSON file runs through ``campaign run`` as a one-point campaign."""
 
@@ -224,10 +317,29 @@ class TestCampaignExecution:
             main(["campaign", "status", "no_such_artifact"])
 
     def test_named_artifact_resolves_from_the_bench_registry(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["campaign", "status", "fig2_baseline", "--store", store]) == 0
+        store = tmp_path / "store"
+        store.mkdir()
+        assert main(["campaign", "status", "fig2_baseline", "--store", str(store)]) == 0
         output = capsys.readouterr().out
         assert "0/4 points complete" in output
+
+    def test_named_artifact_runs_from_any_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "run", "fig4_delay_ratio", "--store", "store"]) == 0
+        assert "2 points complete" in capsys.readouterr().out
+        argv = ["campaign", "report", "fig4_delay_ratio", "--store", "store"]
+        assert main(argv + ["--check-digest", str(BASELINE)]) == 0
+        assert "3/3 paper claims hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["status", "report"])
+    def test_a_missing_store_is_refused_not_created(self, verb, tmp_path, capsys):
+        store = tmp_path / "nope"
+        assert main(["campaign", verb, "fig2_baseline", "--store", str(store)]) == 2
+        output = capsys.readouterr().out
+        assert output == "campaign %s: no store at %s\n" % (verb, store)
+        assert not store.exists()
 
     def test_report_check_digest_against_baseline(self, tmp_path, capsys):
         store = str(tmp_path / "store")
@@ -490,7 +602,7 @@ def fake_artifact_runner(monkeypatch, on_wall=0.2, on_digest=None):
             "events_per_s": 10000.0,
             "rows": 4,
             "digest": digest,
-            "claims": {"total": 0, "broken": []},
+            "claims": {"total": 0, "broken": [], "margins": {}},
             "peak_rss_kb": 1,
         }
         if variant is not None:

@@ -7,11 +7,10 @@ import pytest
 
 import repro
 from repro import units
-from repro.adversary.brute_force import DefectionPoint
 from repro.api import AdversarySpec, Scenario, Session, campaign_rows
 from repro.api.session import default_session
 from repro.config import smoke_config
-from repro.experiments import ablation, admission_attack, baseline, effortful, pipe_stoppage
+from repro.experiments import baseline, bench, effortful
 from repro.experiments.attacks import FIGURE_COLUMNS
 from repro.experiments.reporting import format_table, format_value
 
@@ -94,16 +93,30 @@ class TestPackageSurface:
         assert experiments.ExperimentResult is api.session.ExperimentResult
 
 
+def artifact(name, axes=None):
+    """A bench artifact's campaign, shortened to seven months, with ``axes``
+    (axis index -> replacement axis) edited into the loaded file."""
+    payload = bench.load_artifact(name)
+    payload["scenario"]["sim"]["duration"] = units.months(7)
+    for index, axis in (axes or {}).items():
+        payload["axes"][index] = axis
+    return bench.campaign_of(payload)
+
+
 class TestSweeps:
-    def test_baseline_sweep_rows_have_expected_columns(self, smoke):
-        protocol, sim = smoke
-        campaign = baseline.baseline_campaign(
-            poll_intervals_months=(2.0, 4.0),
-            storage_mtbf_years=(1.0,),
-            collection_sizes=(1,),
-            seeds=(1,),
-            protocol_config=protocol,
-            sim_config=sim,
+    def test_baseline_sweep_rows_have_expected_columns(self):
+        campaign = artifact(
+            "fig2_baseline",
+            {
+                1: {
+                    "sim.storage_mtbf_disk_years": [1.0],
+                    "params.storage_mtbf_years": [1.0],
+                },
+                2: {
+                    "protocol.poll_interval": [units.months(2), units.months(4)],
+                    "params.poll_interval_months": [2.0, 4.0],
+                },
+            },
         )
         rows = campaign_rows(campaign)
         assert len(rows) == 2
@@ -115,32 +128,30 @@ class TestSweeps:
         assert rows[0]["poll_interval_months"] == 2.0
         assert rows[1]["poll_interval_months"] == 4.0
 
-    def test_baseline_reference_point(self, smoke):
-        protocol, sim = smoke
+    def test_baseline_reference_point(self):
         # The paper's reference operating point: 3-month polls, 5-year MTBF.
-        campaign = baseline.baseline_campaign(
-            poll_intervals_months=(3.0,),
-            storage_mtbf_years=(5.0,),
-            collection_sizes=(sim.n_aus,),
-            seeds=(1,),
-            protocol_config=protocol,
-            sim_config=sim,
+        campaign = artifact(
+            "fig2_baseline",
+            {
+                2: {
+                    "protocol.poll_interval": [units.months(3)],
+                    "params.poll_interval_months": [3.0],
+                }
+            },
         )
         (row,) = campaign_rows(campaign)
         assert row["poll_interval_months"] == 3.0
         assert row["storage_mtbf_years"] == 5.0
 
-    def test_pipe_stoppage_sweep_structure(self, smoke):
-        protocol, sim = smoke
-        campaign = pipe_stoppage.pipe_stoppage_campaign(
-            durations_days=(60.0,),
-            coverages=(1.0,),
-            seeds=(1,),
-            protocol_config=protocol,
-            sim_config=sim,
-            recuperation_days=15.0,
-        )
-        rows = campaign_rows(campaign)
+    def test_pipe_stoppage_sweep_structure(self):
+        payload = bench.load_artifact("fig3_pipe_stoppage")
+        payload["scenario"]["adversary"]["params"]["recuperation_days"] = 15.0
+        payload["scenario"]["sim"]["duration"] = units.months(7)
+        payload["axes"] = [
+            {"adversary.coverage": [1.0]},
+            {"adversary.attack_duration_days": [60.0]},
+        ]
+        rows = campaign_rows(bench.campaign_of(payload))
         assert len(rows) == 1
         row = rows[0]
         assert row["coverage"] == 1.0
@@ -148,30 +159,17 @@ class TestSweeps:
         assert row["coefficient_of_friction"] > 0
         assert "normalized_access_failure_probability" in row
 
-    def test_admission_sweep_structure(self, smoke):
-        protocol, sim = smoke
-        campaign = admission_attack.admission_flood_campaign(
-            durations_days=(60.0,),
-            coverages=(1.0,),
-            seeds=(1,),
-            protocol_config=protocol,
-            sim_config=sim,
-            invitations_per_victim_per_day=6.0,
-        )
+    def test_admission_sweep_structure(self):
+        durations = {"adversary.attack_duration_days": [60.0]}
+        campaign = artifact("fig6_admission", {1: durations})
         rows = campaign_rows(campaign)
         assert len(rows) == 1
         assert rows[0]["attack_duration_days"] == 60.0
         assert rows[0]["delay_ratio"] > 0
 
-    def test_effortful_table_structure(self, smoke):
-        protocol, sim = smoke
-        campaign = effortful.effortful_campaign(
-            defections=(DefectionPoint.INTRO, DefectionPoint.NONE),
-            collection_sizes=(1,),
-            seeds=(1,),
-            protocol_config=protocol,
-            sim_config=sim,
-        )
+    def test_effortful_table_structure(self):
+        defections = {"adversary.defection": ["intro", "none"]}
+        campaign = artifact("table1_effortful", {0: defections})
         rows = campaign_rows(campaign)
         assert [row["defection"] for row in rows] == ["intro", "none"]
         for row in rows:
@@ -181,42 +179,27 @@ class TestSweeps:
 
 
 class TestAblation:
-    def test_admission_control_ablation_shows_the_defense_helps(self, smoke):
-        protocol, sim = smoke
-        campaign = ablation.admission_ablation_campaign(
-            attack_duration_days=60.0,
-            coverage=1.0,
-            invitations_per_victim_per_day=48.0,
-            seeds=(1,),
-            protocol_config=protocol,
-            sim_config=sim,
+    def test_admission_control_ablation_shows_the_defense_helps(self):
+        payload = bench.load_artifact("ablation_admission")
+        payload["scenario"]["sim"]["duration"] = units.months(7)
+        payload["scenario"]["adversary"]["params"].update(
+            attack_duration_days=60.0, invitations_per_victim_per_day=48.0
         )
-        rows = campaign_rows(campaign)
+        rows = campaign_rows(bench.campaign_of(payload))
         assert [row["admission_control"] for row in rows] == [True, False]
         enabled, disabled = rows
         # With the filter disabled, every garbage invitation is considered,
         # so the defenders do at least as much work per successful poll.
         assert disabled["loyal_effort"] >= enabled["loyal_effort"]
 
-    def test_effort_balancing_ablation_cheapens_the_attack(self, smoke):
-        protocol, sim = smoke
-        campaign = ablation.effort_ablation_campaign(
-            introductory_fractions=(0.20, 0.02),
-            seeds=(1,),
-            protocol_config=protocol,
-            sim_config=sim,
-        )
-        rows = campaign_rows(campaign)
+    def test_effort_balancing_ablation_cheapens_the_attack(self):
+        rows = campaign_rows(artifact("ablation_effort"))
         assert len(rows) == 2
         full_toll, tiny_toll = rows
         assert tiny_toll["adversary_effort"] < full_toll["adversary_effort"]
 
-    def test_desynchronization_ablation_reports_both_modes(self, smoke):
-        protocol, sim = smoke
-        campaign = ablation.desync_ablation_campaign(
-            seeds=(1,), protocol_config=protocol, sim_config=sim
-        )
-        rows = campaign_rows(campaign)
+    def test_desynchronization_ablation_reports_both_modes(self):
+        rows = campaign_rows(artifact("ablation_desync"))
         assert [row["mode"] for row in rows] == ["desynchronized", "synchronized"]
         for row in rows:
             assert 0.0 <= row["success_rate"] <= 1.0
