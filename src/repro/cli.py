@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -677,12 +678,27 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Exit status of a verb whose service cannot be reached (README, "Exit
+#: statuses"): 1 is a failed run or check, 2 bad usage or input.
+UNREACHABLE = 3
+
+
+def _unreachable(verb: str, url: str, error: Exception) -> int:
+    print("%s: cannot reach %s: %s" % (verb, url, error), file=sys.stderr)
+    return UNREACHABLE
+
+
 def _cmd_campaign_submit(args: argparse.Namespace) -> int:
+    import http.client
+
     from .service.worker import HttpBrokerClient
 
     campaign = _load_campaign(args.campaign)
     client = HttpBrokerClient(args.connect)
-    status = client.submit(campaign.to_dict())
+    try:
+        status = client.submit(campaign.to_dict())
+    except (OSError, http.client.HTTPException) as error:
+        return _unreachable("campaign submit", args.connect, error)
     counts = status.get("counts", {})
     print(
         "submitted %s to %s: campaign digest %s, %d point(s) "
@@ -702,6 +718,8 @@ def _cmd_campaign_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from .service.http_api import make_server
     from .service.sqlite_store import SQLiteResultStore
 
@@ -728,16 +746,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("dashboard: http://%s:%d/dashboard" % (host, port))
     print("submit:  repro-experiments campaign submit <campaign> --connect http://%s:%d" % (host, port))
     print("workers: repro-experiments worker --connect http://%s:%d" % (host, port))
+    # SIGTERM (kill, systemd, docker) stops the service the way Ctrl-C does.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
+        # The last connection's close merges the WAL into the database file
+        # and removes it: what is left is one self-contained file.
+        store.close()
     return 0
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _cmd_worker(args: argparse.Namespace) -> int:
+    import http.client
+
     from .service.worker import HttpBrokerClient, LocalBrokerClient, Worker
 
     if bool(args.connect) == bool(args.store):
@@ -782,7 +812,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         on_event=print,
         fork_prefixes=bool(args.fork_prefixes),
     )
-    stats = worker.run()
+    try:
+        stats = worker.run()
+    except (OSError, http.client.HTTPException) as error:
+        if not args.connect:
+            raise
+        return _unreachable("worker", args.connect, error)
     print(
         "worker %s done: %d completed, %d failed, %d stolen"
         % (stats["worker"], stats["completed"], stats["failed"], stats["stolen"])
@@ -1258,7 +1293,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``... | head -1``).  As the Python docs
+        # advise: point stdout at devnull so the exit flush cannot raise
+        # again, and exit with a fixed status instead of a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

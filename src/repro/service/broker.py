@@ -27,6 +27,12 @@ uses, generalized to a live fleet:
 That last property is the digest discipline that makes work stealing safe:
 a campaign drained by N workers (any of them killed mid-run) finishes with
 bit-identical row digests to a single-process ``CampaignRunner`` run.
+
+A point row holds no scenario: the campaign spec in ``broker_campaigns``
+is the one copy, expanded once per broker process and kept in memory
+while the campaign has work left (see :meth:`Broker._point`).  When a
+close leaves no point pending or leased, the broker merges the WAL into
+the database file, so an idle database is one self-contained file.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api.campaign import (
     Campaign,
+    CampaignPoint,
     fork_onset,
     manifest_payload,
     point_entry,
@@ -51,6 +58,15 @@ from .sqlite_store import SQLiteResultStore
 
 #: Point states in the broker tables.
 POINT_STATES = ("pending", "leased", "complete", "failed")
+
+
+class StaleCampaignError(RuntimeError):
+    """A stored campaign spec no longer expands to the points queued for it.
+
+    Raised instead of leasing a scenario the queue did not submit: the
+    spec was edited in the database, or the code that expands it changed
+    since the submit.  Resubmit the campaign to queue it afresh.
+    """
 
 
 @dataclass
@@ -152,6 +168,8 @@ class Broker:
         self.store = store
         self.lease_seconds = float(lease_seconds)
         self.clock = clock
+        #: campaign digest -> its expanded points, while it has work left
+        self._expansions: Dict[str, List[CampaignPoint]] = {}
         store.execute(
             "CREATE TABLE IF NOT EXISTS broker_campaigns ("
             " digest TEXT PRIMARY KEY, name TEXT NOT NULL, spec TEXT NOT NULL,"
@@ -160,7 +178,7 @@ class Broker:
         store.execute(
             "CREATE TABLE IF NOT EXISTS broker_points ("
             " campaign TEXT NOT NULL, idx INTEGER NOT NULL,"
-            " digest TEXT NOT NULL, label TEXT NOT NULL, scenario TEXT NOT NULL,"
+            " digest TEXT NOT NULL, label TEXT NOT NULL,"
             " state TEXT NOT NULL, worker TEXT, lease_expires REAL,"
             " attempts INTEGER NOT NULL DEFAULT 0, error TEXT,"
             " prefix TEXT,"
@@ -191,6 +209,13 @@ class Broker:
                 store.execute("ALTER TABLE %s ADD COLUMN %s" % (table, column))
             except sqlite3.OperationalError:
                 pass
+        # Databases created before the spec became the one copy of each
+        # point's scenario carry it per row; drop it in place ("no such
+        # column" on a current schema is the expected no-op).
+        try:
+            store.execute("ALTER TABLE broker_points DROP COLUMN scenario")
+        except sqlite3.OperationalError:
+            pass
 
     # -- submission ----------------------------------------------------------------------
 
@@ -228,16 +253,9 @@ class Broker:
                 prefix = prefix_key(point.scenario) if forkable else None
                 conn.execute(
                     "INSERT OR IGNORE INTO broker_points"
-                    " (campaign, idx, digest, label, scenario, state, prefix)"
-                    " VALUES (?, ?, ?, ?, ?, 'pending', ?)",
-                    (
-                        digest,
-                        point.index,
-                        point.digest,
-                        point.label,
-                        point.scenario.to_json(indent=None),
-                        prefix,
-                    ),
+                    " (campaign, idx, digest, label, state, prefix)"
+                    " VALUES (?, ?, ?, ?, 'pending', ?)",
+                    (digest, point.index, point.digest, point.label, prefix),
                 )
                 # Resubmission from a pre-affinity database: the row exists
                 # without a prefix, so the INSERT above was ignored.
@@ -253,6 +271,8 @@ class Broker:
                         " WHERE campaign=? AND idx=? AND state != 'complete'",
                         (digest, point.index),
                     )
+        if self.outstanding(digest):
+            self._expansions[digest] = points
         return self._sync_manifest(digest)
 
     def campaign(self, digest: str) -> Optional[Campaign]:
@@ -315,7 +335,7 @@ class Broker:
             last_prefix = last_row[0] if last_row else None
 
             base = (
-                "SELECT campaign, idx, digest, label, scenario, prefix"
+                "SELECT campaign, idx, digest, label, prefix"
                 " FROM broker_points"
                 " WHERE (state='pending' OR (state='leased' AND lease_expires < ?))"
             )
@@ -350,7 +370,14 @@ class Broker:
                     break
             if row is None:
                 return None
-            campaign_digest, index, digest, label, scenario_json, prefix = row
+            campaign_digest, index, digest, label, prefix = row
+            point = self._point(campaign_digest, index)
+            if point is None or point.digest != digest:
+                raise StaleCampaignError(
+                    "campaign %s point #%d: its spec expands to scenario %s,"
+                    " the queue holds %s; resubmit the campaign"
+                    % (campaign_digest, index, point and point.digest, digest)
+                )
             deadline = now + self.lease_seconds
             conn.execute(
                 "UPDATE broker_points SET state='leased', worker=?,"
@@ -367,7 +394,7 @@ class Broker:
             index=index,
             digest=digest,
             label=label,
-            scenario=Scenario.from_json(scenario_json),
+            scenario=point.scenario,
             worker=worker,
             deadline=deadline,
             lease_seconds=self.lease_seconds,
@@ -509,16 +536,13 @@ class Broker:
     def complete(self, worker: str, campaign: str, index: int) -> bool:
         """Mark a leased point complete (current lease holder only).
 
-        Every run the point's stored scenario names must be in the store by
-        now; a completion without them is converted into a failure so the
-        point is re-leased instead of silently lost.
+        Every run the point's scenario names must be in the store by now; a
+        completion without them is converted into a failure so the point is
+        re-leased instead of silently lost.
         """
-        row = self.store.execute(
-            "SELECT scenario FROM broker_points WHERE campaign=? AND idx=?",
-            (campaign, index),
-        ).fetchone()
-        if row is not None:
-            missing = self._missing_run(Scenario.from_json(row[0]).run_keys())
+        point = self._point(campaign, index)
+        if point is not None:
+            missing = self._missing_run(point.run_keys)
             if missing is not None:
                 error = "completed without a result: run %s is missing" % missing[:12]
                 self.fail(worker, campaign, index, error)
@@ -557,6 +581,7 @@ class Broker:
                     if not self.store.has("runs", digest):
                         self.store.save_json("runs", digest, [run])
                 accepted.append(self.complete(point.worker, point.campaign, point.index))
+        self._settle(point.campaign for point in finished)
         return accepted
 
     def fail(self, worker: str, campaign: str, index: int, error: str) -> bool:
@@ -578,6 +603,7 @@ class Broker:
                 )
         if lost:
             self._sync_manifest(campaign)
+        self._settle((campaign,))
         return lost
 
     def requeue_failed(self, campaign: str) -> int:
@@ -715,6 +741,41 @@ class Broker:
         return output
 
     # -- internals -----------------------------------------------------------------------
+
+    def _point(self, campaign: str, index: int) -> Optional[CampaignPoint]:
+        """Point ``index`` of ``campaign``'s expansion (None if unknown).
+
+        A campaign this broker did not submit (another process did, or
+        this one restarted) is expanded from its stored spec on first use.
+        The expansion must hash to the campaign's digest: one that does
+        not is refused with both digests named, never leased.
+        """
+        points = self._expansions.get(campaign)
+        if points is None:
+            row = self.store.execute(
+                "SELECT spec FROM broker_campaigns WHERE digest=?", (campaign,)
+            ).fetchone()
+            if row is None:
+                return None
+            points = Campaign.from_json(row[0]).expand()
+            rebuilt = Campaign.digest_of(points)
+            if rebuilt != campaign:
+                raise StaleCampaignError(
+                    "campaign %s: its stored spec expands to campaign %s;"
+                    " resubmit the campaign" % (campaign, rebuilt)
+                )
+            self._expansions[campaign] = points
+        return points[index] if 0 <= index < len(points) else None
+
+    def _settle(self, campaigns) -> None:
+        """After closes: forget drained campaigns' expansions, and merge the
+        WAL into the database file once no point anywhere is left to run."""
+        for campaign in set(campaigns):
+            if campaign in self._expansions and not self.outstanding(campaign):
+                # pop, not del: serve closes points on concurrent threads
+                self._expansions.pop(campaign, None)
+        if not self.outstanding():
+            self.store.checkpoint()
 
     def _missing_run(self, run_keys: Sequence[RunKey]) -> Optional[str]:
         """The first run digest of ``run_keys`` the store lacks, or None."""

@@ -21,7 +21,10 @@ between the broker, several worker processes, and machines mounting the
 same filesystem — exactly the concurrency profile of the campaign
 execution service (see docs/SERVICE.md).  All access from one process goes
 through a single connection guarded by an RLock, so the threaded HTTP
-server can use one store instance directly.
+server can use one store instance directly.  :meth:`checkpoint` merges the
+WAL back into the database file without waiting on other connections, and
+the last connection's :meth:`close` removes it: an idle or closed store is
+the ``.db`` file alone.
 """
 
 from __future__ import annotations
@@ -56,12 +59,13 @@ class SQLiteResultStore(ResultStore):
         self._lock = threading.RLock()
         #: open :meth:`transaction` blocks (only the lock holder changes it)
         self._depth = 0
+        self._busy_ms = int(busy_timeout * 1000)
         self._conn = sqlite3.connect(
             str(self.path), timeout=busy_timeout, check_same_thread=False
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=%d" % int(busy_timeout * 1000))
+        self._conn.execute("PRAGMA busy_timeout=%d" % self._busy_ms)
         self._known_tables: set = set()
         self.execute(
             "CREATE TABLE IF NOT EXISTS quarantine ("
@@ -296,7 +300,30 @@ class SQLiteResultStore(ResultStore):
                 pass
         return removed
 
+    def checkpoint(self) -> None:
+        """Merge the WAL into the database file and truncate it, if that can
+        be done without waiting.
+
+        Another connection's open read transaction (a worker sharing the
+        file, a report reading it) makes SQLite report the checkpoint busy;
+        with the busy timeout off for this one statement that answer comes
+        at once and the checkpoint is skipped, not retried — the next idle
+        point or the last connection's :meth:`close` merges the WAL.
+        """
+        with self._lock:
+            if self._depth:
+                return
+            self._conn.execute("PRAGMA busy_timeout=0")
+            try:
+                # A busy checkpoint answers with a row (busy=1) or raises.
+                self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchall()
+            except sqlite3.OperationalError:
+                pass
+            finally:
+                self._conn.execute("PRAGMA busy_timeout=%d" % self._busy_ms)
+
     def close(self) -> None:
+        """Close the connection; the last one closed merges and removes the WAL."""
         with self._lock:
             self._conn.close()
 

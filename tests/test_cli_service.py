@@ -3,12 +3,19 @@ references, ``campaign status --json``, ``store stats/clear/migrate``,
 ``worker --store``, and the streaming report path."""
 
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import units
-from repro.api import Campaign, ResultStore, Scenario
-from repro.cli import build_parser, main
+from repro.api import AdversarySpec, Campaign, ResultStore, Scenario
+from repro.cli import UNREACHABLE, build_parser, main
 from repro.service.sqlite_store import SQLiteResultStore
 
 
@@ -23,6 +30,31 @@ def campaign_file(tmp_path, points=2):
         "cli-service", scenario, {"sim.n_aus": list(range(1, points + 1))}
     )
     return campaign, campaign.save(tmp_path / "campaign.json")
+
+
+def cli_process(*argv, **kwargs):
+    """``python -m repro.cli *argv`` in a fresh interpreter, unbuffered."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + (os.pathsep + inherited if inherited else ""),
+        PYTHONUNBUFFERED="1",
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli"] + [str(arg) for arg in argv],
+        env=env,
+        text=True,
+        **kwargs,
+    )
+
+
+def refused_url():
+    """A loopback URL nothing listens on: an ephemeral port, bound then freed."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return "http://127.0.0.1:%d" % port
 
 
 class TestParser:
@@ -269,3 +301,80 @@ class TestStatusConnect:
         assert main(["campaign", "status", str(path), "--connect", url]) == 2
         (line,) = capsys.readouterr().out.strip().splitlines()
         assert url in line
+
+
+class TestServeShutdown:
+    def test_sigterm_stops_serve_and_leaves_one_file(self, tmp_path):
+        from repro.service.worker import HttpBrokerClient
+
+        campaign, _ = campaign_file(tmp_path)
+        db = tmp_path / "svc.db"
+        serve = cli_process(
+            "serve", "--store", db, "--port", "0",
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        try:
+            banner = serve.stdout.readline()
+            url = re.search(r"http://[\w.]+:\d+", banner).group(0)
+            HttpBrokerClient(url).submit(campaign.to_dict())
+            assert db.with_name("svc.db-wal").stat().st_size > 0
+            serve.send_signal(signal.SIGTERM)
+            out, _ = serve.communicate(timeout=30)
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait()
+        assert serve.returncode == 0, out
+        assert "shutting down" in out and "Traceback" not in out
+        assert not db.with_name("svc.db-wal").exists()
+        # The database file alone holds the submitted campaign.
+        (tmp_path / "copy").mkdir()
+        copy = SQLiteResultStore(db.rename(tmp_path / "copy" / "svc.db"))
+        row = copy.execute("SELECT digest FROM broker_campaigns").fetchone()
+        assert row == (campaign.digest,)
+
+
+class TestExitStatuses:
+    def test_a_reader_that_closes_early_gets_no_traceback(self, tmp_path):
+        # 2 000 points of status JSON (~370 kB) outlast the pipe buffer, so
+        # the verb is still writing when the reader goes away.
+        base = Scenario(
+            name="pipe",
+            base="smoke",
+            sim={"duration": units.months(1)},
+            adversary=AdversarySpec("pipe_stoppage", {"coverage": 1.0}),
+            seeds=(1,),
+        )
+        coverages = [index / 2000 for index in range(1, 2001)]
+        campaign = Campaign.from_grid(
+            "pipe", base, {"adversary.params.coverage": coverages}
+        )
+        path = campaign.save(tmp_path / "big.json")
+        status = cli_process(
+            "campaign", "status", path, "--json",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert status.stdout.readline() == "{\n"
+        status.stdout.close()
+        err = status.stderr.read()
+        status.stderr.close()
+        assert status.wait(timeout=60) == 1
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "verb, argv",
+        [
+            ("worker", ["worker", "--connect"]),
+            ("campaign submit", ["campaign", "submit", "{path}", "--connect"]),
+        ],
+    )
+    def test_an_unreachable_service_exits_3_in_one_line(
+        self, tmp_path, capsys, verb, argv
+    ):
+        _, path = campaign_file(tmp_path)
+        url = refused_url()
+        assert main([arg.format(path=path) for arg in argv] + [url]) == UNREACHABLE == 3
+        captured = capsys.readouterr()
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("%s: cannot reach %s: " % (verb, url)), line
+        assert "Traceback" not in captured.out + captured.err

@@ -1,6 +1,12 @@
 """Broker lease protocol: expiry, double-lease safety, crash re-leasing,
 and digest parity between a worker fleet and the single-process runner."""
 
+import shutil
+import sqlite3
+import sys
+import threading
+import time
+
 import pytest
 
 from repro import units
@@ -15,7 +21,7 @@ from repro.api import (
 from repro.api.campaign import status_dict
 from repro.api.resultset import digest_rows, export_rows
 from repro.service import Broker, LocalBrokerClient, Worker
-from repro.service.broker import Finished
+from repro.service.broker import Finished, StaleCampaignError
 from repro.service.sqlite_store import SQLiteResultStore
 from repro.service.worker import run_payloads
 
@@ -598,3 +604,187 @@ class TestWorkerTimeout:
         (point,) = broker.status(campaign.digest)["points"]
         assert point["state"] == "failed"
         assert "time budget" in point["error"]
+
+
+def reference_digest(tmp_path, campaign):
+    """The single-process runner's row digest for ``campaign``."""
+    runner = CampaignRunner(Session(store=ResultStore(tmp_path / "reference")))
+    return digest_rows(export_rows(campaign.exporter, runner.run(campaign)))
+
+
+def columns(store, table):
+    return [row[1] for row in store.execute('PRAGMA table_info("%s")' % table)]
+
+
+#: ``broker_points`` as databases written before the spec became the one
+#: copy of each point's scenario (and before prefix affinity) declared it.
+OLD_POINTS_TABLE = (
+    "CREATE TABLE broker_points ("
+    " campaign TEXT NOT NULL, idx INTEGER NOT NULL,"
+    " digest TEXT NOT NULL, label TEXT NOT NULL, scenario TEXT NOT NULL,"
+    " state TEXT NOT NULL, worker TEXT, lease_expires REAL,"
+    " attempts INTEGER NOT NULL DEFAULT 0, error TEXT,"
+    " PRIMARY KEY (campaign, idx))"
+)
+
+
+class TestOneFile:
+    """A drained database is one self-contained file holding each point's
+    scenario once: in the campaign spec."""
+
+    def test_a_drained_fleet_database_alone_serves_the_runner_rows(self, tmp_path):
+        campaign = smoke_campaign(3)
+        store = SQLiteResultStore(tmp_path / "fleet.db")
+        broker = Broker(store, lease_seconds=30.0)
+        broker.submit(campaign)
+        stats = Worker(LocalBrokerClient(broker), session=Session()).run()
+        assert stats["completed"] == 3
+        # The store stays open: the copy holds what the idle checkpoint
+        # merged, not what a close would.
+        (tmp_path / "copy").mkdir()
+        copy = shutil.copyfile(tmp_path / "fleet.db", tmp_path / "copy" / "fleet.db")
+        rows = CampaignRunner(Session(store=SQLiteResultStore(copy))).rows(campaign)
+        assert digest_rows(rows) == reference_digest(tmp_path, campaign)
+
+    def test_the_closing_complete_truncates_the_wal(self, store, broker):
+        campaign = smoke_campaign(2)
+        broker.submit(campaign)
+        first, second = broker.lease("w1"), broker.lease("w1")
+        wal = store.path.with_name(store.path.name + "-wal")
+        broker.complete_batch([finished(first)])
+        assert wal.stat().st_size > 0  # a point is still leased
+        broker.complete_batch([finished(second)])
+        assert wal.stat().st_size == 0
+
+    def test_points_hold_no_scenario_and_leases_share_the_expansion(self, broker):
+        campaign = smoke_campaign(2)
+        broker.submit(campaign)
+        assert "scenario" not in columns(broker.store, "broker_points")
+        lease = broker.lease("w1")
+        assert lease.scenario.to_dict() == campaign.expand()[0].scenario.to_dict()
+        assert lease.scenario is broker._point(lease.campaign, 0).scenario
+        # Draining the campaign drops its expansion.
+        broker.complete_batch([finished(lease), finished(broker.lease("w1"))])
+        assert broker._expansions == {}
+
+    def test_an_old_schema_database_migrates_and_drains(self, tmp_path):
+        campaign = smoke_campaign(2)
+        points = campaign.expand()
+        digest = Campaign.digest_of(points)
+        path = tmp_path / "old.db"
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "CREATE TABLE broker_campaigns ("
+            " digest TEXT PRIMARY KEY, name TEXT NOT NULL, spec TEXT NOT NULL,"
+            " exporter TEXT, total INTEGER NOT NULL, submitted REAL NOT NULL)"
+        )
+        conn.execute(OLD_POINTS_TABLE)
+        conn.execute(
+            "INSERT INTO broker_campaigns VALUES (?, ?, ?, ?, ?, 0)",
+            (digest, campaign.name, campaign.to_json(indent=None),
+             campaign.exporter, len(points)),
+        )
+        for point in points:
+            conn.execute(
+                "INSERT INTO broker_points (campaign, idx, digest, label, scenario,"
+                " state) VALUES (?, ?, ?, ?, ?, 'pending')",
+                (digest, point.index, point.digest, point.label,
+                 point.scenario.to_json(indent=None)),
+            )
+        conn.commit()
+        conn.close()
+
+        store = SQLiteResultStore(path)
+        broker = Broker(store, lease_seconds=30.0)
+        assert "scenario" not in columns(store, "broker_points")
+        assert "prefix" in columns(store, "broker_points")
+        # Never submitted to this broker: the points come from the spec.
+        stats = Worker(LocalBrokerClient(broker), session=Session()).run()
+        assert stats["completed"] == 2
+        rows = CampaignRunner(Session(store=store)).rows(campaign)
+        assert digest_rows(rows) == reference_digest(tmp_path, campaign)
+
+    def test_a_tampered_spec_is_refused_naming_both_digests(self, store, broker):
+        campaign = smoke_campaign(2)
+        digest = broker.submit(campaign)["digest"]
+        tampered = smoke_campaign(2)
+        tampered.scenario.sim["duration"] = units.months(3)
+        store.execute(
+            "UPDATE broker_campaigns SET spec=? WHERE digest=?",
+            (tampered.to_json(indent=None), digest),
+        )
+        # A broker that did not submit it (another process, a restart)
+        # expands the stored spec, which no longer hashes to the campaign.
+        fresh = Broker(store, lease_seconds=10.0)
+        with pytest.raises(StaleCampaignError) as raised:
+            fresh.lease("w1")
+        assert digest in str(raised.value) and tampered.digest in str(raised.value)
+        assert broker.status(digest)["counts"]["pending"] == 2
+
+    def test_a_tampered_point_digest_is_refused_naming_both(self, store, broker):
+        campaign = smoke_campaign(2)
+        digest = broker.submit(campaign)["digest"]
+        store.execute(
+            "UPDATE broker_points SET digest=? WHERE campaign=? AND idx=0",
+            ("f" * 64, digest),
+        )
+        with pytest.raises(StaleCampaignError) as raised:
+            broker.lease("w1")
+        assert "f" * 64 in str(raised.value)
+        assert campaign.expand()[0].digest in str(raised.value)
+        assert broker.status(digest)["counts"]["pending"] == 2
+
+    def test_the_idle_checkpoint_never_waits_for_a_reader(self, tmp_path):
+        campaign = smoke_campaign(2)
+        store = SQLiteResultStore(tmp_path / "fleet.db")
+        broker = Broker(store, lease_seconds=30.0)
+        broker.submit(campaign)
+        leases = [broker.lease("w1"), broker.lease("w1")]
+        done = [Finished.of(lease, point_runs(campaign, lease.index)) for lease in leases]
+        reader = sqlite3.connect(str(store.path))
+        reader.execute("BEGIN")
+        reader.execute("SELECT COUNT(*) FROM broker_points").fetchone()
+        try:
+            started = time.monotonic()
+            assert broker.complete_batch(done) == [True, True]
+            assert time.monotonic() - started < 1.0
+            # The checkpoint was skipped, so the WAL still holds the rows.
+            assert store.path.with_name("fleet.db-wal").stat().st_size > 0
+        finally:
+            reader.rollback()
+            reader.close()
+        rows = CampaignRunner(Session(store=store)).rows(campaign)
+        assert digest_rows(rows) == reference_digest(tmp_path, campaign)
+        store.close()
+        assert not store.path.with_name("fleet.db-wal").exists()
+
+    def test_concurrent_closing_batches_drop_the_expansion_once(self, store):
+        # serve runs each request on its own thread over one broker: the
+        # batches that close a campaign's last points race to forget it.
+        broker = Broker(store, lease_seconds=30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for points in range(2, 10):
+                campaign = smoke_campaign(points)
+                campaign.scenario.seeds = (points,)  # no point shared across rounds
+                broker.submit(campaign)
+                batches = [[finished(broker.lease("w%d" % i))] for i in range(points)]
+                errors = []
+
+                def close(batch):
+                    try:
+                        assert broker.complete_batch(batch) == [True]
+                    except BaseException as error:  # noqa: BLE001 - reported below
+                        errors.append(error)
+
+                threads = [threading.Thread(target=close, args=(b,)) for b in batches]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert broker.outstanding() == 0 and broker._expansions == {}
+        finally:
+            sys.setswitchinterval(interval)
