@@ -519,6 +519,10 @@ class CampaignStatus:
         )
 
 
+class IncompleteCampaign(LookupError):
+    """A campaign's results were asked of a store that lacks some points."""
+
+
 class CampaignRunner:
     """Executes campaigns through a session, checkpointing into its store.
 
@@ -732,13 +736,13 @@ class CampaignRunner:
         Each point's result is loaded from the store only when the consumer
         reaches it, so aggregating a large campaign never holds more than
         one :class:`~repro.api.session.ExperimentResult` in memory.  Raises
-        ``LookupError`` at the first missing point.
+        :class:`IncompleteCampaign` at the first missing point.
         """
         baselines: Dict[str, RunMetrics] = {}
         for point in campaign.expand():
             result = self._load_point(point, baselines)
             if result is None:
-                raise LookupError(
+                raise IncompleteCampaign(
                     "campaign %r is incomplete: point #%d (%s) is missing "
                     "from the store — run it first"
                     % (campaign.name, point.index, point.digest[:12])
@@ -748,7 +752,8 @@ class CampaignRunner:
     def result_set(self, campaign: Campaign, lazy: bool = False) -> ResultSet:
         """Load the campaign's results from the store without simulating.
 
-        Raises ``LookupError`` if any point is missing — run it first.
+        Raises :class:`IncompleteCampaign` if any point is missing — run it
+        first.
         With ``lazy=True`` the returned set streams results via
         :meth:`iter_results` (missing points then surface during iteration
         rather than up front).
@@ -768,7 +773,7 @@ class CampaignRunner:
             else:
                 loaded.append(PointResult(point, result))
         if missing:
-            raise LookupError(
+            raise IncompleteCampaign(
                 "campaign %r is incomplete: %d/%d points missing from the "
                 "store (first missing: #%d %s)"
                 % (

@@ -216,10 +216,10 @@ def execute_fork_group(
 
     checkpoint = None
     live_world = None
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+    if checkpoint_path is not None:
         try:
             checkpoint = Checkpoint.load(checkpoint_path)
-        except (CheckpointError, SignatureMismatch):
+        except (FileNotFoundError, CheckpointError, SignatureMismatch):
             checkpoint = None
     if checkpoint is None:
         deadline = deadline_after(timeout)

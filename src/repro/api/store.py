@@ -57,6 +57,10 @@ from typing import Dict, List, Optional, Union
 from ..metrics.report import RunMetrics
 
 
+class ArtifactKindError(ValueError):
+    """An artifact kind no backend can name (empty, or a path or SQL fragment)."""
+
+
 class ResultStore:
     """A directory of digest-keyed JSON artifacts."""
 
@@ -68,7 +72,7 @@ class ResultStore:
 
     def path_for(self, kind: str, digest: str) -> Path:
         if not kind or "/" in kind or "\\" in kind:
-            raise ValueError("invalid artifact kind %r" % kind)
+            raise ArtifactKindError("invalid artifact kind %r" % kind)
         return self.root / ("%s-%s.json" % (kind, digest))
 
     def save_json(self, kind: str, digest: str, payload: object) -> Path:
@@ -344,26 +348,31 @@ def open_store(reference: Union[str, Path, "ResultStore"]) -> "ResultStore":
     """
     if isinstance(reference, ResultStore):
         return reference
-    text = str(reference)
-    explicit_sqlite = text.startswith("sqlite:")
-    if explicit_sqlite:
-        text = text[len("sqlite:") :]
-    path = Path(text)
-    if not explicit_sqlite:
-        if path.suffix.lower() in SQLITE_SUFFIXES:
-            explicit_sqlite = True
-        elif path.is_file():
-            try:
-                with open(path, "rb") as handle:
-                    explicit_sqlite = handle.read(16) == _SQLITE_MAGIC
-            except OSError:
-                explicit_sqlite = False
-    if explicit_sqlite:
+    path = sqlite_path(reference)
+    if path is not None:
         # Imported lazily: the service subsystem depends on this module.
         from ..service.sqlite_store import SQLiteResultStore
 
         return SQLiteResultStore(path)
-    return ResultStore(path)
+    return ResultStore(reference)
+
+
+def sqlite_path(reference: Union[str, Path]) -> Optional[Path]:
+    """The database file when ``reference`` selects the SQLite backend (see
+    :func:`open_store`), else None; opens nothing and creates nothing."""
+    text = str(reference)
+    if text.startswith("sqlite:"):
+        return Path(text[len("sqlite:") :])
+    path = Path(text)
+    if path.suffix.lower() in SQLITE_SUFFIXES:
+        return path
+    if not path.is_file():
+        return None
+    try:
+        with open(path, "rb") as handle:
+            return path if handle.read(16) == _SQLITE_MAGIC else None
+    except OSError:
+        return None
 
 
 def migrate_store(source: "ResultStore", dest: "ResultStore") -> Dict[str, int]:

@@ -36,9 +36,12 @@ included; docs/FAULTS.md) as a one-point campaign.  The subcommands:
 * ``bench``           — the figure-benchmark suite with result-digest checks
   against the committed baseline, emitting the ``BENCH_PR2.json`` trajectory
 
-``worker`` and the ``campaign`` verbs that execute or read points accept
-``--workers`` (parallel multi-seed/multi-point execution on a process
-pool) and ``--store`` (digest-keyed persistent result artifacts).
+``campaign run`` and ``worker`` accept ``--workers`` (parallel
+multi-seed/multi-point execution on a process pool); the ``campaign`` verbs
+that execute or read points take ``--store`` (digest-keyed persistent result
+artifacts).  A verb that fails as expected prints one ``<verb>: <message>``
+line on stderr and exits 1 (a failed run or check), 2 (bad usage or input)
+or 3 (a service that cannot be reached); see :func:`main`.
 """
 
 from __future__ import annotations
@@ -60,61 +63,56 @@ from .api import (
     export_rows,
 )
 from .api.resultset import digest_rows
-from .api.store import open_store
+from .api.store import open_store, sqlite_path
 from .experiments.reporting import format_table
 
+#: Exit statuses (README, "Exit statuses"): a run or check that failed, bad
+#: usage or refused input, and a service that cannot be reached.
+FAILED, USAGE, UNREACHABLE = 1, 2, 3
 
-def _session(args: argparse.Namespace, store=None) -> Session:
-    """Build the execution session a subcommand runs its scenarios through:
-    over ``store`` when given, else over the ``--store`` it names."""
-    if store is None and getattr(args, "store", None):
-        store = open_store(args.store)
-    record = bool(getattr(args, "record", False))
-    if record and store is None:
-        raise SystemExit("--record needs --store (traces are store artifacts)")
-    return Session(
-        workers=getattr(args, "workers", 1) or 1,
-        store=store,
-        record=record,
-        timeout=getattr(args, "timeout", None),
-        retries=max(1, getattr(args, "retries", 1) or 1),
-    )
+
+class CliError(Exception):
+    """An expected failure of a verb: ``main`` prints ``<verb>: <message>``
+    on stderr and exits with ``status``."""
+
+    def __init__(self, message: str, status: int = USAGE) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+#: The other expected failures, by the qualified name of a class they derive
+#: from: the exit status of each (a 4xx from the service is refused input, a
+#: 5xx a failure).  Names, not imports: ``import repro.cli`` must not load
+#: the replay stack (gzip, pickle) into every verb to name its errors.
+EXPECTED = {
+    "builtins.FileNotFoundError": USAGE,
+    "repro.api.campaign.IncompleteCampaign": USAGE,
+    "repro.api.store.ArtifactKindError": USAGE,
+    "repro.experiments.bench.BaselineError": FAILED,
+    "repro.replay.checkpoint.CheckpointError": FAILED,
+    "repro.replay.replay.ReplayDivergence": FAILED,
+    "repro.replay.replay.ReplayError": FAILED,
+    "repro.replay.signature.SignatureMismatch": FAILED,
+    "repro.service.worker.ServiceError": (
+        lambda error: USAGE if error.status < 500 else FAILED
+    ),
+    "repro.service.worker.ServiceUnreachable": UNREACHABLE,
+}
+
+
+def _exit_status(error: Exception) -> Optional[int]:
+    """The exit status of an expected failure; None for a bug."""
+    if isinstance(error, CliError):
+        return error.status
+    for cls in type(error).__mro__:
+        status = EXPECTED.get("%s.%s" % (cls.__module__, cls.__qualname__))
+        if status is not None:
+            return status(error) if callable(status) else status
+    return None
 
 
 def _print_rows(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> None:
     print(format_table(columns, [[row.get(column) for column in columns] for row in rows]))
-
-
-def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="run multi-seed/multi-point simulations on a process pool",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="persist per-run metrics as digest-keyed artifacts: "
-        "a directory of JSON files, or a SQLite database when PATH ends in "
-        ".db/.sqlite (see docs/SERVICE.md)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="stop any single run still going SECONDS of wall clock after "
-        "it started, serial or pooled (it is retried up to --retries "
-        "times, then marked failed)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="attempts per point before it is marked failed (default 1)",
-    )
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -124,11 +122,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     known = bench_module.artifact_names()
     unknown = [name for name in names or () if name not in known]
     if unknown:
-        print(
+        raise CliError(
             "unknown bench artifact(s) %s (known artifacts: %s)"
             % (", ".join(unknown), ", ".join(known))
         )
-        return 2
     comparison = bench_module.COMPARISONS.get(args.compare)
     if comparison is None:
         report = bench_module.run_bench(names=names, quick=args.quick)
@@ -156,69 +153,74 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if not record["digest_match"]
         ]
         if perturbed:
-            print(
+            raise CliError(
                 "%s PERTURBED RESULTS — on-side digests differ for: %s"
-                % (feature, ", ".join(perturbed))
+                % (feature, ", ".join(perturbed)),
+                FAILED,
             )
-            return 1
         ratio = report["total"]["ratio"]
         if args.max_overhead is not None and ratio is not None:
             overhead = (ratio - 1.0) * 100.0
             if overhead > args.max_overhead:
-                print(
+                raise CliError(
                     "%s OVERHEAD %.1f%% exceeds the %.1f%% budget"
-                    % (feature, overhead, args.max_overhead)
+                    % (feature, overhead, args.max_overhead),
+                    FAILED,
                 )
-                return 1
 
     # Claims are judged whatever the digest flags say: --no-check skips the
     # digest comparison only, and --update-baseline still writes the new
     # digests while the exit code says the move broke a claim.
     baseline_path = Path(args.baseline)
     if args.update_baseline:
-        try:
-            bench_module.save_baseline(report, baseline_path)
-        except ValueError as error:
-            print(error)
-            return 1
+        bench_module.save_baseline(report, baseline_path)
         print("digest baseline written to %s" % baseline_path)
     checked = args.check and not args.update_baseline
-    problems = bench_module.judge(
-        report["artifacts"], baseline_path if checked else None
-    )
-    if _print_problems(problems):
-        return 1
+    _check(bench_module.judge(report["artifacts"], baseline_path if checked else None))
     if checked:
         print("all result digests match the committed baseline")
     return 0
 
 
-def _print_problems(problems: Sequence[str]) -> bool:
-    """Print what :func:`repro.experiments.bench.judge` found; True if anything."""
+def _check(problems: Sequence[str]) -> None:
+    """Fail on what :func:`repro.experiments.bench.judge` found, if anything."""
     if problems:
-        print("RESULT CHECK FAILED — digest drift or a broken paper claim:")
-        for problem in problems:
-            print("  " + problem)
-    return bool(problems)
+        raise CliError(
+            "RESULT CHECK FAILED — digest drift or a broken paper claim:\n  "
+            + "\n  ".join(problems),
+            FAILED,
+        )
+
+
+def _read_spec(path: str, parse):
+    """``parse`` the JSON object in the file at ``path``; refuse a malformed
+    one (a missing file raises ``FileNotFoundError``)."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as error:
+        raise CliError("malformed spec %s: %s: %s" % (path, type(error).__name__, error))
+
+
+def _campaign_of(payload: Dict[str, object]) -> Campaign:
+    """A campaign when the object has a ``scenario`` key, else a scenario,
+    run as a one-point campaign."""
+    if "scenario" in payload:
+        return Campaign.from_dict(payload)
+    scenario = Scenario.from_dict(payload)
+    return Campaign(scenario.name, scenario)
 
 
 def _load_campaign(reference: str) -> Campaign:
-    """Resolve a campaign reference: a bench artifact name, or a JSON file —
-    a campaign when its object has a ``scenario`` key, else a scenario, run
-    as a one-point campaign."""
-    path = Path(reference)
-    if path.exists():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if "scenario" in payload:
-            return Campaign.from_dict(payload)
-        scenario = Scenario.from_dict(payload)
-        return Campaign(scenario.name, scenario)
+    """Resolve a campaign reference: a campaign or scenario JSON file, or a
+    bench artifact name."""
+    if Path(reference).exists():
+        return _read_spec(reference, _campaign_of)
     from .experiments import bench as bench_module
 
     try:
         artifact = bench_module.load_artifact(reference)
     except KeyError:
-        raise SystemExit(
+        raise CliError(
             "no campaign file %r and no bench artifact of that name "
             "(known artifacts: %s)"
             % (reference, ", ".join(bench_module.artifact_names()))
@@ -226,11 +228,29 @@ def _load_campaign(reference: str) -> Campaign:
     return bench_module.campaign_of(artifact)
 
 
-def _campaign_runner(args: argparse.Namespace, store=None) -> CampaignRunner:
-    return CampaignRunner(
-        _session(args, store),
-        fork_prefixes=getattr(args, "fork_prefixes", False),
+def _campaign_runner(args: argparse.Namespace) -> CampaignRunner:
+    """The runner ``campaign run`` executes through, over its ``--store``."""
+    if args.record and not args.store:
+        raise CliError("--record needs --store (traces are store artifacts)")
+    if args.record and args.fork_prefixes:
+        raise CliError(
+            "--record and --fork-prefixes exclude each other: prefix-forked "
+            "runs leave no full-run trace"
+        )
+    session = Session(
+        workers=args.workers or 1,
+        store=open_store(args.store) if args.store else None,
+        record=args.record,
+        timeout=args.timeout,
+        retries=max(1, args.retries or 1),
     )
+    return CampaignRunner(session, fork_prefixes=args.fork_prefixes)
+
+
+def _store_runner(reference: Optional[str]) -> CampaignRunner:
+    """A runner that only reads the store at ``reference`` (None: no store)."""
+    store = _existing_store(reference) if reference else None
+    return CampaignRunner(Session(store=store))
 
 
 def _print_campaign_rows(rows: Sequence[Dict[str, object]]) -> None:
@@ -286,7 +306,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print()
         print("# " + coverage)
         print(aggregator.registry.exposition(), end="")
-    return 1 if runner.failed else 0
+    return FAILED if runner.failed else 0
 
 
 def _render_status(payload: Dict[str, object]) -> str:
@@ -333,33 +353,24 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     campaign = _load_campaign(args.campaign)
     connect = getattr(args, "connect", None)
     if connect:
-        from .service.worker import HttpBrokerClient
+        from .service.worker import HttpBrokerClient, ServiceError, ServiceUnreachable
 
         client = HttpBrokerClient(connect)
         digest = campaign.digest
+        # What --watch rides out: the service restarting or answering late.
+        transient = (ServiceError, ServiceUnreachable)
 
         def fetch() -> Dict[str, object]:
             return client.request("GET", "/api/campaigns/%s" % digest)
 
     else:
-        store = None
-        if args.store:
-            store = _existing_store(args.store, "campaign status")
-            if store is None:
-                return 2
-        runner = _campaign_runner(args, store)
+        runner = _store_runner(args.store)
+        transient = ()
 
         def fetch() -> Dict[str, object]:
             return runner.status(campaign).to_dict()
 
-    # What a broker fetch raises for an unknown campaign or an unreachable
-    # server; the local path keeps its raw traceback, by design.
-    unreachable = (RuntimeError, OSError) if connect else ()
-    try:
-        payload = fetch()
-    except unreachable as error:
-        print("campaign status: %s: %s" % (connect, error))
-        return 2
+    payload = fetch()
     if not getattr(args, "watch", False):
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -406,28 +417,16 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             wake.clear()
             try:
                 payload, note = fetch(), ""
-            except unreachable as error:
-                # Transient: keep the last payload on screen, retry next tick.
-                note = "campaign status: %s: %s (retrying)" % (connect, error)
+            except transient as error:
+                # Keep the last payload on screen, retry next tick.
+                note = "campaign status: %s (retrying)" % error
     except KeyboardInterrupt:
         return 0
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
     campaign = _load_campaign(args.campaign)
-    if not args.store:
-        print("campaign report needs --store (it reads persisted results)")
-        return 2
-    store = _existing_store(args.store, "campaign report")
-    if store is None:
-        return 2
-    runner = _campaign_runner(args, store)
-    try:
-        rows = runner.rows(campaign)
-    except LookupError as error:
-        print(str(error))
-        print("run the campaign with --store first")
-        return 2
+    rows = _store_runner(args.store).rows(campaign)
     digest = digest_rows(rows)
     print("Campaign %s report (%d rows)" % (campaign.name, len(rows)))
     _print_campaign_rows(rows)
@@ -438,8 +437,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
         key = args.artifact or campaign.name
         claims = bench_module.evaluate_claims(key, rows)
         record = {"digest": digest, "claims": claims}
-        if _print_problems(bench_module.judge({key: record}, Path(args.check_digest))):
-            return 1
+        _check(bench_module.judge({key: record}, Path(args.check_digest)))
         print("result digest matches the committed baseline for %r" % key)
         if claims["total"]:
             print("%d/%d paper claims hold on these rows" % ((claims["total"],) * 2))
@@ -447,14 +445,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .replay import (
-        ReplayDivergence,
-        ReplayError,
-        SignatureMismatch,
-        filter_records,
-        iter_records,
-        replay_trace,
-    )
+    from .replay import filter_records, iter_records, replay_trace
 
     if args.list:
         kinds = args.kinds.split(",") if args.kinds else None
@@ -470,27 +461,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("%s: %d matching record(s)" % (args.trace, len(rows)))
         _print_rows(rows, ["kind", "time_days", "fields"])
         return 0
-    try:
-        report = replay_trace(args.trace)
-    except SignatureMismatch as error:
-        print("SIGNATURE MISMATCH: %s" % error)
-        return 1
-    except ReplayDivergence as error:
-        print("REPLAY DIVERGENCE: %s" % error)
-        return 1
-    except ReplayError as error:
-        print("REPLAY FAILED: %s" % error)
-        return 1
+    report = replay_trace(args.trace)
     print(
         "replay OK: %d records verified, %d events, metrics digest %s"
         % (report.records_checked, report.events_processed, report.metrics_digest[:16])
     )
     if args.expect_digest and report.metrics_digest != args.expect_digest:
-        print(
+        raise CliError(
             "METRICS DIGEST MISMATCH: replayed %s != expected %s"
-            % (report.metrics_digest, args.expect_digest)
+            % (report.metrics_digest, args.expect_digest),
+            FAILED,
         )
-        return 1
     return 0
 
 
@@ -502,7 +483,7 @@ def _cmd_bisect(args: argparse.Namespace) -> int:
         print("traces are identical")
         return 0
     print(divergence.describe())
-    return 1
+    return FAILED
 
 
 def _parse_adversary_params(text: Optional[str]) -> Dict[str, object]:
@@ -511,9 +492,9 @@ def _parse_adversary_params(text: Optional[str]) -> Dict[str, object]:
     try:
         params = json.loads(text)
     except ValueError as error:
-        raise SystemExit("--params must be a JSON object: %s" % error)
+        raise CliError("--params must be a JSON object: %s" % error)
     if not isinstance(params, dict):
-        raise SystemExit("--params must be a JSON object")
+        raise CliError("--params must be a JSON object")
     return params
 
 
@@ -521,12 +502,12 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from .api.session import build_point_world
     from .replay import Checkpoint
 
-    scenario = Scenario.load(args.scenario)
+    scenario = _read_spec(args.scenario, Scenario.from_dict)
     world = build_point_world(scenario, args.seed, baseline=args.baseline)
     horizon = world.sim_config.duration
     at = units.days(args.at_days) if args.at_days is not None else horizon / 2.0
     if at > horizon:
-        raise SystemExit(
+        raise CliError(
             "--at-days %.1f is past the scenario duration (%.1f days)"
             % (args.at_days, horizon / units.days(1))
         )
@@ -547,13 +528,9 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_fork(args: argparse.Namespace) -> int:
-    from .replay import Checkpoint, SignatureMismatch, metrics_digest
+    from .replay import Checkpoint, metrics_digest
 
-    try:
-        checkpoint = Checkpoint.load(args.checkpoint)
-    except SignatureMismatch as error:
-        print("SIGNATURE MISMATCH: %s" % error)
-        return 1
+    checkpoint = Checkpoint.load(args.checkpoint)
     spec = None
     if args.adversary:
         spec = {"kind": args.adversary, "params": _parse_adversary_params(args.params)}
@@ -590,36 +567,40 @@ def _cmd_fork(args: argparse.Namespace) -> int:
     return 0
 
 
-def _existing_store(reference: str, verb: str):
-    """Open the store a ``store`` verb reads; None, after saying so, if absent.
+def _existing_store(reference: str):
+    """Open the store a verb reads, refusing a path that does not exist.
 
     Opening a store creates it, so a mistyped path would otherwise
     "succeed" on a fresh empty store and leave it behind.
     """
     if not Path(reference.removeprefix("sqlite:")).exists():
-        print("%s: no store at %s" % (verb, reference))
-        return None
+        raise CliError("no store at %s" % reference)
     return open_store(reference)
 
 
+def _sqlite_store(reference: str):
+    """Open the SQLite store ``serve`` and ``worker --store`` need; refuse any
+    other reference before opening, so nothing is created."""
+    path = sqlite_path(reference)
+    if path is None:
+        raise CliError(
+            "--store needs a SQLite store (results.db), not %s: the broker "
+            "keeps its lease tables in the same database" % reference
+        )
+    from .service.sqlite_store import SQLiteResultStore
+
+    return SQLiteResultStore(path)
+
+
 def _cmd_store_prune(args: argparse.Namespace) -> int:
-    store = _existing_store(args.store, "store prune")
-    if store is None:
-        return 2
-    try:
-        removed = store.prune(kind=args.kind)
-    except ValueError as error:
-        print(str(error))
-        return 2
+    removed = _existing_store(args.store).prune(kind=args.kind)
     what = "temp files" if args.kind is None else "temp files and %r artifacts" % args.kind
     print("pruned %d item(s) (%s) from %s" % (removed, what, args.store))
     return 0
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    store = _existing_store(args.store, "store stats")
-    if store is None:
-        return 2
+    store = _existing_store(args.store)
     totals = store.stats()
     if args.json:
         print(json.dumps(totals, indent=2, sort_keys=True))
@@ -647,12 +628,9 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_clear(args: argparse.Namespace) -> int:
-    store = _existing_store(args.store, "store clear")
-    if store is None:
-        return 2
+    store = _existing_store(args.store)
     if not args.yes:
-        print("store clear removes every artifact in %s; pass --yes to confirm" % args.store)
-        return 2
+        raise CliError("removes every artifact in %s; pass --yes to confirm" % args.store)
     removed = store.clear()
     print("cleared %d item(s) from %s" % (removed, args.store))
     return 0
@@ -661,13 +639,10 @@ def _cmd_store_clear(args: argparse.Namespace) -> int:
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
     from .api.store import migrate_store
 
-    source = _existing_store(args.source, "store migrate")
-    if source is None:
-        return 2
+    source = _existing_store(args.source)
     dest = open_store(args.dest)
     if type(source) is type(dest) and str(args.source) == str(args.dest):
-        print("source and destination are the same store")
-        return 2
+        raise CliError("source and destination are the same store")
     copied = migrate_store(source, dest)
     total = sum(copied.values())
     print(
@@ -678,27 +653,11 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Exit status of a verb whose service cannot be reached (README, "Exit
-#: statuses"): 1 is a failed run or check, 2 bad usage or input.
-UNREACHABLE = 3
-
-
-def _unreachable(verb: str, url: str, error: Exception) -> int:
-    print("%s: cannot reach %s: %s" % (verb, url, error), file=sys.stderr)
-    return UNREACHABLE
-
-
 def _cmd_campaign_submit(args: argparse.Namespace) -> int:
-    import http.client
-
     from .service.worker import HttpBrokerClient
 
     campaign = _load_campaign(args.campaign)
-    client = HttpBrokerClient(args.connect)
-    try:
-        status = client.submit(campaign.to_dict())
-    except (OSError, http.client.HTTPException) as error:
-        return _unreachable("campaign submit", args.connect, error)
+    status = HttpBrokerClient(args.connect).submit(campaign.to_dict())
     counts = status.get("counts", {})
     print(
         "submitted %s to %s: campaign digest %s, %d point(s) "
@@ -721,14 +680,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from .service.http_api import make_server
-    from .service.sqlite_store import SQLiteResultStore
 
-    store = open_store(args.store)
-    if not isinstance(store, SQLiteResultStore):
-        raise SystemExit(
-            "serve needs a SQLite store (--store results.db); the broker "
-            "keeps its lease tables in the same database"
-        )
+    store = _sqlite_store(args.store)
     server = make_server(
         store,
         host=args.host,
@@ -766,13 +719,11 @@ def _interrupt(signum, frame) -> None:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    import http.client
-
     from .service.worker import HttpBrokerClient, LocalBrokerClient, Worker
 
     if bool(args.connect) == bool(args.store):
-        raise SystemExit(
-            "worker needs exactly one of --connect URL (remote service) or "
+        raise CliError(
+            "needs exactly one of --connect URL (remote service) or "
             "--store results.db (shared SQLite store)"
         )
     if args.connect:
@@ -786,14 +737,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
     else:
         from .service.broker import Broker
-        from .service.sqlite_store import SQLiteResultStore
 
-        store = open_store(args.store)
-        if not isinstance(store, SQLiteResultStore):
-            raise SystemExit(
-                "worker --store needs a SQLite store (results.db); use "
-                "--connect for a remote service"
-            )
+        store = _sqlite_store(args.store)
         client = LocalBrokerClient(Broker(store, lease_seconds=args.lease_seconds))
         session = Session(
             workers=args.workers or 1,
@@ -812,17 +757,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         on_event=print,
         fork_prefixes=bool(args.fork_prefixes),
     )
-    try:
-        stats = worker.run()
-    except (OSError, http.client.HTTPException) as error:
-        if not args.connect:
-            raise
-        return _unreachable("worker", args.connect, error)
+    stats = worker.run()
     print(
         "worker %s done: %d completed, %d failed, %d stolen"
         % (stats["worker"], stats["completed"], stats["failed"], stats["stolen"])
     )
-    return 0 if stats["failed"] == 0 else 1
+    return FAILED if stats["failed"] else 0
 
 
 def _cmd_list_adversaries(args: argparse.Namespace) -> int:
@@ -887,13 +827,20 @@ def build_parser() -> argparse.ArgumentParser:
         dest="campaign_command", required=True
     )
 
-    def _campaign_common(sub: argparse.ArgumentParser) -> None:
+    def _campaign_common(sub: argparse.ArgumentParser, store_required=False) -> None:
         sub.add_argument(
             "campaign",
             help="a campaign or scenario JSON file, or a bench artifact "
             "name (e.g. fig2_baseline; see `bench`)",
         )
-        _add_session_arguments(sub)
+        sub.add_argument(
+            "--store",
+            required=store_required,
+            metavar="PATH",
+            help="persist per-run metrics as digest-keyed artifacts: "
+            "a directory of JSON files, or a SQLite database when PATH ends in "
+            ".db/.sqlite (see docs/SERVICE.md)",
+        )
 
     campaign_run = campaign_sub.add_parser(
         "run",
@@ -901,6 +848,27 @@ def build_parser() -> argparse.ArgumentParser:
         "only points whose runs are not stored are simulated",
     )
     _campaign_common(campaign_run)
+    campaign_run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="run multi-seed/multi-point simulations on a process pool",
+    )
+    campaign_run.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="stop any single run still going SECONDS of wall clock after "
+        "it started, serial or pooled (it is retried up to --retries "
+        "times, then marked failed)",
+    )
+    campaign_run.add_argument(
+        "--retries",
+        type=int,
+        default=1,
+        help="attempts per point before it is marked failed (default 1)",
+    )
     campaign_run.add_argument(
         "--max-points",
         type=int,
@@ -979,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_report = campaign_sub.add_parser(
         "report", help="rebuild the figure rows (and digest) from the store"
     )
-    _campaign_common(campaign_report)
+    _campaign_common(campaign_report, store_required=True)
     campaign_report.add_argument(
         "--check-digest",
         default=None,
@@ -1291,6 +1259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one verb.  The one place a failure becomes an exit status: an
+    expected one prints ``<verb>: <message>`` on stderr, a bug its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -1301,7 +1271,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # advise: point stdout at devnull so the exit flush cannot raise
         # again, and exit with a fixed status instead of a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return FAILED
+    except Exception as error:
+        status = _exit_status(error)
+        if status is None:
+            raise
+        verb = [args.command] + [
+            getattr(args, name) for name in ("campaign_command", "store_command")
+            if hasattr(args, name)
+        ]
+        sys.stdout.flush()  # the diagnostic follows what the verb printed
+        print("%s: %s" % (" ".join(verb), error), file=sys.stderr)
     return status
 
 

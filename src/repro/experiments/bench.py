@@ -485,11 +485,15 @@ def run_bench(
 # -- digest baseline ------------------------------------------------------------------
 
 
+class BaselineError(ValueError):
+    """A digest baseline file that exists but cannot be read as one."""
+
+
 def load_baseline(path: Path = DEFAULT_BASELINE_PATH) -> Optional[Dict[str, str]]:
     """Committed artifact -> digest map; None when no baseline exists yet.
 
     A file that exists but is not a baseline (torn JSON, no ``digests`` map)
-    raises :class:`ValueError` naming the path and the reason: it must be
+    raises :class:`BaselineError` naming the path and the reason: it must be
     looked at, not reported as absent and overwritten.
     """
     try:
@@ -498,10 +502,10 @@ def load_baseline(path: Path = DEFAULT_BASELINE_PATH) -> Optional[Dict[str, str]
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as error:
-        raise ValueError("unreadable digest baseline %s: %s" % (path, error))
+        raise BaselineError("unreadable digest baseline %s: %s" % (path, error))
     digests = payload.get("digests") if isinstance(payload, dict) else None
     if not isinstance(digests, dict):
-        raise ValueError('unreadable digest baseline %s: no "digests" map in it' % path)
+        raise BaselineError('unreadable digest baseline %s: no "digests" map in it' % path)
     return {str(key): str(value) for key, value in digests.items()}
 
 
@@ -544,7 +548,7 @@ def judge(
     if baseline_path is not None:
         try:
             baseline = load_baseline(baseline_path)
-        except ValueError as error:
+        except BaselineError as error:
             return [str(error)]
         if baseline is None:
             return [

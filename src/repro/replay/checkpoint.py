@@ -292,12 +292,16 @@ class Checkpoint:
         A checkpoint resumes *inside* the event kernel's semantics, so a
         kernel or nonce-scheme version change makes resumed digests
         meaningless; loading raises :class:`SignatureMismatch` instead of
-        silently producing a divergent timeline.
+        silently producing a divergent timeline.  A file that is not there
+        raises ``FileNotFoundError``; one that is, but does not load,
+        :class:`CheckpointError`.
         """
         path = Path(path)
         try:
             with gzip.open(path, "rb") as stream:
                 payload = pickle.load(stream)
+        except FileNotFoundError:
+            raise
         except (OSError, pickle.UnpicklingError, EOFError) as exc:
             raise CheckpointError("cannot load checkpoint %s: %s" % (path, exc))
         if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:

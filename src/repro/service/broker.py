@@ -219,14 +219,18 @@ class Broker:
 
     # -- submission ----------------------------------------------------------------------
 
-    def submit(self, campaign: Campaign) -> Dict[str, object]:
+    def submit(
+        self, campaign: Campaign, points: Optional[List[CampaignPoint]] = None
+    ) -> Dict[str, object]:
         """Queue a campaign; idempotent, and re-queues ``failed`` points.
 
         Points whose runs the store already holds are marked ``complete``
-        immediately (the broker never re-runs cached work).
+        immediately (the broker never re-runs cached work).  ``points`` is
+        ``campaign.expand()`` when the caller has expanded it already.
         Returns the campaign's status payload.
         """
-        points = campaign.expand()
+        if points is None:
+            points = campaign.expand()
         digest = Campaign.digest_of(points)
         now = self.clock()
         # Resubmitting is the fleet's ``resume``: failed points go back in

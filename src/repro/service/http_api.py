@@ -36,9 +36,12 @@ HTML page.  See docs/TELEMETRY.md for the SSE contract.
 
 Request and response bodies are JSON objects.  Errors come back as
 ``{"error": ...}`` with 400 (bad request), 404 (unknown campaign/route),
-or 500.  All routing lives in :meth:`ExperimentService.handle`, which is a
-plain ``(method, path, body) -> (status, payload)`` function — tests drive
-it without sockets, and the request handler stays a thin shell.
+409 (rows of an incomplete campaign) — each raised as an :class:`ApiError`
+where the request is checked — or 500 for anything else raised under a
+route, which is a bug and not the request's fault.  All routing lives in
+:meth:`ExperimentService.handle`, which is a plain ``(method, path, body)
+-> (status, payload)`` function — tests drive it without sockets, and the
+request handler stays a thin shell.
 
 The server persists runs itself on ``complete`` (they travel in the
 request, a batch of points at a time, written in one transaction), so HTTP
@@ -57,7 +60,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..api.campaign import Campaign, CampaignRunner
+from ..api.campaign import Campaign, CampaignRunner, IncompleteCampaign
 from ..api.resultset import digest_rows
 from ..api.session import Session
 from ..telemetry import EventBus, MetricsAggregator, dashboard_html
@@ -143,10 +146,6 @@ class ExperimentService:
             return self._route(method.upper(), parts, query, body or {})
         except ApiError as error:
             return error.status, {"error": str(error)}
-        except KeyError as error:
-            return 404, {"error": str(error).strip("'\"")}
-        except (TypeError, ValueError) as error:
-            return 400, {"error": str(error)}
         except Exception as error:  # noqa: BLE001 - the server must answer
             return 500, {"error": "%s: %s" % (type(error).__name__, error)}
 
@@ -175,9 +174,13 @@ class ExperimentService:
             if method == "POST":
                 try:
                     campaign = Campaign.from_dict(body)
+                    # Digesting a point resolves, and so validates, its configs.
+                    points = campaign.expand()
                 except KeyError as error:
                     raise ApiError(400, "malformed campaign: missing %s" % error)
-                status = self.broker.submit(campaign)
+                except (TypeError, ValueError) as error:
+                    raise ApiError(400, str(error))
+                status = self.broker.submit(campaign, points)
                 self._log(
                     "submitted %s (%s): %d points"
                     % (campaign.name, str(status["digest"])[:12], status["total"])
@@ -190,7 +193,10 @@ class ExperimentService:
             rest = route[2:]
             if not rest and method == "GET":
                 include_points = query.get("points", ["1"])[0] not in ("0", "false")
-                return 200, self.broker.status(digest, include_points=include_points)
+                try:
+                    return 200, self.broker.status(digest, include_points=include_points)
+                except KeyError as error:
+                    raise ApiError(404, error.args[0])
             if rest == ["spec"] and method == "GET":
                 campaign = self.broker.campaign(digest)
                 if campaign is None:
@@ -208,7 +214,7 @@ class ExperimentService:
 
         if route == ["lease"] and method == "POST":
             worker = self._field(body, "worker")
-            limit = int(body.get("limit", 1))
+            limit = self._int("limit", body.get("limit", 1))
             if limit < 1:
                 raise ApiError(400, "limit must be at least 1")
             started = time.perf_counter()
@@ -232,7 +238,7 @@ class ExperimentService:
             ok = self.broker.heartbeat(
                 worker,
                 self._field(body, "campaign"),
-                int(self._field(body, "index")),
+                self._int("index", self._field(body, "index")),
                 telemetry=telemetry,
             )
             self._publish_worker(worker, "heartbeat", telemetry)
@@ -255,7 +261,7 @@ class ExperimentService:
             ok = self.broker.fail(
                 self._field(body, "worker"),
                 self._field(body, "campaign"),
-                int(self._field(body, "index")),
+                self._int("index", self._field(body, "index")),
                 str(body.get("error") or "worker reported failure"),
             )
             self._publish_worker(self._field(body, "worker"), "fail")
@@ -278,7 +284,7 @@ class ExperimentService:
         """
         if action not in ("pause", "resume", "step"):
             raise ApiError(404, "unknown run action %r" % action)
-        events = int(body.get("events", 1) or 1)
+        events = self._int("events", body.get("events", 1) or 1)
         control = self.broker.set_control(digest, action, events=events)
         return {"digest": digest, "action": action, "control": control}
 
@@ -304,7 +310,7 @@ class ExperimentService:
                 Finished(
                     worker=self._field(point, "worker"),
                     campaign=self._field(point, "campaign"),
-                    index=int(self._field(point, "index")),
+                    index=self._int("index", self._field(point, "index")),
                     digest=self._field(point, "digest"),
                     runs=runs,
                 )
@@ -318,7 +324,7 @@ class ExperimentService:
         runner = CampaignRunner(Session(store=self.store))
         try:
             rows = runner.rows(campaign)
-        except LookupError as error:
+        except IncompleteCampaign as error:
             raise ApiError(409, str(error))
         return {
             "digest": digest,
@@ -335,6 +341,13 @@ class ExperimentService:
         if value is None or value == "":
             raise ApiError(400, "missing required field %r" % name)
         return value if isinstance(value, (int, float)) else str(value)
+
+    @staticmethod
+    def _int(name: str, value: object) -> int:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ApiError(400, "%s must be an integer, not %r" % (name, value)) from None
 
     @staticmethod
     def _digest(value: str) -> str:

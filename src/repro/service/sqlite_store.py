@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..api.store import ResultStore
+from ..api.store import ArtifactKindError, ResultStore
 
 #: Artifact kinds become table names, so they are restricted to identifier
 #: characters (the directory backend's kinds — runs/campaign — qualify).
@@ -107,7 +107,7 @@ class SQLiteResultStore(ResultStore):
     @staticmethod
     def _table(kind: str) -> str:
         if not _KIND_RE.match(kind or ""):
-            raise ValueError("invalid artifact kind %r" % kind)
+            raise ArtifactKindError("invalid artifact kind %r" % kind)
         return "artifact_%s" % kind
 
     def _ensure_table(self, kind: str) -> str:

@@ -44,11 +44,23 @@ from ..api.session import ExperimentResult, ForkGroup, Session
 from .broker import Broker, Finished, Lease, Leases
 
 #: What a heartbeat may raise when the broker is unreachable or refuses:
-#: socket and HTTP failures, an error status (``RuntimeError`` from
-#: :meth:`HttpBrokerClient.request`), or a locked or broken SQLite file.
-#: The beat thread counts these and retries; anything else is a bug and
-#: stops the worker.
+#: socket and HTTP failures (:class:`ServiceUnreachable` from
+#: :meth:`HttpBrokerClient.request`), an error status (:class:`ServiceError`),
+#: or a locked or broken SQLite file.  The beat thread counts these and
+#: retries; anything else is a bug and stops the worker.
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException, RuntimeError, sqlite3.Error)
+
+
+class ServiceError(RuntimeError):
+    """The service answered with an HTTP error status (``status`` >= 400)."""
+
+    def __init__(self, message: str, status: int) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class ServiceUnreachable(OSError):
+    """No answer from the service: the connection or the exchange failed."""
 
 
 def run_payloads(
@@ -154,16 +166,23 @@ class HttpBrokerClient:
                 connection.request(method, self._prefix + path, body, headers)
                 response = connection.getresponse()
             data = response.read()
-        except BaseException:
+        except (OSError, http.client.HTTPException) as error:
             connection.close()  # never reuse a connection mid-exchange
+            raise ServiceUnreachable(
+                "cannot reach %s: %s" % (self.base_url, error)
+            ) from error
+        except BaseException:
+            connection.close()
             raise
         if response.status >= 400:
             try:
                 detail = json.loads(data.decode("utf-8")).get("error", "")
             except (ValueError, AttributeError):
                 detail = ""  # the error body is not a JSON object
-            raise RuntimeError(
-                "%s %s failed: HTTP %d %s" % (method, path, response.status, detail)
+            raise ServiceError(
+                "%s %s%s failed: HTTP %d %s"
+                % (method, self.base_url, path, response.status, detail),
+                response.status,
             )
         return json.loads(data.decode("utf-8"))
 

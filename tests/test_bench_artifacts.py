@@ -234,20 +234,20 @@ class TestBrokenClaimCli:
 
     def test_bench_fails_naming_the_statement(self, broken, capsys):
         assert main(self.bench_argv("--baseline", str(BASELINE))) == 1
-        output = capsys.readouterr().out
-        assert "3/4" in output  # the report's claims column
-        assert "fig4_delay_ratio: paper claim broken: " + self.STATEMENT in output
-        assert "!= baseline" not in output  # the digest itself did not move
+        captured = capsys.readouterr()
+        assert "3/4" in captured.out  # the report's claims column
+        assert "fig4_delay_ratio: paper claim broken: " + self.STATEMENT in captured.err
+        assert "!= baseline" not in captured.err  # the digest itself did not move
 
     def test_no_check_skips_the_digest_comparison_only(self, broken, capsys, tmp_path):
         argv = self.bench_argv("--no-check", "--baseline", str(tmp_path / "absent.json"))
         assert main(argv) == 1
-        assert self.STATEMENT in capsys.readouterr().out
+        assert self.STATEMENT in capsys.readouterr().err
 
     def test_update_baseline_writes_and_still_fails(self, broken, capsys, tmp_path):
         path = tmp_path / "baseline.json"
         assert main(self.bench_argv("--update-baseline", "--baseline", str(path))) == 1
-        assert self.STATEMENT in capsys.readouterr().out
+        assert self.STATEMENT in capsys.readouterr().err
         assert bench.load_baseline(path) == {
             "fig4_delay_ratio": bench.load_baseline(BASELINE)["fig4_delay_ratio"]
         }
@@ -258,7 +258,7 @@ class TestBrokenClaimCli:
         capsys.readouterr()
         argv = ["campaign", "report", "fig4_delay_ratio", "--store", store]
         assert main(argv + ["--check-digest", str(BASELINE)]) == 1
-        assert "paper claim broken: " + self.STATEMENT in capsys.readouterr().out
+        assert "paper claim broken: " + self.STATEMENT in capsys.readouterr().err
 
     def test_campaign_report_states_the_verdict_when_claims_hold(self, capsys, tmp_path):
         store = str(tmp_path / "store")

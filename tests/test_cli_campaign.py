@@ -301,8 +301,10 @@ class TestCampaignExecution:
             output = capsys.readouterr().out
             assert "1/2 points complete" in output
             assert "no --store attached, nothing was checkpointed" in output
-        assert main(["campaign", "report", str(path)]) == 2
-        assert "--store" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "report", str(path)])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --store" in capsys.readouterr().err
 
     def test_report_on_incomplete_campaign_fails(self, tmp_path, capsys):
         _, path = campaign_file(tmp_path)
@@ -310,11 +312,11 @@ class TestCampaignExecution:
         main(["campaign", "run", str(path), "--store", store, "--max-points", "1"])
         capsys.readouterr()
         assert main(["campaign", "report", str(path), "--store", store]) == 2
-        assert "incomplete" in capsys.readouterr().out
+        assert "incomplete" in capsys.readouterr().err
 
     def test_unknown_campaign_reference_exits(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["campaign", "status", "no_such_artifact"])
+        assert main(["campaign", "status", "no_such_artifact"]) == 2
+        assert "no bench artifact of that name" in capsys.readouterr().err
 
     def test_named_artifact_resolves_from_the_bench_registry(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -337,8 +339,7 @@ class TestCampaignExecution:
     def test_a_missing_store_is_refused_not_created(self, verb, tmp_path, capsys):
         store = tmp_path / "nope"
         assert main(["campaign", verb, "fig2_baseline", "--store", str(store)]) == 2
-        output = capsys.readouterr().out
-        assert output == "campaign %s: no store at %s\n" % (verb, store)
+        assert capsys.readouterr().err == "campaign %s: no store at %s\n" % (verb, store)
         assert not store.exists()
 
     def test_report_check_digest_against_baseline(self, tmp_path, capsys):
@@ -381,12 +382,12 @@ class TestCampaignExecution:
             )
             == 1
         )
-        assert "no baseline digest" in capsys.readouterr().out
+        assert "no baseline digest" in capsys.readouterr().err
         # --artifact names the baseline key: fig2's digest is not this one's.
         argv = ["campaign", "report", str(path), "--store", store]
         argv += ["--check-digest", str(BASELINE), "--artifact", "fig2_baseline"]
         assert main(argv) == 1
-        assert "fig2_baseline: digest" in capsys.readouterr().out
+        assert "fig2_baseline: digest" in capsys.readouterr().err
 
 
 def report_digest(path, store, capsys):
@@ -480,7 +481,7 @@ class TestStorePrune:
         assert (
             main(["store", "prune", "--store", str(tmp_path), "--kind", "../evil"]) == 2
         )
-        assert "invalid artifact kind" in capsys.readouterr().out
+        assert "invalid artifact kind" in capsys.readouterr().err
 
 
 class TestBenchQuick:
@@ -504,7 +505,7 @@ class TestBenchQuick:
 
     def test_bench_rejects_unknown_artifacts(self, capsys):
         assert main(["bench", "--artifacts", "not_a_real_artifact", "--out", ""]) == 2
-        (line,) = capsys.readouterr().out.splitlines()
+        (line,) = capsys.readouterr().err.splitlines()
         assert "unknown bench artifact(s) not_a_real_artifact" in line
         assert "fig2_baseline" in line and "partition_attack" in line
 
@@ -522,7 +523,7 @@ class TestTornBaseline:
         argv = ["bench", "--artifacts", "fig2_baseline", "--out", "", "--baseline"]
         for extra in ([], ["--update-baseline"]):
             assert main(argv + [str(torn)] + extra) == 1
-            output = capsys.readouterr().out
+            output = capsys.readouterr().err
             assert "unreadable digest baseline %s: " % torn in output
             assert "--update-baseline" not in output
             assert "no digest baseline" not in output
@@ -537,7 +538,7 @@ class TestTornBaseline:
         torn.write_text("{broken", encoding="utf-8")
         argv = ["campaign", "report", str(path), "--store", store]
         assert main(argv + ["--check-digest", str(torn)]) == 1
-        output = capsys.readouterr().out
+        output = capsys.readouterr().err
         assert "unreadable digest baseline %s: " % torn in output
         assert "no baseline digest" not in output
 
@@ -545,7 +546,7 @@ class TestTornBaseline:
         fake_artifact_runner(monkeypatch)
         argv = ["bench", "--artifacts", "fig2_baseline", "--out", "", "--baseline"]
         assert main(argv + ["/nonexistent/bench_baseline.json"]) == 1
-        assert "no digest baseline at /nonexistent" in capsys.readouterr().out
+        assert "no digest baseline at /nonexistent" in capsys.readouterr().err
 
 
 #: The comparator's one report schema: per-artifact keys common to every mode.
@@ -621,17 +622,17 @@ class TestBenchCompareCli:
     def test_perturbed_on_side_digest_fails(self, monkeypatch, capsys):
         fake_artifact_runner(monkeypatch, on_digest="0" * 64)
         exit_code = main(["bench", "--telemetry-compare", "--out", ""] + self.COMMON)
-        output = capsys.readouterr().out
+        (line,) = capsys.readouterr().err.splitlines()
         assert exit_code == 1
-        assert "TELEMETRY PERTURBED RESULTS" in output
-        assert "fig2_baseline" in output.splitlines()[-1]
+        assert line.startswith("bench: TELEMETRY PERTURBED RESULTS")
+        assert line.endswith("fig2_baseline")
 
     def test_max_overhead_below_the_measured_ratio_fails(self, monkeypatch, capsys):
         fake_artifact_runner(monkeypatch, on_wall=0.2)  # ratio 2.0: +100%
         argv = ["bench", "--record-compare", "--out", ""] + self.COMMON
         assert main(argv + ["--max-overhead", "5"]) == 1
         assert "RECORDING OVERHEAD 100.0% exceeds the 5.0% budget" in (
-            capsys.readouterr().out
+            capsys.readouterr().err
         )
         assert main(argv + ["--max-overhead", "150"]) == 0
         assert "all result digests match" in capsys.readouterr().out

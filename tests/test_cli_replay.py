@@ -38,8 +38,7 @@ class TestRecordFlag:
 
     def test_record_without_store_is_an_error(self, recorded_store):
         _, scenario_path, _ = recorded_store
-        with pytest.raises(SystemExit):
-            main(["campaign", "run", str(scenario_path), "--record"])
+        assert main(["campaign", "run", str(scenario_path), "--record"]) == 2
 
 
 class TestReplayCommand:
@@ -177,17 +176,8 @@ class TestCheckpointForkCommands:
                 str(ckpt),
             ]
         )
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "fork",
-                    str(ckpt),
-                    "--adversary",
-                    "pipe_stoppage",
-                    "--params",
-                    "not json",
-                ]
-            )
+        argv = ["fork", str(ckpt), "--adversary", "pipe_stoppage", "--params"]
+        assert main(argv + ["not json"]) == 2
 
     def test_checkpoint_of_another_seed(self, recorded_store, tmp_path, capsys):
         _, scenario_path, _ = recorded_store
@@ -198,17 +188,8 @@ class TestCheckpointForkCommands:
 
     def test_checkpoint_rejects_past_duration_instants(self, recorded_store, tmp_path):
         _, scenario_path, _ = recorded_store
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "checkpoint",
-                    str(scenario_path),
-                    "--at-days",
-                    "100000",
-                    "--out",
-                    str(tmp_path / "x.ckpt.gz"),
-                ]
-            )
+        argv = ["checkpoint", str(scenario_path), "--at-days", "100000"]
+        assert main(argv + ["--out", str(tmp_path / "x.ckpt.gz")]) == 2
 
 
 class TestStorePruneTraces:

@@ -213,6 +213,44 @@ class TestRouting:
         assert service.handle("GET", "/api/health")[1]["campaigns"] == 0
 
 
+class TestErrorStatuses:
+    """Only a request's own fault is a 4xx: a bug under a route is a 500, so
+    a worker never mistakes it for an unknown campaign or a bad request."""
+
+    @pytest.mark.parametrize("error", [KeyError("expansion"), TypeError("bug")])
+    def test_an_error_inside_complete_is_a_500(self, service, monkeypatch, error):
+        service.handle("POST", "/api/campaigns", smoke_campaign(1).to_dict())
+        _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
+        lease = leased["leases"][0]
+
+        def broken(finished):
+            raise error
+
+        monkeypatch.setattr(service.broker, "complete_batch", broken)
+        point = {key: lease[key] for key in ("campaign", "index", "digest")}
+        body = {"points": [dict(point, worker="w1", runs={})]}
+        status, payload = service.handle("POST", "/api/complete", body)
+        assert status == 500
+        assert payload["error"].startswith(type(error).__name__ + ": ")
+
+    def test_an_unknown_campaign_is_a_404(self, service):
+        status, payload = service.handle("GET", "/api/campaigns/%s" % ("ab" * 32))
+        assert status == 404
+        assert payload["error"].startswith("unknown campaign '%s" % ("ab" * 32))
+
+    def test_a_non_integer_limit_is_a_400(self, service):
+        body = {"worker": "w1", "limit": "x"}
+        status, payload = service.handle("POST", "/api/lease", body)
+        assert status == 400
+        assert "'x'" in payload["error"]
+
+    def test_a_campaign_with_an_unknown_key_is_a_400(self, service):
+        payload = dict(smoke_campaign(1).to_dict(), bogus=1)
+        status, body = service.handle("POST", "/api/campaigns", payload)
+        assert status == 400
+        assert body["error"].startswith("unknown Campaign key(s) 'bogus'")
+
+
 @pytest.fixture
 def server(store):
     instance = make_server(store, port=0, lease_seconds=2.0)
