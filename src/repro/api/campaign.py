@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .resultset import PointResult, ResultSet, export_rows
 from .scenario import (
@@ -567,11 +567,16 @@ class CampaignRunner:
     # -- state inspection ---------------------------------------------------------------
 
     def _load_point(
-        self, point: CampaignPoint, baselines: Dict[str, RunMetrics]
+        self,
+        point: CampaignPoint,
+        baselines: Dict[str, RunMetrics],
+        averages: Dict[Tuple[str, ...], RunMetrics],
     ) -> Optional[ExperimentResult]:
         """The point's result, derived from its stored runs; ``None`` while one
         is missing or corrupt.  ``baselines`` keeps the baseline runs the
-        caller has read, so a baseline a grid shares is read once per call."""
+        caller has read, and ``averages`` their averages (by the baseline
+        run digests), so a baseline a grid shares is read and averaged once
+        per call."""
         if self.store is None:
             return None
         runs: Dict[str, RunMetrics] = {}
@@ -585,7 +590,9 @@ class CampaignRunner:
                 if baseline:
                     baselines[digest] = run
             runs[digest] = run
-        return assemble_result(point.scenario, point.digest, point.run_keys, runs)
+        return assemble_result(
+            point.scenario, point.digest, point.run_keys, runs, averages
+        )
 
     def _stored_failures(self, digest: str, done) -> Optional[Dict[int, str]]:
         """Errors of the points the stored manifest of campaign ``digest``
@@ -615,7 +622,10 @@ class CampaignRunner:
         points = campaign.expand()
         digest = Campaign.digest_of(points)
         baselines: Dict[str, RunMetrics] = {}
-        completed = [p for p in points if self._load_point(p, baselines) is not None]
+        averages: Dict[Tuple[str, ...], RunMetrics] = {}
+        completed = [
+            p for p in points if self._load_point(p, baselines, averages) is not None
+        ]
         done = {point.index for point in completed}
         return CampaignStatus(
             name=campaign.name,
@@ -655,8 +665,9 @@ class CampaignRunner:
         results: Dict[int, ExperimentResult] = {}
         pending: List[CampaignPoint] = []
         baselines: Dict[str, RunMetrics] = {}
+        averages: Dict[Tuple[str, ...], RunMetrics] = {}
         for point in points:
-            loaded = self._load_point(point, baselines)
+            loaded = self._load_point(point, baselines, averages)
             if loaded is not None:
                 results[point.index] = loaded
             else:
@@ -730,17 +741,22 @@ class CampaignRunner:
             bus, status_dict(campaign.name, digest, len(points), counts)
         )
 
-    def iter_results(self, campaign: Campaign) -> "Iterator[PointResult]":
+    def iter_results(
+        self, campaign: Campaign, points: Optional[Sequence[CampaignPoint]] = None
+    ) -> "Iterator[PointResult]":
         """Stream the campaign's stored results one point at a time.
 
         Each point's result is loaded from the store only when the consumer
         reaches it, so aggregating a large campaign never holds more than
         one :class:`~repro.api.session.ExperimentResult` in memory.  Raises
-        :class:`IncompleteCampaign` at the first missing point.
+        :class:`IncompleteCampaign` at the first missing point.  ``points``
+        is ``campaign.expand()`` when the caller holds it already (as
+        :meth:`Campaign.digest_of` takes it).
         """
         baselines: Dict[str, RunMetrics] = {}
-        for point in campaign.expand():
-            result = self._load_point(point, baselines)
+        averages: Dict[Tuple[str, ...], RunMetrics] = {}
+        for point in campaign.expand() if points is None else points:
+            result = self._load_point(point, baselines, averages)
             if result is None:
                 raise IncompleteCampaign(
                     "campaign %r is incomplete: point #%d (%s) is missing "
@@ -749,25 +765,34 @@ class CampaignRunner:
                 )
             yield PointResult(point, result)
 
-    def result_set(self, campaign: Campaign, lazy: bool = False) -> ResultSet:
+    def result_set(
+        self,
+        campaign: Campaign,
+        lazy: bool = False,
+        points: Optional[Sequence[CampaignPoint]] = None,
+    ) -> ResultSet:
         """Load the campaign's results from the store without simulating.
 
         Raises :class:`IncompleteCampaign` if any point is missing — run it
         first.
         With ``lazy=True`` the returned set streams results via
         :meth:`iter_results` (missing points then surface during iteration
-        rather than up front).
+        rather than up front).  ``points`` is the campaign's expansion when
+        the caller holds it already.
         """
         if lazy:
             return ResultSet.lazy(
-                lambda: self.iter_results(campaign), count=len(campaign)
+                lambda: self.iter_results(campaign, points),
+                count=len(campaign) if points is None else len(points),
             )
-        points = campaign.expand()
+        if points is None:
+            points = campaign.expand()
         loaded: List[PointResult] = []
         missing: List[CampaignPoint] = []
         baselines: Dict[str, RunMetrics] = {}
+        averages: Dict[Tuple[str, ...], RunMetrics] = {}
         for point in points:
-            result = self._load_point(point, baselines)
+            result = self._load_point(point, baselines, averages)
             if result is None:
                 missing.append(point)
             else:
@@ -786,14 +811,20 @@ class CampaignRunner:
             )
         return ResultSet(loaded)
 
-    def rows(self, campaign: Campaign) -> List[Dict[str, object]]:
+    def rows(
+        self, campaign: Campaign, points: Optional[Sequence[CampaignPoint]] = None
+    ) -> List[Dict[str, object]]:
         """The campaign's exported figure rows, streamed from the store.
 
         The lazy result set means the generic exporter path loads one
         point result at a time — a ``campaign report`` against a large
-        SQLite store never materializes every result at once.
+        SQLite store never materializes every result at once.  ``points``
+        is the campaign's expansion when the caller holds it already (the
+        service's broker does), so nothing is expanded here.
         """
-        return export_rows(campaign.exporter, self.result_set(campaign, lazy=True))
+        return export_rows(
+            campaign.exporter, self.result_set(campaign, lazy=True, points=points)
+        )
 
     # -- manifest ----------------------------------------------------------------------
 

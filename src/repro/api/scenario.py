@@ -540,6 +540,8 @@ class _Identity:
         self.seeds = _encode(list(scenario.seeds))
         faults = scenario._canonical_faults()
         self.extra = _encode(_jsonable({"faults": faults} if faults is not None else None))
+        #: the baseline run keys, the same for every attacked point of the set
+        self._baseline_keys: Optional[List[RunKey]] = None
 
     def digest(self, adversary: str) -> str:
         """The point digest, given the canonical adversary's JSON text."""
@@ -556,7 +558,11 @@ class _Identity:
         seeds = scenario.seeds
         keys = [(seed, False, self.run_digest(seed, adversary)) for seed in seeds]
         if scenario.adversary is not None:
-            keys += [(seed, True, self.run_digest(seed, "null")) for seed in seeds]
+            if self._baseline_keys is None:
+                self._baseline_keys = [
+                    (seed, True, self.run_digest(seed, "null")) for seed in seeds
+                ]
+            keys += self._baseline_keys
         return self.digest(adversary), keys
 
 

@@ -56,18 +56,27 @@ def assemble_result(
     digest: str,
     run_keys: Sequence[RunKey],
     runs: Mapping[str, RunMetrics],
+    averages: Optional[Dict[Tuple[str, ...], RunMetrics]] = None,
 ) -> ExperimentResult:
     """A point's result: its attacked runs compared with its baseline runs.
 
     ``runs`` maps the digests of ``run_keys`` (``Scenario.run_keys()``) to
     metrics.  Sessions and campaign reports both assemble here, so a result
-    is derived from the runs and never stored."""
+    is derived from the runs and never stored.  ``averages`` keeps baseline
+    averages by their run digests for the caller, so a baseline many points
+    share is averaged once per read."""
     attacked = [runs[key] for _, baseline, key in run_keys if not baseline]
+    baseline_keys = tuple(key for _, side, key in run_keys if side)
     # No baseline key means no adversary: the baseline *is* the attacked run.
-    baseline = [runs[key] for _, side, key in run_keys if side] or attacked
+    baseline = [runs[key] for key in baseline_keys] or attacked
+    baseline_average = None if averages is None else averages.get(baseline_keys)
+    if baseline_average is None:
+        baseline_average = average_metrics(baseline)
+        if averages is not None and baseline_keys:
+            averages[baseline_keys] = baseline_average
     return ExperimentResult(
         label=scenario.name,
-        assessment=compare_runs(average_metrics(attacked), average_metrics(baseline)),
+        assessment=compare_runs(average_metrics(attacked), baseline_average),
         attacked_runs=attacked,
         baseline_runs=baseline,
         parameters=dict(scenario.parameters),

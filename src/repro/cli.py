@@ -86,6 +86,8 @@ class CliError(Exception):
 #: the replay stack (gzip, pickle) into every verb to name its errors.
 EXPECTED = {
     "builtins.FileNotFoundError": USAGE,
+    "builtins.NotADirectoryError": USAGE,
+    "builtins.PermissionError": USAGE,
     "repro.api.campaign.IncompleteCampaign": USAGE,
     "repro.api.store.ArtifactKindError": USAGE,
     "repro.experiments.bench.BaselineError": FAILED,
@@ -93,6 +95,7 @@ EXPECTED = {
     "repro.replay.replay.ReplayDivergence": FAILED,
     "repro.replay.replay.ReplayError": FAILED,
     "repro.replay.signature.SignatureMismatch": FAILED,
+    "repro.service.http_api.ListenError": USAGE,
     "repro.service.worker.ServiceError": (
         lambda error: USAGE if error.status < 500 else FAILED
     ),
@@ -578,18 +581,16 @@ def _existing_store(reference: str):
     return open_store(reference)
 
 
-def _sqlite_store(reference: str):
-    """Open the SQLite store ``serve`` and ``worker --store`` need; refuse any
-    other reference before opening, so nothing is created."""
+def _sqlite_path(reference: str) -> Path:
+    """The SQLite database ``serve`` and ``worker --store`` need; refuse any
+    other reference before anything is opened, so nothing is created."""
     path = sqlite_path(reference)
     if path is None:
         raise CliError(
             "--store needs a SQLite store (results.db), not %s: the broker "
             "keeps its lease tables in the same database" % reference
         )
-    from .service.sqlite_store import SQLiteResultStore
-
-    return SQLiteResultStore(path)
+    return path
 
 
 def _cmd_store_prune(args: argparse.Namespace) -> int:
@@ -681,15 +682,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .service.http_api import make_server
 
-    store = _sqlite_store(args.store)
+    # Binds before it opens (and so creates) the database.
     server = make_server(
-        store,
+        _sqlite_path(args.store),
         host=args.host,
         port=args.port,
         lease_seconds=args.lease_seconds,
         on_event=print if args.verbose else None,
         dashboard=bool(getattr(args, "dashboard", False)),
     )
+    store = server.service.store
     host, port = server.server_address[:2]
     print(
         "campaign execution service on http://%s:%d (store %s, lease %.0fs)"
@@ -737,8 +739,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
     else:
         from .service.broker import Broker
+        from .service.sqlite_store import SQLiteResultStore
 
-        store = _sqlite_store(args.store)
+        path = _sqlite_path(args.store)
+        if not path.exists():
+            # A worker drains an existing queue: a mistyped path would
+            # otherwise "succeed" on a fresh empty store and leave it behind.
+            raise CliError("no store at %s" % args.store)
+        store = SQLiteResultStore(path)
         client = LocalBrokerClient(Broker(store, lease_seconds=args.lease_seconds))
         session = Session(
             workers=args.workers or 1,

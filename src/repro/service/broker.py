@@ -30,9 +30,11 @@ bit-identical row digests to a single-process ``CampaignRunner`` run.
 
 A point row holds no scenario: the campaign spec in ``broker_campaigns``
 is the one copy, expanded once per broker process and kept in memory
-while the campaign has work left (see :meth:`Broker._point`).  When a
-close leaves no point pending or leased, the broker merges the WAL into
-the database file, so an idle database is one self-contained file.
+while the campaign has work left, then among the ``DRAINED_EXPANSIONS``
+most recently drained campaigns, whose ``/rows`` reads it serves (see
+:meth:`Broker.expansion`).  When a close leaves no point pending or
+leased, the broker merges the WAL into the database file, so an idle
+database is one self-contained file.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ from __future__ import annotations
 import json
 import math
 import sqlite3
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..api.campaign import (
     Campaign,
@@ -59,6 +63,10 @@ from .sqlite_store import SQLiteResultStore
 #: Point states in the broker tables.
 POINT_STATES = ("pending", "leased", "complete", "failed")
 
+#: How many drained campaigns' expansions a broker keeps, the earliest
+#: drained evicted first: about 2 KiB a point, 600 KiB for 320 points.
+DRAINED_EXPANSIONS = 4
+
 
 class StaleCampaignError(RuntimeError):
     """A stored campaign spec no longer expands to the points queued for it.
@@ -67,6 +75,13 @@ class StaleCampaignError(RuntimeError):
     spec was edited in the database, or the code that expands it changed
     since the submit.  Resubmit the campaign to queue it afresh.
     """
+
+
+class Expansion(NamedTuple):
+    """A submitted campaign and its expanded points, digest-checked."""
+
+    campaign: Campaign
+    points: List[CampaignPoint]
 
 
 @dataclass
@@ -168,8 +183,12 @@ class Broker:
         self.store = store
         self.lease_seconds = float(lease_seconds)
         self.clock = clock
-        #: campaign digest -> its expanded points, while it has work left
-        self._expansions: Dict[str, List[CampaignPoint]] = {}
+        #: campaign digest -> its expansion, while it has work left ...
+        self._expansions: Dict[str, Expansion] = {}
+        #: ... then while it is among the most recently drained ones
+        self._drained: "OrderedDict[str, Expansion]" = OrderedDict()
+        #: serve runs each request on its own thread over one broker
+        self._held = threading.Lock()
         store.execute(
             "CREATE TABLE IF NOT EXISTS broker_campaigns ("
             " digest TEXT PRIMARY KEY, name TEXT NOT NULL, spec TEXT NOT NULL,"
@@ -275,9 +294,36 @@ class Broker:
                         " WHERE campaign=? AND idx=? AND state != 'complete'",
                         (digest, point.index),
                     )
-        if self.outstanding(digest):
-            self._expansions[digest] = points
+        self._hold(digest, Expansion(campaign, points), not self.outstanding(digest))
         return self._sync_manifest(digest)
+
+    def expansion(self, digest: str) -> Optional[Expansion]:
+        """The campaign ``digest`` and its expanded points (None if unknown).
+
+        Held from ``submit`` while the campaign has work left, then among
+        the ``DRAINED_EXPANSIONS`` most recently drained (or rebuilt) ones.
+        Any other campaign (another process submitted it, this one
+        restarted, or it was evicted) is expanded from its stored spec, and
+        that expansion must hash to the campaign's digest: one that does not
+        is refused with both digests named, never leased or reported.
+        """
+        with self._held:
+            held = self._expansions.get(digest) or self._drained.get(digest)
+        if held is not None:
+            return held
+        campaign = self.campaign(digest)
+        if campaign is None:
+            return None
+        points = campaign.expand()
+        rebuilt = Campaign.digest_of(points)
+        if rebuilt != digest:
+            raise StaleCampaignError(
+                "campaign %s: its stored spec expands to campaign %s;"
+                " resubmit the campaign" % (digest, rebuilt)
+            )
+        held = Expansion(campaign, points)
+        self._hold(digest, held, not self.outstanding(digest))
+        return held
 
     def campaign(self, digest: str) -> Optional[Campaign]:
         """The submitted campaign object for ``digest`` (None if unknown)."""
@@ -747,37 +793,35 @@ class Broker:
     # -- internals -----------------------------------------------------------------------
 
     def _point(self, campaign: str, index: int) -> Optional[CampaignPoint]:
-        """Point ``index`` of ``campaign``'s expansion (None if unknown).
-
-        A campaign this broker did not submit (another process did, or
-        this one restarted) is expanded from its stored spec on first use.
-        The expansion must hash to the campaign's digest: one that does
-        not is refused with both digests named, never leased.
-        """
-        points = self._expansions.get(campaign)
-        if points is None:
-            row = self.store.execute(
-                "SELECT spec FROM broker_campaigns WHERE digest=?", (campaign,)
-            ).fetchone()
-            if row is None:
-                return None
-            points = Campaign.from_json(row[0]).expand()
-            rebuilt = Campaign.digest_of(points)
-            if rebuilt != campaign:
-                raise StaleCampaignError(
-                    "campaign %s: its stored spec expands to campaign %s;"
-                    " resubmit the campaign" % (campaign, rebuilt)
-                )
-            self._expansions[campaign] = points
+        """Point ``index`` of ``campaign``'s :meth:`expansion` (None if unknown)."""
+        held = self.expansion(campaign)
+        if held is None:
+            return None
+        points = held.points
         return points[index] if 0 <= index < len(points) else None
 
+    def _hold(self, digest: str, expansion: Expansion, drained: bool) -> None:
+        """Keep ``expansion`` as outstanding or, once drained, as the most
+        recently drained one, evicting the earliest past ``DRAINED_EXPANSIONS``."""
+        with self._held:
+            if not drained:
+                self._drained.pop(digest, None)
+                self._expansions[digest] = expansion
+                return
+            self._expansions.pop(digest, None)
+            self._drained[digest] = expansion
+            self._drained.move_to_end(digest)
+            while len(self._drained) > DRAINED_EXPANSIONS:
+                self._drained.popitem(last=False)
+
     def _settle(self, campaigns) -> None:
-        """After closes: forget drained campaigns' expansions, and merge the
-        WAL into the database file once no point anywhere is left to run."""
+        """After closes: move drained campaigns' expansions to the drained
+        set, and merge the WAL into the database file once no point anywhere
+        is left to run."""
         for campaign in set(campaigns):
-            if campaign in self._expansions and not self.outstanding(campaign):
-                # pop, not del: serve closes points on concurrent threads
-                self._expansions.pop(campaign, None)
+            held = self._expansions.get(campaign)
+            if held is not None and not self.outstanding(campaign):
+                self._hold(campaign, held, drained=True)
         if not self.outstanding():
             self.store.checkpoint()
 

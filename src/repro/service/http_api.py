@@ -36,12 +36,14 @@ HTML page.  See docs/TELEMETRY.md for the SSE contract.
 
 Request and response bodies are JSON objects.  Errors come back as
 ``{"error": ...}`` with 400 (bad request), 404 (unknown campaign/route),
-409 (rows of an incomplete campaign) — each raised as an :class:`ApiError`
-where the request is checked — or 500 for anything else raised under a
-route, which is a bug and not the request's fault.  All routing lives in
-:meth:`ExperimentService.handle`, which is a plain ``(method, path, body)
--> (status, payload)`` function — tests drive it without sockets, and the
-request handler stays a thin shell.
+409 (rows of an incomplete campaign, or a stored spec that no longer
+expands to its campaign's digest:
+:class:`~repro.service.broker.StaleCampaignError` on ``lease``,
+``complete`` or ``rows``) — each raised where the request is checked — or
+500 for anything else raised under a route, which is a bug and not the
+request's fault.  All routing lives in :meth:`ExperimentService.handle`,
+which is a plain ``(method, path, body) -> (status, payload)`` function —
+tests drive it without sockets, and the request handler stays a thin shell.
 
 The server persists runs itself on ``complete`` (they travel in the
 request, a batch of points at a time, written in one transaction), so HTTP
@@ -57,7 +59,8 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..api.campaign import Campaign, CampaignRunner, IncompleteCampaign
@@ -65,7 +68,7 @@ from ..api.resultset import digest_rows
 from ..api.session import Session
 from ..telemetry import EventBus, MetricsAggregator, dashboard_html
 from ..telemetry.stream import publish_campaign_progress
-from .broker import Broker, Finished
+from .broker import Broker, Finished, StaleCampaignError
 from .sqlite_store import SQLiteResultStore
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{6,64}$")
@@ -79,6 +82,11 @@ class ApiError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+class ListenError(OSError):
+    """The server's address cannot be bound: a port another process holds,
+    or a host that does not resolve."""
 
 
 class ExperimentService:
@@ -146,6 +154,10 @@ class ExperimentService:
             return self._route(method.upper(), parts, query, body or {})
         except ApiError as error:
             return error.status, {"error": str(error)}
+        except StaleCampaignError as error:
+            # Refused, not a bug: the queue's campaign is not what its spec
+            # now expands to, and resubmitting it is the fix.
+            return 409, {"error": str(error)}
         except Exception as error:  # noqa: BLE001 - the server must answer
             return 500, {"error": "%s: %s" % (type(error).__name__, error)}
 
@@ -318,17 +330,18 @@ class ExperimentService:
         return finished
 
     def _rows(self, digest: str) -> Dict[str, object]:
-        campaign = self.broker.campaign(digest)
-        if campaign is None:
+        """The campaign's rows, from the broker's digest-checked expansion."""
+        held = self.broker.expansion(digest)
+        if held is None:
             raise ApiError(404, "unknown campaign %r" % digest)
         runner = CampaignRunner(Session(store=self.store))
         try:
-            rows = runner.rows(campaign)
+            rows = runner.rows(held.campaign, held.points)
         except IncompleteCampaign as error:
             raise ApiError(409, str(error))
         return {
             "digest": digest,
-            "exporter": campaign.exporter,
+            "exporter": held.campaign.exporter,
             "rows": rows,
             "rows_digest": digest_rows(rows),
         }
@@ -500,7 +513,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    store: SQLiteResultStore,
+    store: Union[SQLiteResultStore, Path],
     host: str = "127.0.0.1",
     port: int = 8642,
     lease_seconds: float = 60.0,
@@ -512,13 +525,25 @@ def make_server(
     The returned server carries its :class:`ExperimentService` as
     ``server.service``; call ``serve_forever()`` to run it, or start it on
     a daemon thread with :func:`start_server` (tests do the latter).
-    ``dashboard`` enables the static ``/dashboard`` page.
+    ``dashboard`` enables the static ``/dashboard`` page.  ``store`` may be
+    the path of the SQLite database instead, opened once the port is bound:
+    a port that is taken raises :class:`ListenError` and leaves no database
+    behind.
     """
-    server = ThreadingHTTPServer((host, port), _Handler)
+    try:
+        server = ThreadingHTTPServer((host, port), _Handler)
+    except OSError as error:
+        raise ListenError("cannot listen on %s:%d: %s" % (host, port, error)) from error
     server.daemon_threads = True
-    server.service = ExperimentService(  # type: ignore[attr-defined]
-        store, lease_seconds=lease_seconds, on_event=on_event, dashboard=dashboard
-    )
+    try:
+        if not isinstance(store, SQLiteResultStore):
+            store = SQLiteResultStore(store)
+        server.service = ExperimentService(  # type: ignore[attr-defined]
+            store, lease_seconds=lease_seconds, on_event=on_event, dashboard=dashboard
+        )
+    except BaseException:
+        server.server_close()
+        raise
     return server
 
 

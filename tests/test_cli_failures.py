@@ -65,6 +65,7 @@ def workspace(tmp_path_factory):
         "missing_trace": ("missing.jsonl.gz", None),
         "missing_ckpt": ("missing.ckpt.gz", None),
         "missing_store": ("missing-store", None),
+        "missing_db": ("missing.db", None),
         "dir_store": ("dir-store", None),
         "made_ckpt": ("made.ckpt.gz", None),
         "migrated_db": ("migrated.db", None),
@@ -102,6 +103,7 @@ def workspace(tmp_path_factory):
     server = make_server(SQLiteResultStore(root / "svc.db"), port=0)
     start_server(server)
     paths["server"] = "http://127.0.0.1:%d" % server.server_address[1]
+    paths["server_port"] = str(server.server_address[1])
     paths["refused_url"] = refused_url()
     yield paths
     server.shutdown()
@@ -219,10 +221,17 @@ ROWS = [
     # serve and worker
     ("serve-directory-store", "serve --store {dir_store}", 2,
      r"serve: --store needs a SQLite store \(results\.db\), not {dir_store}: "),
+    ("serve-busy-port", "serve --store {missing_db} --port {server_port}", 2,
+     r"serve: cannot listen on 127\.0\.0\.1:{server_port}: \[Errno 98\] "
+     r"Address already in use$"),
+    ("serve-store-under-a-file", "serve --store {bad}/x.db --port 0", 2,
+     r"serve: \[Errno 20\] Not a directory: '{bad}/x\.db\.traces'$"),
     ("worker-ok", "worker --store {empty_db}", 0, ""),
     ("worker-failed-point", "worker --store {doomed_db} --retries 0", 1, ""),
     ("worker-directory-store", "worker --store {dir_store}", 2,
      r"worker: --store needs a SQLite store \(results\.db\), not {dir_store}: "),
+    ("worker-missing-store", "worker --store {missing_db}", 2,
+     r"worker: no store at {missing_db}$"),
     ("worker-two-transports", "worker --connect {server} --store {empty_db}", 2,
      r"worker: needs exactly one of --connect URL \(remote service\) or --store "),
     ("worker-refused", "worker --connect {refused_url}", 3,
@@ -273,6 +282,22 @@ def test_a_store_that_is_not_sqlite_is_refused_before_it_is_created(
     store = tmp_path / "results"
     assert main([verb, "--store", str(store)]) == 2
     assert capsys.readouterr().err.startswith("%s: --store needs a SQLite store" % verb)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_busy_port_or_a_missing_worker_store_creates_nothing(tmp_path, capsys):
+    """``serve`` binds before it opens its database, and ``worker --store``
+    drains an existing store only: a refusal leaves no file behind."""
+    store = tmp_path / "results.db"
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = str(busy.getsockname()[1])
+        assert main(["serve", "--store", str(store), "--port", port]) == 2
+    assert main(["worker", "--store", str(store)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("serve: cannot listen on 127.0.0.1:%s: " % port)
+    assert lines[1] == "worker: no store at %s" % store
     assert list(tmp_path.iterdir()) == []
 
 

@@ -21,7 +21,7 @@ from repro.api import (
 from repro.api.campaign import status_dict
 from repro.api.resultset import digest_rows, export_rows
 from repro.service import Broker, LocalBrokerClient, Worker
-from repro.service.broker import Finished, StaleCampaignError
+from repro.service.broker import DRAINED_EXPANSIONS, Finished, StaleCampaignError
 from repro.service.sqlite_store import SQLiteResultStore
 from repro.service.worker import run_payloads
 
@@ -663,9 +663,12 @@ class TestOneFile:
         lease = broker.lease("w1")
         assert lease.scenario.to_dict() == campaign.expand()[0].scenario.to_dict()
         assert lease.scenario is broker._point(lease.campaign, 0).scenario
-        # Draining the campaign drops its expansion.
+        # Draining the campaign moves its expansion to the drained set,
+        # where ``/rows`` reads find it.
         broker.complete_batch([finished(lease), finished(broker.lease("w1"))])
         assert broker._expansions == {}
+        assert list(broker._drained) == [lease.campaign]
+        assert broker.expansion(lease.campaign).points[0].scenario is lease.scenario
 
     def test_an_old_schema_database_migrates_and_drains(self, tmp_path):
         campaign = smoke_campaign(2)
@@ -760,7 +763,8 @@ class TestOneFile:
 
     def test_concurrent_closing_batches_drop_the_expansion_once(self, store):
         # serve runs each request on its own thread over one broker: the
-        # batches that close a campaign's last points race to forget it.
+        # batches that close a campaign's last points race to move its
+        # expansion from the outstanding set to the drained one.
         broker = Broker(store, lease_seconds=30.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -786,5 +790,9 @@ class TestOneFile:
                 assert not any(thread.is_alive() for thread in threads)
                 assert errors == []
                 assert broker.outstanding() == 0 and broker._expansions == {}
+                assert len(broker._drained) <= DRAINED_EXPANSIONS
+                assert list(broker._drained)[-1] == Campaign.digest_of(
+                    campaign.expand()
+                )
         finally:
             sys.setswitchinterval(interval)

@@ -13,7 +13,14 @@ import pytest
 
 from repro import units
 from repro.api import Campaign, CampaignRunner, Scenario, Session
-from repro.service import HttpBrokerClient, Worker, make_server, start_server
+from repro.service import (
+    HttpBrokerClient,
+    LocalBrokerClient,
+    Worker,
+    make_server,
+    start_server,
+)
+from repro.service.broker import DRAINED_EXPANSIONS, StaleCampaignError
 from repro.service.http_api import ExperimentService
 from repro.service.sqlite_store import SQLiteResultStore
 
@@ -249,6 +256,148 @@ class TestErrorStatuses:
         status, body = service.handle("POST", "/api/campaigns", payload)
         assert status == 400
         assert body["error"].startswith("unknown Campaign key(s) 'bogus'")
+
+
+def tamper(store, digest):
+    """Rewrite campaign ``digest``'s stored spec so it expands to other points;
+    returns the digest the tampered spec expands to."""
+    tampered = smoke_campaign(2)
+    tampered.scenario.sim["duration"] = units.months(3)
+    store.execute(
+        "UPDATE broker_campaigns SET spec=? WHERE digest=?",
+        (tampered.to_json(indent=None), digest),
+    )
+    return tampered.digest
+
+
+class TestStaleCampaigns:
+    """A stored spec that no longer expands to its campaign's digest is a
+    refused request (409 naming both digests) on every route that expands
+    it, never a 500 and never rows of points nobody submitted."""
+
+    def restarted(self, service, store):
+        """Submit, tamper, and return a service that did not submit it."""
+        _, submitted = service.handle(
+            "POST", "/api/campaigns", smoke_campaign(2).to_dict()
+        )
+        digest = submitted["digest"]
+        return ExperimentService(store, lease_seconds=10.0), digest, tamper(store, digest)
+
+    def test_lease_answers_409(self, service, store):
+        fresh, digest, rebuilt = self.restarted(service, store)
+        status, payload = fresh.handle("POST", "/api/lease", {"worker": "w1"})
+        assert status == 409
+        assert digest in payload["error"] and rebuilt in payload["error"]
+        assert fresh.broker.status(digest)["counts"]["pending"] == 2
+
+    def test_complete_answers_409(self, service, store):
+        _, submitted = service.handle(
+            "POST", "/api/campaigns", smoke_campaign(2).to_dict()
+        )
+        _, leased = service.handle("POST", "/api/lease", {"worker": "w1"})
+        lease = leased["leases"][0]
+        rebuilt = tamper(store, submitted["digest"])
+        fresh = ExperimentService(store, lease_seconds=10.0)
+        point = {key: lease[key] for key in ("campaign", "index", "digest")}
+        runs = {run: {"fake": True} for _, _, run in run_keys(lease)}
+        body = {"points": [dict(point, worker="w1", runs=runs)]}
+        status, payload = fresh.handle("POST", "/api/complete", body)
+        assert status == 409
+        assert submitted["digest"] in payload["error"] and rebuilt in payload["error"]
+        # The batch's transaction rolled back: nothing stored, nothing closed.
+        assert not any(store.has("runs", run) for run in runs)
+        assert fresh.broker.status(submitted["digest"])["counts"]["leased"] == 1
+
+    def test_rows_answer_409(self, service, store):
+        fresh, digest, rebuilt = self.restarted(service, store)
+        status, payload = fresh.handle("GET", "/api/campaigns/%s/rows" % digest)
+        assert status == 409
+        assert digest in payload["error"] and rebuilt in payload["error"]
+
+
+class TestHeldExpansions:
+    """``/rows`` reads the broker's held expansion: a drained campaign is
+    expanded once per process, the drained set stays within its bound, and
+    what the store holds is read afresh on every request."""
+
+    @pytest.fixture
+    def drained(self, service):
+        """A campaign submitted and drained through ``service``: its digest."""
+        _, submitted = service.handle(
+            "POST", "/api/campaigns", smoke_campaign(2).to_dict()
+        )
+        Worker(LocalBrokerClient(service.broker), session=Session()).run()
+        return submitted["digest"]
+
+    @staticmethod
+    def count_expansions(monkeypatch):
+        calls = []
+        expand = Campaign.expand
+
+        def counted(campaign):
+            calls.append(campaign.name)
+            return expand(campaign)
+
+        monkeypatch.setattr(Campaign, "expand", counted)
+        return calls
+
+    def test_a_warm_rows_read_expands_nothing(
+        self, service, store, drained, monkeypatch
+    ):
+        calls = self.count_expansions(monkeypatch)
+        status, first = service.handle("GET", "/api/campaigns/%s/rows" % drained)
+        assert status == 200 and calls == []
+        # A restarted service expands the stored spec once, on its first read.
+        fresh = ExperimentService(store, lease_seconds=10.0)
+        assert fresh.handle("GET", "/api/campaigns/%s/rows" % drained) == (200, first)
+        assert len(calls) == 1
+        assert fresh.handle("GET", "/api/campaigns/%s/rows" % drained) == (200, first)
+        assert len(calls) == 1
+
+    def test_the_earliest_drained_expansion_is_evicted(
+        self, service, store, monkeypatch
+    ):
+        broker = service.broker
+        digests = []
+        for seed in range(DRAINED_EXPANSIONS + 1):
+            campaign = smoke_campaign(1, name="drained-%d" % seed)
+            campaign.scenario.seeds = (seed + 1,)
+            for point in campaign.expand():
+                for _, _, run in point.run_keys:
+                    store.save_json("runs", run, [{"fake": True}])
+            # Every run is stored, so the campaign is drained at submit.
+            digests.append(broker.submit(campaign)["digest"])
+            if len(digests) == DRAINED_EXPANSIONS:
+                broker.expansion(digests[0])  # a read does not keep it
+        # One past the bound: the earliest drained campaign went.
+        evicted = digests[0]
+        assert list(broker._drained) == digests[1:]
+        assert broker._expansions == {}
+
+        # The evicted campaign's next read re-expands and re-checks its
+        # digest: a spec tampered with behind it is refused.
+        rebuilt = tamper(store, evicted)
+        calls = self.count_expansions(monkeypatch)
+        broker.expansion(digests[1])
+        assert calls == []
+        with pytest.raises(StaleCampaignError) as raised:
+            broker.expansion(evicted)
+        assert evicted in str(raised.value) and rebuilt in str(raised.value)
+        assert len(calls) == 1
+        status, _ = service.handle("GET", "/api/campaigns/%s/rows" % evicted)
+        assert status == 409
+        assert len(broker._drained) <= DRAINED_EXPANSIONS
+
+    def test_a_run_deleted_behind_a_held_expansion_is_a_409(
+        self, service, store, drained
+    ):
+        assert service.handle("GET", "/api/campaigns/%s/rows" % drained)[0] == 200
+        assert drained in service.broker._drained
+        run = service.broker.expansion(drained).points[1].run_keys[0][2]
+        store.execute('DELETE FROM "artifact_runs" WHERE digest=?', (run,))
+        status, payload = service.handle("GET", "/api/campaigns/%s/rows" % drained)
+        assert status == 409
+        assert "incomplete" in payload["error"] and "#1" in payload["error"]
 
 
 @pytest.fixture
