@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .resultset import PointResult, ResultSet, export_rows
 from .scenario import (
@@ -59,7 +59,7 @@ from .session import (
     default_session,
 )
 from ..metrics.report import RunMetrics
-from .store import ResultStore
+from .store import RUNS_PER_READ, ResultStore
 
 logger = logging.getLogger(__name__)
 
@@ -569,30 +569,61 @@ class CampaignRunner:
     def _load_point(
         self,
         point: CampaignPoint,
-        baselines: Dict[str, RunMetrics],
+        runs: Mapping[str, RunMetrics],
         averages: Dict[Tuple[str, ...], RunMetrics],
     ) -> Optional[ExperimentResult]:
-        """The point's result, derived from its stored runs; ``None`` while one
-        is missing or corrupt.  ``baselines`` keeps the baseline runs the
-        caller has read, and ``averages`` their averages (by the baseline
-        run digests), so a baseline a grid shares is read and averaged once
-        per call."""
-        if self.store is None:
+        """The point's result, derived from ``runs`` (stored runs by digest);
+        ``None`` while one of its runs is missing.  ``averages`` keeps
+        baseline averages by the baseline run digests, so a baseline a grid
+        shares is averaged once per read."""
+        if any(digest not in runs for _, _, digest in point.run_keys):
             return None
-        runs: Dict[str, RunMetrics] = {}
-        for _, baseline, digest in point.run_keys:
-            run = baselines.get(digest)
-            if run is None:
-                stored = self.store.load_runs(digest)
-                if not stored:
-                    return None
-                run = stored[0]
-                if baseline:
-                    baselines[digest] = run
-            runs[digest] = run
         return assemble_result(
             point.scenario, point.digest, point.run_keys, runs, averages
         )
+
+    def _load_points(
+        self, points: Sequence[CampaignPoint]
+    ) -> Iterator[Tuple[CampaignPoint, Optional[ExperimentResult]]]:
+        """Each point in order with its result derived from the stored runs
+        (``None`` while one is missing or corrupt).
+
+        Runs are read :data:`~repro.api.store.RUNS_PER_READ` digests at a
+        time, a point's runs in the same read.  A baseline run stays held
+        for the later points that share it, so it is read and averaged
+        once; the other runs are dropped after their read's points.
+        """
+        if self.store is None:
+            for point in points:
+                yield point, None
+            return
+        runs: Dict[str, RunMetrics] = {}
+        baselines: Set[str] = set()
+        averages: Dict[Tuple[str, ...], RunMetrics] = {}
+        start = 0
+        while start < len(points):
+            wanted: Dict[str, None] = {}
+            end = start
+            while end < len(points):
+                new = [
+                    digest
+                    for _, _, digest in points[end].run_keys
+                    if digest not in runs and digest not in wanted
+                ]
+                if wanted and len(wanted) + len(new) > RUNS_PER_READ:
+                    break
+                wanted.update(dict.fromkeys(new))
+                baselines.update(
+                    digest for _, baseline, digest in points[end].run_keys if baseline
+                )
+                end += 1
+            for digest, stored in self.store.load_many_runs(wanted).items():
+                if stored:
+                    runs[digest] = stored[0]
+            for point in points[start:end]:
+                yield point, self._load_point(point, runs, averages)
+            runs = {digest: run for digest, run in runs.items() if digest in baselines}
+            start = end
 
     def _stored_failures(self, digest: str, done) -> Optional[Dict[int, str]]:
         """Errors of the points the stored manifest of campaign ``digest``
@@ -621,11 +652,7 @@ class CampaignRunner:
         """
         points = campaign.expand()
         digest = Campaign.digest_of(points)
-        baselines: Dict[str, RunMetrics] = {}
-        averages: Dict[Tuple[str, ...], RunMetrics] = {}
-        completed = [
-            p for p in points if self._load_point(p, baselines, averages) is not None
-        ]
+        completed = [p for p, result in self._load_points(points) if result is not None]
         done = {point.index for point in completed}
         return CampaignStatus(
             name=campaign.name,
@@ -664,10 +691,7 @@ class CampaignRunner:
         points = campaign.expand()
         results: Dict[int, ExperimentResult] = {}
         pending: List[CampaignPoint] = []
-        baselines: Dict[str, RunMetrics] = {}
-        averages: Dict[Tuple[str, ...], RunMetrics] = {}
-        for point in points:
-            loaded = self._load_point(point, baselines, averages)
+        for point, loaded in self._load_points(points):
             if loaded is not None:
                 results[point.index] = loaded
             else:
@@ -753,10 +777,9 @@ class CampaignRunner:
         is ``campaign.expand()`` when the caller holds it already (as
         :meth:`Campaign.digest_of` takes it).
         """
-        baselines: Dict[str, RunMetrics] = {}
-        averages: Dict[Tuple[str, ...], RunMetrics] = {}
-        for point in campaign.expand() if points is None else points:
-            result = self._load_point(point, baselines, averages)
+        for point, result in self._load_points(
+            campaign.expand() if points is None else points
+        ):
             if result is None:
                 raise IncompleteCampaign(
                     "campaign %r is incomplete: point #%d (%s) is missing "
@@ -789,10 +812,7 @@ class CampaignRunner:
             points = campaign.expand()
         loaded: List[PointResult] = []
         missing: List[CampaignPoint] = []
-        baselines: Dict[str, RunMetrics] = {}
-        averages: Dict[Tuple[str, ...], RunMetrics] = {}
-        for point in points:
-            result = self._load_point(point, baselines, averages)
+        for point, result in self._load_points(points):
             if result is None:
                 missing.append(point)
             else:

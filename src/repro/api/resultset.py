@@ -24,6 +24,7 @@ artifact.
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -37,7 +38,6 @@ from typing import (
 )
 
 from .observations import OBSERVATION_KINDS, RunObservations, observe
-from .scenario import canonical_json
 from .session import ExperimentResult
 
 if TYPE_CHECKING:
@@ -391,23 +391,39 @@ def export_rows(name: Optional[str], result_set: ResultSet) -> List[Dict[str, ob
     return ROW_EXPORTERS[name](result_set)
 
 
-def digest_rows(rows: Iterable[Dict[str, object]]) -> str:
-    """Content digest of a row payload, holding one row at a time.
+def encode_rows(rows: Iterable[Dict[str, object]]) -> bytes:
+    """The one JSON encoding of a row payload: sorted keys, no whitespace.
 
-    Hashes the canonical JSON of each row between literal ``[`` ``,`` ``]``
-    separators, which is byte-identical to ``canonical_json`` of the full
-    list — so streaming reports (lazy result sets over a SQLite store)
-    produce exactly the committed benchmark digests.
+    It is byte-identical to ``canonical_json`` of the row list, which the
+    committed benchmark digests hash, without ``canonical_json``'s
+    conversion walk: ``json`` writes tuples as lists and ``str``/``int``/
+    ``float`` enums as their values, and raises on any other enum.  The one
+    difference left, a dict key that is not a ``str`` (``json`` sorts and
+    spells it differently), is refused with :class:`TypeError`.
     """
-    hasher = hashlib.sha256()
-    hasher.update(b"[")
-    for position, row in enumerate(rows):
-        if position:
-            hasher.update(b",")
-        hasher.update(canonical_json(row).encode("utf-8"))
-    hasher.update(b"]")
-    return hasher.hexdigest()
+    rows = list(rows)
+    _check_keys(rows)
+    return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-#: The name streaming callers (and docs/SERVICE.md) use; any iterable works.
-digest_rows_iter = digest_rows
+def _check_keys(value: object) -> None:
+    """Raise :class:`TypeError` on a dict key, at any depth, that is not a ``str``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(
+                    "row keys must be str, not %s (%r)" % (type(key).__name__, key)
+                )
+            if isinstance(item, (dict, list, tuple)):
+                _check_keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            if isinstance(item, (dict, list, tuple)):
+                _check_keys(item)
+
+
+def digest_rows(rows: Iterable[Dict[str, object]]) -> str:
+    """Content digest of a row payload: the sha256 of :func:`encode_rows`,
+    so a report, ``bench`` and the service's ``rows_digest`` hash the same
+    bytes."""
+    return hashlib.sha256(encode_rows(rows)).hexdigest()

@@ -52,9 +52,14 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..metrics.report import RunMetrics
+
+#: Run digests per batched read (:meth:`ResultStore.load_many_runs`).  A
+#: report holds at most this many runs at once, and one SQLite statement
+#: binds at most this many parameters (SQLite's limit is 999 before 3.32).
+RUNS_PER_READ = 500
 
 
 class ArtifactKindError(ValueError):
@@ -145,13 +150,22 @@ class ResultStore:
         return self.save_json("runs", digest, [run.to_dict() for run in runs])
 
     def load_runs(self, digest: str) -> Optional[List[RunMetrics]]:
-        payload = self.load_json("runs", digest)
-        if not isinstance(payload, list):
-            return None
-        try:
-            return [RunMetrics.from_dict(item) for item in payload]
-        except (KeyError, TypeError, ValueError):
-            return None
+        return runs_from_payload(self.load_json("runs", digest))
+
+    def load_many_runs(self, digests: Iterable[str]) -> Dict[str, List[RunMetrics]]:
+        """The stored runs of each of ``digests``, by digest.
+
+        A digest whose runs are missing or unreadable is left out (a corrupt
+        artifact is quarantined as by :meth:`load_json`).  This backend reads
+        one artifact at a time; the SQLite one reads :data:`RUNS_PER_READ`
+        digests per statement.
+        """
+        found: Dict[str, List[RunMetrics]] = {}
+        for digest in digests:
+            runs = self.load_runs(digest)
+            if runs is not None:
+                found[digest] = runs
+        return found
 
     # -- replay traces ------------------------------------------------------------------
 
@@ -322,6 +336,16 @@ class ResultStore:
             except OSError:
                 pass
         return removed
+
+
+def runs_from_payload(payload: object) -> Optional[List[RunMetrics]]:
+    """A ``runs`` artifact's payload as runs; None when it is not one."""
+    if not isinstance(payload, list):
+        return None
+    try:
+        return [RunMetrics.from_dict(item) for item in payload]
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 #: Path suffixes that select the SQLite backend in :func:`open_store`.

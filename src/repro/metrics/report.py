@@ -138,10 +138,15 @@ def compare_runs(attacked: RunMetrics, baseline: RunMetrics) -> AttackAssessment
 
 
 def average_metrics(runs: "list[RunMetrics]") -> RunMetrics:
-    """Average several runs (different seeds) of the same configuration."""
+    """Average several runs (different seeds) of the same configuration.
+
+    One run is its own average: it is returned itself, not copied.
+    """
     if not runs:
         raise ValueError("cannot average zero runs")
     n = len(runs)
+    if n == 1:
+        return runs[0]
     extras: Dict[str, float] = {}
     for run in runs:
         for key, value in run.extras.items():

@@ -41,9 +41,12 @@ expands to its campaign's digest:
 :class:`~repro.service.broker.StaleCampaignError` on ``lease``,
 ``complete`` or ``rows``) — each raised where the request is checked — or
 500 for anything else raised under a route, which is a bug and not the
-request's fault.  All routing lives in :meth:`ExperimentService.handle`,
-which is a plain ``(method, path, body) -> (status, payload)`` function —
-tests drive it without sockets, and the request handler stays a thin shell.
+request's fault (``/api/metrics`` counts each in
+``repro_swallowed_errors_total{site="http_api"}``).  All routing lives in
+:meth:`ExperimentService.handle`, which is a plain ``(method, path, body)
+-> (status, payload)`` function — tests drive it without sockets, and the
+request handler stays a thin shell.  The payload is a dict, except for
+``/rows``, whose body comes back already encoded (bytes).
 
 The server persists runs itself on ``complete`` (they travel in the
 request, a batch of points at a time, written in one transaction), so HTTP
@@ -54,6 +57,7 @@ docs/SERVICE.md for the lease/heartbeat contract.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
@@ -64,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..api.campaign import Campaign, CampaignRunner, IncompleteCampaign
-from ..api.resultset import digest_rows
+from ..api.resultset import encode_rows
 from ..api.session import Session
 from ..telemetry import EventBus, MetricsAggregator, dashboard_html
 from ..telemetry.stream import publish_campaign_progress
@@ -73,7 +77,8 @@ from .sqlite_store import SQLiteResultStore
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{6,64}$")
 
-JsonResponse = Tuple[int, Dict[str, object]]
+#: A status and its body: a JSON object, or ``/rows``' body already encoded.
+JsonResponse = Tuple[int, Union[Dict[str, object], bytes]]
 
 
 class ApiError(Exception):
@@ -111,6 +116,10 @@ class ExperimentService:
         self._lease_latency = self.aggregator.registry.histogram(
             "repro_worker_lease_latency_seconds",
             "Wall seconds a worker's lease claim spent inside the broker",
+        )
+        self._swallowed = self.aggregator.registry.counter(
+            "repro_swallowed_errors_total",
+            "Errors a blanket handler caught and answered instead of raising, by site",
         )
 
     def _log(self, message: str) -> None:
@@ -159,6 +168,7 @@ class ExperimentService:
             # now expands to, and resubmitting it is the fix.
             return 409, {"error": str(error)}
         except Exception as error:  # noqa: BLE001 - the server must answer
+            self._swallowed.inc(site="http_api")
             return 500, {"error": "%s: %s" % (type(error).__name__, error)}
 
     def _route(
@@ -329,22 +339,24 @@ class ExperimentService:
             )
         return finished
 
-    def _rows(self, digest: str) -> Dict[str, object]:
-        """The campaign's rows, from the broker's digest-checked expansion."""
+    def _rows(self, digest: str) -> bytes:
+        """The campaign's rows, from the broker's digest-checked expansion,
+        as the response body: the rows are encoded once, and ``rows_digest``
+        hashes those very bytes."""
         held = self.broker.expansion(digest)
         if held is None:
             raise ApiError(404, "unknown campaign %r" % digest)
         runner = CampaignRunner(Session(store=self.store))
         try:
-            rows = runner.rows(held.campaign, held.points)
+            encoded = encode_rows(runner.rows(held.campaign, held.points))
         except IncompleteCampaign as error:
             raise ApiError(409, str(error))
-        return {
-            "digest": digest,
-            "exporter": held.campaign.exporter,
-            "rows": rows,
-            "rows_digest": digest_rows(rows),
-        }
+        return b'{"digest":"%s","exporter":%s,"rows":%s,"rows_digest":"%s"}' % (
+            digest.encode("ascii"),
+            json.dumps(held.campaign.exporter).encode("utf-8"),
+            encoded,
+            hashlib.sha256(encoded).hexdigest().encode("ascii"),
+        )
 
     # -- validation ----------------------------------------------------------------------
 
@@ -383,7 +395,10 @@ class _Handler(BaseHTTPRequestHandler):
         status, payload = self.server.service.handle(  # type: ignore[attr-defined]
             self.command, self.path, body
         )
-        data = json.dumps(payload).encode("utf-8")
+        if isinstance(payload, bytes):
+            data = payload
+        else:
+            data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

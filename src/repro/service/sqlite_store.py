@@ -35,9 +35,10 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..api.store import ArtifactKindError, ResultStore
+from ..api.store import RUNS_PER_READ, ArtifactKindError, ResultStore, runs_from_payload
+from ..metrics.report import RunMetrics
 
 #: Artifact kinds become table names, so they are restricted to identifier
 #: characters (the directory backend's kinds — runs/campaign — qualify).
@@ -173,6 +174,35 @@ class SQLiteResultStore(ResultStore):
         except ValueError as error:
             self._quarantine_row(kind, digest, row[0], str(error))
             return None
+
+    def load_many_runs(self, digests: Iterable[str]) -> Dict[str, List[RunMetrics]]:
+        """The stored runs of each of ``digests``: one ``SELECT ... IN`` per
+        :data:`~repro.api.store.RUNS_PER_READ` digests.  Missing and
+        unreadable runs are left out; an unparsable payload is quarantined
+        as by :meth:`load_json`."""
+        wanted = list(dict.fromkeys(digests))
+        found: Dict[str, List[RunMetrics]] = {}
+        for start in range(0, len(wanted), RUNS_PER_READ):
+            batch = wanted[start : start + RUNS_PER_READ]
+            with self._lock:
+                try:
+                    rows = self._conn.execute(
+                        'SELECT digest, payload FROM "artifact_runs"'
+                        " WHERE digest IN (%s)" % ",".join("?" * len(batch)),
+                        batch,
+                    ).fetchall()
+                except sqlite3.OperationalError:
+                    return found  # table never created: every digest a miss
+            for digest, text in rows:
+                try:
+                    payload = json.loads(text)
+                except ValueError as error:
+                    self._quarantine_row("runs", digest, text, str(error))
+                    continue
+                runs = runs_from_payload(payload)
+                if runs is not None:
+                    found[digest] = runs
+        return found
 
     def _quarantine_row(
         self, kind: str, digest: str, payload: Optional[str], reason: str

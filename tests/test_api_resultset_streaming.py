@@ -1,11 +1,20 @@
 """Streaming result sets: lazy loading, iterator surfaces, and the
-incremental rows digest."""
+rows digest."""
+
+import enum
+import hashlib
 
 import pytest
 
 from repro import units
 from repro.api import Campaign, CampaignRunner, ResultStore, Scenario, Session
-from repro.api.resultset import ResultSet, digest_rows, digest_rows_iter
+from repro.api.resultset import ResultSet, digest_rows, encode_rows
+from repro.api.scenario import canonical_json
+
+
+def canonical_digest(rows):
+    """The committed benchmark digests' definition: sha256 of ``canonical_json``."""
+    return hashlib.sha256(canonical_json(list(rows)).encode("utf-8")).hexdigest()
 
 
 def run_small_campaign(tmp_path, points=2):
@@ -87,8 +96,61 @@ class TestIncrementalDigest:
         ],
     )
     def test_matches_the_batch_digest(self, rows):
-        assert digest_rows_iter(iter(rows)) == digest_rows(rows)
+        assert digest_rows(iter(rows)) == digest_rows(rows) == canonical_digest(rows)
 
     def test_consumes_a_generator_once(self):
         rows = [{"i": i} for i in range(5)]
-        assert digest_rows_iter(row for row in rows) == digest_rows(rows)
+        assert digest_rows(row for row in rows) == canonical_digest(rows)
+
+
+class Plain(enum.Enum):
+    A = "a"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10
+
+
+class Mode(str, enum.Enum):
+    FAST = "fast"
+
+
+class Ratio(float, enum.Enum):
+    HALF = 0.5
+
+
+class TestOneEncoder:
+    """``encode_rows`` writes what ``canonical_json`` writes, or raises: a row
+    value ``canonical_json`` would have converted never encodes differently."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"t": (1, 2.5, "x")},
+            {"t": [(1, (2, 3))], "n": {"u": ()}},
+            {"level": Level.HIGH, "mode": Mode.FAST, "ratio": Ratio.HALF},
+            {"levels": [Level.LOW, Level.HIGH], "nested": {"mode": Mode.FAST}},
+            {"nan": float("nan"), "inf": float("inf"), "neg": -0.0},
+        ],
+    )
+    def test_same_bytes_as_canonical_json(self, row):
+        assert encode_rows([row]) == canonical_json([row]).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"plain": Plain.A},
+            {"nested": [{"plain": Plain.A}]},
+            {1: "int key"},
+            {"m": {10: "a", 9: "b"}},
+            {"m": {True: 1}},
+            {"m": {None: 1}},
+            {"m": {1.5: 1}},
+            {"m": [{Mode.FAST: 1}]},
+            {Level.LOW: 1},
+        ],
+    )
+    def test_otherwise_raises(self, row):
+        with pytest.raises(TypeError):
+            encode_rows([row])

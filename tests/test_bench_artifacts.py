@@ -9,13 +9,16 @@ campaign file with its claims as data (``repro/experiments/artifacts``).
 
 import copy
 import functools
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.api import Session, campaign_rows
+from repro.api import resultset
 from repro.api.resultset import digest_rows
+from repro.api.scenario import canonical_json
 from repro.cli import main
 from repro.experiments import bench
 
@@ -34,10 +37,33 @@ def statements(name):
 CLAIMED = [name for name in bench.artifact_names() if claims(name)]
 
 
+def per_row_digest(rows):
+    """The rows digest as it was once computed: ``canonical_json`` of each
+    row, hashed between literal ``[`` ``,`` ``]`` separators."""
+    hasher = hashlib.sha256(b"[")
+    for position, row in enumerate(rows):
+        if position:
+            hasher.update(b",")
+        hasher.update(canonical_json(row).encode("utf-8"))
+    hasher.update(b"]")
+    return hasher.hexdigest()
+
+
 @pytest.mark.parametrize("name", bench.artifact_names())
-def test_pinned_digest_and_paper_claims(name):
+def test_pinned_digest_and_paper_claims(name, monkeypatch):
+    encoded = []
+    encode_rows = resultset.encode_rows
+
+    def recording(rows):
+        encoded.append(rows)
+        return encode_rows(rows)
+
+    monkeypatch.setattr(resultset, "encode_rows", recording)
     record = bench._run_artifact(name)
     assert record["digest"] == bench.load_baseline(BASELINE)[name]
+    # The one rows encoder hashes to the per-row canonical_json digest.
+    (rows,) = encoded
+    assert per_row_digest(rows) == record["digest"]
     assert record["claims"]["total"] == len(claims(name))
     assert record["claims"]["broken"] == []
     # Every claim that holds has a margin, and it is positive.

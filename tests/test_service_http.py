@@ -6,13 +6,17 @@ ephemeral port with :class:`HttpBrokerClient` workers — including an
 abandoned-lease steal over HTTP.
 """
 
+import json
 import socket
 import time
 
 import pytest
 
 from repro import units
-from repro.api import Campaign, CampaignRunner, Scenario, Session
+from repro.api import AdversarySpec, Campaign, CampaignRunner, Scenario, Session
+from repro.api import scenario as scenario_module
+from repro.metrics import report
+from repro.metrics.report import RunMetrics
 from repro.service import (
     HttpBrokerClient,
     LocalBrokerClient,
@@ -236,9 +240,12 @@ class TestErrorStatuses:
         monkeypatch.setattr(service.broker, "complete_batch", broken)
         point = {key: lease[key] for key in ("campaign", "index", "digest")}
         body = {"points": [dict(point, worker="w1", runs={})]}
+        assert 'repro_swallowed_errors_total{site="http_api"}' not in service.metrics_text()
         status, payload = service.handle("POST", "/api/complete", body)
         assert status == 500
         assert payload["error"].startswith(type(error).__name__ + ": ")
+        # Answered, not swallowed silently: /api/metrics counts it.
+        assert 'repro_swallowed_errors_total{site="http_api"} 1\n' in service.metrics_text()
 
     def test_an_unknown_campaign_is_a_404(self, service):
         status, payload = service.handle("GET", "/api/campaigns/%s" % ("ab" * 32))
@@ -459,6 +466,71 @@ class TestEndToEnd:
 
 
 
+class TestOneRowsRead:
+    """A warm ``/rows`` of a 320-point campaign (the fleet_http shape: 40
+    coverages x 8 durations, one seed, one shared baseline) reads its 321
+    runs in one statement, encodes its rows once and averages nothing."""
+
+    @pytest.fixture
+    def drained(self, store, server):
+        base = Scenario(
+            name="one read",
+            base="smoke",
+            adversary=AdversarySpec("pipe_stoppage", {}),
+            seeds=(1,),
+        )
+        campaign = Campaign.from_grid(
+            "one-read",
+            base,
+            {
+                "adversary.coverage": [round((i + 1) / 40, 4) for i in range(40)],
+                "adversary.attack_duration_days": [5.0 * (j + 1) for j in range(8)],
+            },
+        )
+        runs = {}
+        for point in campaign.expand():
+            for _, _, run in point.run_keys:
+                runs[run] = RunMetrics(
+                    0.01, 3600.0 + len(runs), 10, 1, 0, 50.0, 5.0, 86400.0,
+                    {"events_processed": 100.0},
+                )
+        assert len(runs) == 321
+        with store.transaction():
+            for digest, run in runs.items():
+                store.save_runs(digest, [run])
+        # Every run is stored, so the campaign is drained at submit.
+        return server.service.broker.submit(campaign)["digest"]
+
+    def test_a_warm_rows_read_does_each_piece_of_work_once(
+        self, store, client, drained, monkeypatch
+    ):
+        path = "/api/campaigns/%s/rows" % drained
+        warm = client.request("GET", path)
+        statements, canonical, encodings, averaged = [], [], [], []
+        store._conn.set_trace_callback(statements.append)
+        jsonable, dumps, built = scenario_module._jsonable, json.dumps, report.RunMetrics
+        monkeypatch.setattr(
+            scenario_module, "_jsonable", lambda value: canonical.append(1) or jsonable(value)
+        )
+
+        def counted_dumps(value, *args, **kwargs):
+            if isinstance(value, (list, dict)):
+                encodings.append(type(value))
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted_dumps)
+        monkeypatch.setattr(
+            report, "RunMetrics", lambda *a, **k: averaged.append(1) or built(*a, **k)
+        )
+        payload = client.request("GET", path)
+        store._conn.set_trace_callback(None)
+        assert payload == warm and len(payload["rows"]) == 320
+        assert len(statements) == 1 and "IN (" in statements[0]
+        assert canonical == []
+        assert encodings == [list]
+        assert averaged == []
+
+
 class TestRemoteBeatAndFail:
     """The two calls a remote worker makes only when a point is slow or
     broken: ``heartbeat`` and ``fail``, over a real server."""
@@ -568,6 +640,7 @@ class TestLayering:
 
         script = textwrap.dedent(
             """
+            import json
             import sys
 
             from repro import units
@@ -585,11 +658,11 @@ class TestLayering:
             campaign = Campaign.from_grid("layering", base, {"sim.n_aus": [1]})
             _, submitted = service.handle("POST", "/api/campaigns", campaign.to_dict())
             Worker(LocalBrokerClient(service.broker), session=Session(store=store)).run()
-            status, payload = service.handle(
+            status, body = service.handle(
                 "GET", "/api/campaigns/%s/rows" % submitted["digest"]
             )
-            assert status == 200, payload
-            assert len(payload["rows_digest"]) == 64
+            assert status == 200, body
+            assert len(json.loads(body)["rows_digest"]) == 64
             assert "repro.experiments.bench" not in sys.modules, "bench was imported"
             """
         )

@@ -12,11 +12,16 @@ migration (:func:`repro.api.store.open_store`,
 import gzip
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.api import ResultStore, Scenario, Session
+from repro.api.scenario import canonical_json
 from repro.api.store import SQLITE_SUFFIXES, migrate_store, open_store
+from repro.metrics.report import RunMetrics, average_metrics
 from repro.replay import ReplaySignature, TraceWriter
+from repro.service import sqlite_store
 from repro.service.sqlite_store import SQLiteResultStore
 
 
@@ -176,6 +181,84 @@ class TestStoreContract:
         store.save_json("result", "d2", {"v": 2})
         found = {(kind, digest): payload for kind, digest, payload in store.iter_artifacts()}
         assert found == {("runs", "d1"): [1], ("result", "d2"): {"v": 2}}
+
+
+def fake_runs(count):
+    """``count`` distinct one-run artifacts as ``{digest: [RunMetrics]}``."""
+    return {
+        "d%d" % index: [
+            RunMetrics(0.01 * index, 3600.0 + index, index, 1, 0, 2.5 * index, 0.0, 86400.0,
+                       {"events_processed": float(index)})
+        ]
+        for index in range(count)
+    }
+
+
+def as_dicts(found):
+    return {digest: [run.to_dict() for run in runs] for digest, runs in found.items()}
+
+
+class TestBatchedRunReads:
+    """``load_many_runs``: one read for many run digests, on both backends."""
+
+    def test_backends_return_the_same_runs(self, tmp_path):
+        runs = fake_runs(4)
+        stores = [ResultStore(tmp_path / "store"), SQLiteResultStore(tmp_path / "s.db")]
+        for store in stores:
+            for digest, stored in runs.items():
+                store.save_runs(digest, stored)
+        found = [as_dicts(store.load_many_runs(["d2", "d0", "d3"])) for store in stores]
+        assert found[0] == found[1] == as_dicts({d: runs[d] for d in ("d2", "d0", "d3")})
+
+    def test_absent_digests_are_left_out(self, store):
+        runs = fake_runs(2)
+        for digest, stored in runs.items():
+            store.save_runs(digest, stored)
+        found = store.load_many_runs(["d0", "absent", "d1", "d0"])
+        assert as_dicts(found) == as_dicts(runs)
+        assert store.load_many_runs([]) == {}
+
+    def test_a_store_without_runs_reads_every_digest_as_missing(self, store):
+        assert store.load_many_runs(["d0", "d1"]) == {}
+
+    def test_an_unreadable_payload_is_quarantined_and_missing(self, store):
+        for digest, stored in fake_runs(3).items():
+            store.save_runs(digest, stored)
+        corrupt_artifact(store, "runs", "d1")
+        store.save_json("runs", "d2", [{"not": "a run"}])
+        assert set(store.load_many_runs(["d0", "d1", "d2"])) == {"d0"}
+        assert quarantine_evidence(store)
+        assert not store.has("runs", "d1")
+
+    def test_a_request_larger_than_one_batch_is_split(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sqlite_store, "RUNS_PER_READ", 2)
+        store = SQLiteResultStore(tmp_path / "s.db")
+        runs = fake_runs(5)
+        for digest, stored in runs.items():
+            store.save_runs(digest, stored)
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        found = store.load_many_runs(["d%d" % i for i in range(5)] + ["absent"])
+        store._conn.set_trace_callback(None)
+        assert as_dicts(found) == as_dicts(runs)
+        assert [sql.split(" WHERE")[0] for sql in statements] == [
+            'SELECT digest, payload FROM "artifact_runs"'
+        ] * 3
+
+
+finite = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False)
+counts = st.integers(min_value=0, max_value=10**9)
+run_metrics = st.builds(
+    RunMetrics,
+    finite, finite, counts, counts, counts, finite, finite, finite,
+    st.dictionaries(st.text(max_size=8), finite, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=run_metrics)
+def test_one_run_is_its_own_average(run):
+    assert canonical_json(average_metrics([run]).to_dict()) == canonical_json(run.to_dict())
 
 
 class TestSQLiteSpecifics:
